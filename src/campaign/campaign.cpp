@@ -10,10 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "apps/gaming.hpp"
 #include "apps/link_trace.hpp"
-#include "apps/offload.hpp"
-#include "apps/video.hpp"
+#include "campaign/app_session.hpp"
 #include "core/env.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
@@ -34,10 +32,8 @@
 
 namespace wheels::campaign {
 
-using apps::LinkTick;
 using apps::LinkTrace;
 using geo::DriveSample;
-using measure::AppKind;
 using measure::ConsolidatedDb;
 using measure::KpiRecord;
 using measure::TestRecord;
@@ -45,6 +41,20 @@ using measure::TestType;
 using radio::Carrier;
 using radio::Direction;
 using ran::TrafficProfile;
+
+int CampaignConfig::app_ticks(TestType type) const {
+  switch (type) {
+    case TestType::ArApp:
+    case TestType::CavApp:
+      return offload_ticks;
+    case TestType::Video:
+      return video_ticks;
+    case TestType::Gaming:
+      return gaming_ticks;
+    default:
+      return 0;
+  }
+}
 
 CampaignConfig config_from_env(double default_scale) {
   CampaignConfig cfg;
@@ -315,11 +325,13 @@ class CampaignRunner {
     run_bulk(Direction::Uplink);
     run_rtt();
     if (cfg_.run_apps) {
-      run_offload(AppKind::Ar);
-      run_offload(AppKind::Cav);
+      for (const TestType type : {TestType::ArApp, TestType::CavApp}) {
+        run_app_test(type, false);
+        run_app_test(type, true);
+      }
       if (cycle_ % cfg_.long_app_stride == 0) {
-        run_long_app(AppKind::Video);
-        run_long_app(AppKind::Gaming);
+        run_app_test(TestType::Video, false);
+        run_app_test(TestType::Gaming, false);
       }
     }
   }
@@ -564,188 +576,93 @@ class CampaignRunner {
     drain_pending_cities();
   }
 
-  /// One carrier's half of a lockstep link-trace collection (the per-carrier
-  /// worker body of the app segments).
-  LinkTrace collect_link_trace(CarrierContext& ctx,
-                               const std::vector<DriveSample>& ticks,
-                               const net::Server& server,
-                               std::uint32_t test_id) {
-    LinkTrace trace;
-    ctx.session->set_traffic(TrafficProfile::Interactive);
-    for (const DriveSample& s : ticks) {
-      (void)ctx.rrc->on_traffic(s.t);
-      const ran::RadioTick tick = ctx.session->tick(s, kTick);
-      LinkTick lt;
-      lt.cap_dl = tick.kpis.capacity_dl;
-      if (ctx.ue_pool) {
-        lt.cap_dl *= ctx.ue_pool->population_share(tick.cell_id);
-      }
-      lt.cap_ul = tick.kpis.capacity_ul;
-      lt.rtt = ctx.rtt_process->sample(tick.tech, server, s.pos, s.speed,
-                                       0.0, 0.0);
-      lt.interruption = tick.interruption;
-      lt.handovers = static_cast<int>(tick.handovers.size());
-      lt.tech = tick.tech;
-      trace.push_back(lt);
-      record_link_tick(ctx, test_id, s.t, lt);
-      record_common(ctx, tick, s, test_id, Direction::Uplink);
-    }
-    return trace;
-  }
-
-  /// Record the LinkTick an app session consumed this tick — the exact-replay
-  /// table (link_ticks.csv) and the export subsystem's per-run source. Pure
-  /// observation: consumes no randomness and perturbs no other table.
-  static void record_link_tick(CarrierContext& ctx, std::uint32_t test_id,
-                               SimMillis t, const LinkTick& lt) {
-    measure::LinkTickRecord rec;
-    rec.test_id = test_id;
-    rec.t = t;
-    rec.carrier = ctx.carrier;
-    rec.tech = lt.tech;
-    rec.cap_dl = lt.cap_dl;
-    rec.cap_ul = lt.cap_ul;
-    rec.rtt = lt.rtt;
-    rec.interruption = lt.interruption;
-    rec.handovers = lt.handovers;
-    ctx.shard.link_ticks.push_back(rec);
-  }
-
-  void push_offload_run(CarrierContext& ctx, AppKind kind,
-                        const TestRecord& test, const LinkTrace& trace,
-                        const apps::OffloadRunResult& run) {
-    measure::AppRunRecord r;
-    r.test_id = test.id;
-    r.app = kind;
-    r.carrier = ctx.carrier;
-    r.is_static = test.is_static;
-    r.server = test.server;
-    r.high_speed_5g_fraction = apps::high_speed_5g_fraction(trace);
-    r.handovers = apps::total_handovers(trace);
-    r.compressed = run.compressed;
-    r.median_e2e = run.median_e2e;
-    r.offload_fps = run.offload_fps;
-    r.map_percent = run.map_percent;
-    ctx.shard.app_runs.push_back(r);
-    // Uplink frames leave the device.
-    const double frame_kb = run.compressed
-                                ? (kind == AppKind::Ar ? 50.0 : 38.0)
-                                : (kind == AppKind::Ar ? 450.0 : 2000.0);
-    ctx.shard.tx_bytes +=
-        static_cast<double>(run.frames.size()) * frame_kb * 1024.0;
-  }
-
-  void run_offload(AppKind kind) {
-    if (!current_) return;
-    core::obs::ScopedSpan span{
-        kind == AppKind::Ar ? "campaign.offload_ar" : "campaign.offload_cav",
-        "campaign"};
-    const apps::OffloadApp app{kind == AppKind::Ar ? apps::ar_config()
-                                                   : apps::cav_config()};
-    const TestType type =
-        kind == AppKind::Ar ? TestType::ArApp : TestType::CavApp;
-
-    for (const bool compressed : {false, true}) {
-      if (!current_) return;
-      std::array<const net::Server*, radio::kCarrierCount> servers{};
-      std::array<std::uint32_t, radio::kCarrierCount> ids{};
-      std::array<std::optional<TestRecord>, radio::kCarrierCount> tests;
-      const geo::RoutePoint pt = view_.at_physical(current_->km);
-      for (auto& ctx : contexts_) {
-        const std::size_t ci = measure::carrier_index(ctx.carrier);
-        servers[ci] = &fleet_.select(ctx.carrier, route_, route_.at(pt.km));
-        tests[ci] = open_test(type, ctx.carrier, servers[ci]->kind,
-                              Direction::Uplink, false);
-        ids[ci] = tests[ci]->id;
-      }
-
-      const std::vector<DriveSample> ticks = take_ticks(cfg_.offload_ticks);
-
-      parallel_carriers([&](CarrierContext& ctx) {
-        const std::size_t ci = measure::carrier_index(ctx.carrier);
-        const LinkTrace trace =
-            collect_link_trace(ctx, ticks, *servers[ci], ids[ci]);
-        const auto run = app.run(trace, compressed);
-        push_offload_run(ctx, kind, *tests[ci], trace, run);
-      });
-
-      for (auto& ctx : contexts_) {
-        const std::size_t ci = measure::carrier_index(ctx.carrier);
-        close_test(*tests[ci], cfg_.offload_ticks * kTick);
-      }
-      drain_pending_cities();
+  static const char* app_span_name(TestType type) {
+    switch (type) {
+      case TestType::ArApp:
+        return "campaign.offload_ar";
+      case TestType::CavApp:
+        return "campaign.offload_cav";
+      case TestType::Video:
+        return "campaign.video";
+      default:
+        return "campaign.gaming";
     }
   }
 
-  void run_long_app(AppKind kind) {
+  /// One app test on all three phones: a lockstep collection of each
+  /// carrier's link trace, then the app session over it.
+  void run_app_test(TestType type, bool compressed) {
     if (!current_) return;
-    core::obs::ScopedSpan span{
-        kind == AppKind::Video ? "campaign.video" : "campaign.gaming",
-        "campaign"};
-    const int tick_budget =
-        kind == AppKind::Video ? cfg_.video_ticks : cfg_.gaming_ticks;
-    const TestType type =
-        kind == AppKind::Video ? TestType::Video : TestType::Gaming;
+    core::obs::ScopedSpan span{app_span_name(type), "campaign"};
+    const int n_ticks = cfg_.app_ticks(type);
+    // Offload apps upload frames; video and gaming stream down.
+    const Direction dir =
+        type == TestType::ArApp || type == TestType::CavApp
+            ? Direction::Uplink
+            : Direction::Downlink;
 
     std::array<const net::Server*, radio::kCarrierCount> servers{};
-    std::array<std::uint32_t, radio::kCarrierCount> ids{};
-    std::array<std::optional<TestRecord>, radio::kCarrierCount> tests;
+    std::array<TestRecord, radio::kCarrierCount> tests;
     const geo::RoutePoint pt = view_.at_physical(current_->km);
     for (auto& ctx : contexts_) {
       const std::size_t ci = measure::carrier_index(ctx.carrier);
       servers[ci] = &fleet_.select(ctx.carrier, route_, route_.at(pt.km));
-      tests[ci] = open_test(type, ctx.carrier, servers[ci]->kind,
-                            Direction::Downlink, false);
-      ids[ci] = tests[ci]->id;
+      tests[ci] = open_test(type, ctx.carrier, servers[ci]->kind, dir, false);
     }
 
-    const std::vector<DriveSample> ticks = take_ticks(tick_budget);
+    const std::vector<DriveSample> ticks = take_ticks(n_ticks);
 
     parallel_carriers([&](CarrierContext& ctx) {
       const std::size_t ci = measure::carrier_index(ctx.carrier);
-      const LinkTrace trace =
-          collect_link_trace(ctx, ticks, *servers[ci], ids[ci]);
-      push_long_app_run(ctx, kind, *tests[ci], trace);
+      const TestRecord& test = tests[ci];
+      LinkTrace trace;
+      ctx.session->set_traffic(TrafficProfile::Interactive);
+      for (const DriveSample& s : ticks) {
+        (void)ctx.rrc->on_traffic(s.t);
+        const ran::RadioTick tick = ctx.session->tick(s, kTick);
+        push_link_tick(ctx, tick, *servers[ci], s, test.id, trace);
+        record_common(ctx, tick, s, test.id, Direction::Uplink);
+      }
+      push_app_session(ctx, test, trace, compressed);
     });
 
     for (auto& ctx : contexts_) {
-      const std::size_t ci = measure::carrier_index(ctx.carrier);
-      close_test(*tests[ci], tick_budget * kTick);
+      close_test(tests[measure::carrier_index(ctx.carrier)], n_ticks * kTick);
     }
     drain_pending_cities();
   }
 
-  void push_long_app_run(CarrierContext& ctx, AppKind kind,
-                         const TestRecord& test, const LinkTrace& trace) {
-    measure::AppRunRecord r;
-    r.test_id = test.id;
-    r.app = kind;
-    r.carrier = ctx.carrier;
-    r.is_static = test.is_static;
-    r.server = test.server;
-    r.high_speed_5g_fraction = apps::high_speed_5g_fraction(trace);
-    r.handovers = apps::total_handovers(trace);
-    if (kind == AppKind::Video) {
-      apps::VideoConfig vc;
-      vc.run_duration = static_cast<Millis>(trace.size()) * kTick;
-      const auto run = apps::VideoApp{vc}.run(trace);
-      r.qoe = run.avg_qoe;
-      r.rebuffer_fraction = run.rebuffer_fraction;
-      r.avg_bitrate = run.avg_bitrate;
-      ctx.shard.rx_bytes += run.avg_bitrate * 1e6 / 8.0 *
-                            (vc.run_duration / 1000.0);
-    } else {
-      apps::GamingConfig gc;
-      gc.run_duration = static_cast<Millis>(trace.size()) * kTick;
-      const auto run = apps::GamingApp{gc}.run(trace);
-      r.gaming_bitrate = run.median_bitrate;
-      r.gaming_latency = run.median_latency;
-      r.gaming_frame_drop = run.median_frame_drop;
-      r.gaming_max_frame_drop = run.max_frame_drop;
-      ctx.shard.rx_bytes += run.median_bitrate * 1e6 / 8.0 *
-                            (gc.run_duration / 1000.0);
+  /// Append the link an app session sees this tick to `trace` — capacity
+  /// (the phone's population share of the downlink), a fresh path-RTT
+  /// sample at `s`, the tick's handovers — and record it, keyed by test, in
+  /// link_ticks. The record is pure observation: it draws no randomness the
+  /// app does not and perturbs no other table.
+  static void push_link_tick(CarrierContext& ctx, const ran::RadioTick& tick,
+                             const net::Server& server, const DriveSample& s,
+                             std::uint32_t test_id, LinkTrace& trace) {
+    measure::LinkTickRecord& rec = ctx.shard.link_ticks.emplace_back();
+    rec.test_id = test_id;
+    rec.t = s.t;
+    rec.carrier = ctx.carrier;
+    rec.cap_dl = tick.kpis.capacity_dl;
+    if (ctx.ue_pool) {
+      rec.cap_dl *= ctx.ue_pool->population_share(tick.cell_id);
     }
-    ctx.shard.app_runs.push_back(r);
+    rec.cap_ul = tick.kpis.capacity_ul;
+    rec.rtt = ctx.rtt_process->sample(tick.tech, server, s.pos, s.speed, 0.0,
+                                      0.0);
+    rec.interruption = tick.interruption;
+    rec.handovers = static_cast<int>(tick.handovers.size());
+    rec.tech = tick.tech;
+    trace.push_back(rec);
+  }
+
+  static void push_app_session(CarrierContext& ctx, const TestRecord& test,
+                               const LinkTrace& trace, bool compressed) {
+    const AppSession session = run_app_session(test, trace, compressed);
+    ctx.shard.app_runs.push_back(session.run);
+    ctx.shard.rx_bytes += session.rx_bytes;
+    ctx.shard.tx_bytes += session.tx_bytes;
   }
 
   /// Handover records, coverage tracking, unique-cell bookkeeping shared by
@@ -888,41 +805,19 @@ class CampaignRunner {
 
     if (!cfg_.run_apps) return;
 
-    auto make_trace = [&](std::uint32_t test_id, int n_ticks) {
-      LinkTrace trace;
-      for (int i = 0; i < n_ticks; ++i) {
-        const ran::RadioTick tick = session.tick(kTick);
-        LinkTick lt;
-        lt.cap_dl = tick.kpis.capacity_dl;
-        if (ctx.ue_pool) {
-          lt.cap_dl *= ctx.ue_pool->population_share(tick.cell_id);
-        }
-        lt.cap_ul = tick.kpis.capacity_ul;
-        lt.rtt = ctx.rtt_process->sample(tick.tech, server, city_pt.pos, 0.0,
-                                         0.0, 0.0);
-        lt.tech = tick.tech;
-        trace.push_back(lt);
-        record_link_tick(ctx, test_id,
-                         t0 + static_cast<SimMillis>(i * kTick), lt);
-      }
-      return trace;
-    };
-
-    for (const AppKind kind : {AppKind::Ar, AppKind::Cav}) {
-      const apps::OffloadApp app{kind == AppKind::Ar ? apps::ar_config()
-                                                     : apps::cav_config()};
-      for (const bool compressed : {false, true}) {
-        const TestRecord& test = plan.tests[ti++];
-        const LinkTrace trace = make_trace(test.id, cfg_.offload_ticks);
-        push_offload_run(ctx, kind, test, trace, app.run(trace, compressed));
-      }
-    }
-    for (const AppKind kind : {AppKind::Video, AppKind::Gaming}) {
+    // A static app session samples the best site's link from the city.
+    DriveSample at;
+    at.pos = city_pt.pos;
+    // The app tests in open order: AR and CAV each uncompressed, then
+    // compressed; video and gaming ignore the flag.
+    for (const bool compressed : {false, true, false, true, false, false}) {
       const TestRecord& test = plan.tests[ti++];
-      const int n_ticks =
-          kind == AppKind::Video ? cfg_.video_ticks : cfg_.gaming_ticks;
-      const LinkTrace trace = make_trace(test.id, n_ticks);
-      push_long_app_run(ctx, kind, test, trace);
+      LinkTrace trace;
+      for (int i = 0; i < cfg_.app_ticks(test.type); ++i) {
+        at.t = t0 + static_cast<SimMillis>(i * kTick);
+        push_link_tick(ctx, session.tick(kTick), server, at, test.id, trace);
+      }
+      push_app_session(ctx, test, trace, compressed);
     }
   }
 

@@ -51,6 +51,10 @@ struct CampaignConfig {
   int video_ticks = 360;    // 180 s
   int gaming_ticks = 120;   // 60 s
 
+  /// Tick budget of one app test of `type` (offload_ticks, video_ticks or
+  /// gaming_ticks); 0 for bulk and ping tests.
+  int app_ticks(measure::TestType type) const;
+
   /// Worker threads for the per-carrier pipelines (radio ticks, transport,
   /// apps, passive logging). 0 = auto (WHEELS_THREADS, else
   /// hardware_concurrency); 1 = the legacy serial path. The resulting

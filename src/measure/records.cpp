@@ -25,6 +25,16 @@ std::string_view app_kind_name(AppKind a) {
   return "?";
 }
 
+std::optional<AppKind> app_kind_of(TestType type) {
+  switch (type) {
+    case TestType::ArApp: return AppKind::Ar;
+    case TestType::CavApp: return AppKind::Cav;
+    case TestType::Video: return AppKind::Video;
+    case TestType::Gaming: return AppKind::Gaming;
+    default: return std::nullopt;
+  }
+}
+
 const TestRecord* ConsolidatedDb::find_test(std::uint32_t id) const {
   for (const TestRecord& t : tests) {
     if (t.id == id) return &t;

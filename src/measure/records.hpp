@@ -8,10 +8,12 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string_view>
 #include <vector>
 
+#include "apps/link_trace.hpp"
 #include "core/sim_time.hpp"
 #include "core/units.hpp"
 #include "geo/route.hpp"
@@ -39,6 +41,9 @@ std::string_view test_type_name(TestType t);
 enum class AppKind { Ar, Cav, Video, Gaming };
 
 std::string_view app_kind_name(AppKind a);
+
+/// The app a test of `type` runs; nullopt for bulk transfers and ping tests.
+std::optional<AppKind> app_kind_of(TestType type);
 
 /// One test run (bulk transfer, ping test or app session).
 struct TestRecord {
@@ -128,23 +133,17 @@ struct AppRunRecord {
 };
 
 /// One 500 ms link-state sample recorded alongside an app session: the
-/// exact apps::LinkTick the video/gaming/offload model consumed, keyed by
-/// the owning test. Present only when the campaign ran app sessions —
-/// bundles recorded before this table existed simply lack it, and replay
-/// falls back to the statistical per-carrier timeline (with a warning).
-/// The export subsystem (src/export/) turns these rows into emulator
-/// schedules, and ReplayCampaign replays app sessions from them exactly.
-struct LinkTickRecord {
+/// exact apps::LinkTick the video/gaming/offload model consumed, plus its
+/// key (owning test, tick time, carrier). Present only when the campaign ran
+/// app sessions — bundles recorded before this table existed simply lack
+/// it, and replay falls back to the statistical per-carrier timeline (with
+/// a warning). The export subsystem (src/export/) turns these rows into
+/// emulator schedules, and ReplayCampaign replays app sessions from them
+/// exactly.
+struct LinkTickRecord : apps::LinkTick {
   std::uint32_t test_id = 0;
   SimMillis t = 0;
   radio::Carrier carrier = radio::Carrier::Verizon;
-  radio::Technology tech = radio::Technology::Lte;
-  Mbps cap_dl = 0.0;
-  Mbps cap_ul = 0.0;
-  Millis rtt = 50.0;
-  /// Handover interruption within this tick.
-  Millis interruption = 0.0;
-  int handovers = 0;
 };
 
 /// A stretch of the route (map km) served by one technology — the unit of
