@@ -4,8 +4,9 @@
 //   ./synth_trace --fit tests/golden/bundle --profile p.json
 //   ./synth_trace --profile p.json --sample 10 --out cycles/
 //   ./synth_trace --fit tests/golden/bundle --sample 5 --validate
-//   ./synth_trace --fit bundleA --fit bundleB --sample 3 \
+//   ./synth_trace --fit bundleA --fit bundleB --sample 3
 //       --spec "duration_s=300,load=1.5,outage_factor=2" --seed 7
+//       (one command line)
 //
 // Options:
 //   --fit DIR       fit from this bundle directory (repeatable: evidence is

@@ -170,10 +170,7 @@ std::string CacheKey::dir_name() const {
 }
 
 CacheKey cache_key(const JobSpec& spec) {
-  CacheKey key;
-  key.kind = spec.kind;
-  key.seed = spec.seed;
-  key.input_digest = "-";
+  CacheKey key{spec.kind, "", spec.seed, "-"};
   switch (spec.kind) {
     case JobKind::Campaign:
       key.config_digest =

@@ -35,7 +35,10 @@ std::string double_str(double v) {
 }
 
 std::string quoted(std::string_view s) {
-  return "\"" + core::json::escape(s) + "\"";
+  std::string out{'"'};
+  out += core::json::escape(s);
+  out += '"';
+  return out;
 }
 
 /// Decode a JSON number that must be an integer in [min, max].

@@ -87,7 +87,9 @@ TEST(Campaign, TestRecordsWellFormed) {
   for (const auto& t : db.tests) {
     EXPECT_GE(t.end, t.start);
     EXPECT_GE(t.end_km, t.start_km);
-    if (!t.is_static) EXPECT_GE(t.cycle, 0);
+    if (!t.is_static) {
+      EXPECT_GE(t.cycle, 0);
+    }
   }
 }
 
