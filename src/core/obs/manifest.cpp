@@ -70,6 +70,8 @@ void write_manifest(const RunManifest& manifest, const std::string& path) {
   std::ofstream os{path};
   if (!os) throw std::runtime_error{"manifest: cannot open " + path};
   os << manifest.to_json() << '\n';
+  os.close();
+  if (!os) throw std::runtime_error{"manifest: cannot write " + path};
 }
 
 namespace {

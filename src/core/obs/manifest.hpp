@@ -58,7 +58,7 @@ inline constexpr const char* kCanonicalStartedUtc = "1970-01-01 00:00:00.000";
 void canonicalize_provenance(RunManifest& manifest);
 
 /// Write `manifest.to_json()` to `path`. Throws std::runtime_error when the
-/// file cannot be opened.
+/// file cannot be opened or written.
 void write_manifest(const RunManifest& manifest, const std::string& path);
 
 /// Inverse of to_json() for the fixed schema above. Throws
