@@ -6,19 +6,6 @@
 
 namespace wheels::campaign {
 
-void run_indexed(int threads, std::size_t jobs,
-                 const std::function<void(std::size_t)>& job) {
-  std::vector<core::ThreadPool::Task> tasks;
-  tasks.reserve(jobs);
-  for (std::size_t i = 0; i < jobs; ++i) {
-    tasks.push_back([&job, i] { job(i); });
-  }
-  // The calling thread drains the batch too, so `threads` jobs run
-  // concurrently with a pool of threads - 1 workers.
-  core::ThreadPool pool{core::resolve_threads(threads) - 1};
-  pool.run_batch(std::move(tasks));
-}
-
 FleetRunner::FleetRunner(int threads)
     : threads_(core::resolve_threads(threads)) {}
 
@@ -29,7 +16,7 @@ std::vector<measure::ConsolidatedDb> FleetRunner::run_all(
 
   // Each job writes only its own slot, so no lock is needed; the slot index
   // pins results to submission order whatever the completion order is.
-  run_indexed(threads_, configs.size(), [&results, &configs](std::size_t i) {
+  core::run_indexed(threads_, configs.size(), [&results, &configs](std::size_t i) {
     core::obs::ScopedSpan job_span{"fleet.job", "campaign"};
     static const core::obs::Counter jobs{"campaign.fleet.jobs"};
     jobs.add();

@@ -12,25 +12,11 @@
 // output byte.
 #pragma once
 
-#include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "campaign/campaign.hpp"
 
 namespace wheels::campaign {
-
-/// Slot-ordered fan-out: run `job(i)` for every i in [0, jobs) across a
-/// work-stealing pool `threads` wide (0 = auto: WHEELS_THREADS, else
-/// hardware_concurrency; the calling thread participates, so `threads` jobs
-/// run concurrently). Blocks until every job completed.
-///
-/// This is the deterministic-fleet discipline shared by FleetRunner and
-/// replay::ReplayFleet: each job writes only its own pre-allocated result
-/// slot, so no lock is needed and downstream merges that read the slots in
-/// index order produce identical output for every thread count.
-void run_indexed(int threads, std::size_t jobs,
-                 const std::function<void(std::size_t)>& job);
 
 class FleetRunner {
  public:

@@ -7,9 +7,9 @@
 #include <utility>
 
 #include "analysis/report.hpp"
-#include "campaign/fleet_runner.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
+#include "core/thread_pool.hpp"
 #include "measure/csv_export.hpp"
 #include "measure/enum_names.hpp"
 #include "replay/external_adapter.hpp"
@@ -270,7 +270,7 @@ FleetResult ReplayFleet::run(const std::vector<FleetItem>& items) const {
   const std::size_t jobs = items.size() * ncells;
   std::vector<DbSamples> samples(jobs);
   out.runs.resize(jobs);
-  campaign::run_indexed(config_.threads, jobs, [&](std::size_t j) {
+  core::run_indexed(config_.threads, jobs, [&](std::size_t j) {
     core::obs::ScopedSpan item_span{"replay.fleet.item", "replay"};
     static const core::obs::Counter runs{"replay.fleet.runs"};
     runs.add();
@@ -306,7 +306,7 @@ FleetResult ReplayFleet::run(const std::vector<FleetItem>& items) const {
   out.aggregate.resize(ncells);
   for (std::size_t ci = 0; ci < ncells; ++ci) out.aggregate[ci].cell = ci;
   constexpr std::size_t kPerCell = kCarriers * kFleetMetricCount;
-  campaign::run_indexed(
+  core::run_indexed(
       config_.threads, ncells * kPerCell, [&](std::size_t j) {
         const std::size_t ci = j / kPerCell;
         const std::size_t c = (j % kPerCell) / kFleetMetricCount;
