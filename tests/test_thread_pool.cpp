@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/env.hpp"
 #include "core/thread_pool.hpp"
@@ -106,6 +109,25 @@ TEST_F(ThreadPoolEnv, PoolHonoursResolvedCountUnderEnv) {
   }
   pool.run_batch(std::move(tasks));
   for (const int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPoolTest, RunIndexedRethrowsTheLowestFailingJob) {
+  for (const int threads : {1, 4}) {
+    std::vector<std::atomic<int>> ran(10);
+    try {
+      run_indexed(threads, ran.size(), [&](std::size_t i) {
+        ++ran[i];
+        if (i == 3 || i == 7) {
+          throw std::runtime_error{"job " + std::to_string(i)};
+        }
+      });
+      ADD_FAILURE() << "no exception, threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string{e.what()}, "job 3") << "threads=" << threads;
+    }
+    // A failing job does not stop the others.
+    for (const auto& r : ran) EXPECT_EQ(r.load(), 1) << "threads=" << threads;
+  }
 }
 
 }  // namespace
