@@ -7,14 +7,23 @@
 // and re-runs the transport/app stack over them).
 //
 // Format contracts:
-//  - doubles are written at max_digits10, so a written-then-read value is
-//    bit-identical (tests/test_csv_export.cpp);
+//  - doubles are written by std::to_chars(general, 17), which is printf's
+//    "%.17g" and exactly what an ostream prints at max_digits10, so a
+//    written-then-read value is bit-identical (tests/test_csv_export.cpp
+//    checks the formatter against an ostringstream). Integers print in
+//    decimal and bools as 0/1; the stream's format flags play no part;
 //  - enum columns carry the canonical printed names of
 //    measure/enum_names.hpp — the writers and parsers share one table and
 //    cannot drift;
 //  - readers are strict: truncated rows, unknown enum names, non-finite
 //    numbers and duplicated headers all raise std::runtime_error citing the
-//    offending 1-based line number. Nothing is silently skipped.
+//    offending 1-based line number. Nothing is silently skipped. Numbers
+//    parse with std::from_chars, so only what the writers emit is read: a
+//    leading '+' or whitespace, a hex float or an underflow such as 1e-400
+//    is rejected as malformed or out of range;
+//  - write_dataset throws when a table or the manifest could not be
+//    written in full ("csv: cannot write <path>", "manifest: cannot write
+//    <path>"), so a truncated bundle is never reported written.
 #pragma once
 
 #include <iosfwd>
@@ -26,8 +35,8 @@
 
 namespace wheels::measure {
 
-/// Format `v` exactly as the CSV writers below do (max_digits10, so the
-/// text converts back to the identical bits) — for auxiliary tables (fleet
+/// Format `v` exactly as the CSV writers below do ("%.17g", so the text
+/// converts back to the identical bits) — for auxiliary tables (fleet
 /// aggregates, golden expectations) that must diff cleanly against files
 /// this module wrote.
 std::string csv_double(double v);
@@ -72,9 +81,12 @@ void read_summary_csv(std::istream& is, ConsolidatedDb& db);
 void read_cells_csv(std::istream& is, ConsolidatedDb& db);
 
 /// Write the whole dataset bundle into a directory (created if needed),
-/// including a manifest.json recording the bundle's provenance. Returns the
-/// list of files written. Also flushes the global metrics/trace sinks when
-/// WHEELS_METRICS_OUT / WHEELS_TRACE_OUT are set.
+/// including a manifest.json recording the bundle's provenance, which is
+/// written last. The tables are written as independent tasks,
+/// WHEELS_THREADS wide. Returns the list of files written, in file order.
+/// Throws std::runtime_error naming the first table (in that order) that
+/// could not be opened or written in full. Also flushes the global
+/// metrics/trace sinks when WHEELS_METRICS_OUT / WHEELS_TRACE_OUT are set.
 std::vector<std::string> write_dataset(const ConsolidatedDb& db,
                                        const std::string& directory,
                                        const core::obs::RunManifest& manifest);
