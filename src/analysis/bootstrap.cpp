@@ -41,21 +41,15 @@ ConfidenceInterval bootstrap_ci(
     }
   };
 
-  const int width =
-      std::min(core::resolve_threads(threads), std::max(iterations, 1));
-  if (width <= 1) {
-    run_range(0, iterations);
-  } else {
-    std::vector<core::ThreadPool::Task> tasks;
-    tasks.reserve(static_cast<std::size_t>(width));
-    const int chunk = (iterations + width - 1) / width;
-    for (int lo = 0; lo < iterations; lo += chunk) {
-      const int hi = std::min(lo + chunk, iterations);
-      tasks.push_back([&run_range, lo, hi] { run_range(lo, hi); });
-    }
-    core::ThreadPool pool{width - 1};
-    pool.run_batch(std::move(tasks));
-  }
+  // Fixed-size chunks: the job count, and with it the pool's deterministic
+  // counters, does not depend on `threads`.
+  constexpr int kChunk = 64;
+  const auto jobs =
+      static_cast<std::size_t>((iterations + kChunk - 1) / kChunk);
+  core::run_indexed(threads, jobs, [&](std::size_t job) {
+    const int lo = static_cast<int>(job) * kChunk;
+    run_range(lo, std::min(lo + kChunk, iterations));
+  });
   std::sort(stats.begin(), stats.end());
   const double alpha = (1.0 - level) / 2.0;
   const auto idx = [&](double q) {

@@ -1,7 +1,6 @@
 #include "ingest/join.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -181,40 +180,6 @@ class SpanSink final : public PointSink {
   bool seen_ = false;
 };
 
-/// Run `fn(i)` for every source index, sharded `width` wide over a
-/// core::ThreadPool when width > 1. Exceptions are captured per shard and
-/// rethrown in canonical (index) order — a multi-source failure reports the
-/// same error at every thread count.
-void run_sharded(std::size_t n, int threads,
-                 const std::function<void(std::size_t)>& fn) {
-  const int width = static_cast<int>(
-      std::min<std::size_t>(n, static_cast<std::size_t>(
-                                   core::resolve_threads(threads))));
-  if (width <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::vector<std::exception_ptr> errors(n);
-  std::vector<core::ThreadPool::Task> tasks;
-  tasks.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    tasks.push_back([&fn, &errors, i] {
-      // The pool terminates on an escaping exception; capture and rethrow
-      // deterministically after the batch drains.
-      try {
-        fn(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  core::ThreadPool pool{width - 1};
-  pool.run_batch(std::move(tasks));
-  for (std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-}
-
 }  // namespace
 
 replay::ReplayBundle join_streams(std::vector<StreamSource> sources,
@@ -247,7 +212,7 @@ replay::ReplayBundle join_streams(std::vector<StreamSource> sources,
   SimMillis trim_hi = 0;
   if (join.trim_to_overlap) {
     std::vector<SpanSink> spans(sources.size());
-    run_sharded(sources.size(), threads, [&](std::size_t i) {
+    core::run_indexed(threads, sources.size(), [&](std::size_t i) {
       SpanSink& span = spans[i];
       EmptyGuard guard{"join: " + sources[i].name + ": empty trace", span};
       if (join.align_clocks) {
@@ -275,7 +240,7 @@ replay::ReplayBundle join_streams(std::vector<StreamSource> sources,
   // bundle below is assembled serially in canonical order, which is what
   // keeps the output byte-identical at any thread count.
   std::vector<std::vector<TraceSegment>> segments(sources.size());
-  run_sharded(sources.size(), threads, [&](std::size_t i) {
+  core::run_indexed(threads, sources.size(), [&](std::size_t i) {
     std::vector<TraceSegment>& out = segments[i];
     StreamingResampler resampler{resample_spec, [&out](TraceSegment&& seg) {
                                    out.push_back(std::move(seg));
