@@ -1,19 +1,22 @@
-// google-benchmark: streamed ingest throughput. The chunked reader and the
+// google-benchmark: streamed ingest throughput. The line source and the
 // incremental adapters are the multi-GB on-ramp; this tracks MB/s through
-// the raw line layer and the full parse→resample→bundle pipeline, for both
-// reader backends. SetBytesProcessed makes the MB/s column first-class, so
-// a reader regression shows up as a rate, not a guess.
+// the raw line layer, the full parse→resample→bundle pipeline, and the
+// in-memory parse the export round-trip verify runs. SetBytesProcessed
+// makes the MB/s column first-class, so a reader regression shows up as a
+// rate, not a guess.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "ingest/chunked_reader.hpp"
+#include "ingest/adapters.hpp"
 #include "ingest/ingest.hpp"
+#include "ingest/line_source.hpp"
 
 namespace {
 
@@ -48,42 +51,52 @@ std::string mahimahi_fixture(std::size_t target_bytes) {
   return path;
 }
 
-void BM_ChunkedReaderLines(benchmark::State& state) {
+void BM_LineSourceLines(benchmark::State& state) {
   const std::string path = mahimahi_fixture(16 << 20);
   const auto size = std::filesystem::file_size(path);
-  ingest::ChunkSpec spec;
-  spec.use_mmap = state.range(0) != 0;
   for (auto _ : state) {
-    ingest::ChunkedReader reader{path, spec};
-    std::vector<ingest::LineRef> batch;
+    ingest::LineSource source{path, ingest::ChunkSpec{}};
+    ingest::LineRef line;
     std::size_t lines = 0;
-    while (reader.next_batch(batch)) lines += batch.size();
+    while (source.next(line)) ++lines;
     benchmark::DoNotOptimize(lines);
   }
   state.SetBytesProcessed(static_cast<int64_t>(size) * state.iterations());
 }
-BENCHMARK(BM_ChunkedReaderLines)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("mmap")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LineSourceLines)->Unit(benchmark::kMillisecond);
 
 void BM_IngestMahimahiBundle(benchmark::State& state) {
   const std::string path = mahimahi_fixture(16 << 20);
   const auto size = std::filesystem::file_size(path);
-  ingest::IngestOptions options;
-  options.chunk.use_mmap = state.range(0) != 0;
+  const ingest::IngestOptions options;
   for (auto _ : state) {
     const auto bundle = ingest::ingest_file("mahimahi", path, options);
     benchmark::DoNotOptimize(bundle.db.kpis.size());
   }
   state.SetBytesProcessed(static_cast<int64_t>(size) * state.iterations());
 }
-BENCHMARK(BM_IngestMahimahiBundle)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("mmap")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IngestMahimahiBundle)->Unit(benchmark::kMillisecond);
+
+/// The export round-trip verify path: a rendered Mahimahi trace held in
+/// memory, parsed through TraceAdapter::parse(std::istream&).
+void BM_IngestMahimahiIstream(benchmark::State& state) {
+  const std::string path = mahimahi_fixture(16 << 20);
+  std::ifstream file{path, std::ios::binary};
+  std::ostringstream content;
+  content << file.rdbuf();
+  const std::string text = std::move(content).str();
+  const ingest::TraceAdapter& adapter =
+      *ingest::builtin_registry().find("mahimahi");
+  const ingest::IngestOptions options;
+  for (auto _ : state) {
+    std::istringstream is{text};
+    const ingest::CanonicalTrace trace = adapter.parse(is, options);
+    benchmark::DoNotOptimize(trace.points.size());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(text.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_IngestMahimahiIstream)->Unit(benchmark::kMillisecond);
 
 void BM_IngestMinimalCsvBundle(benchmark::State& state) {
   static std::string path = [] {

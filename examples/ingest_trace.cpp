@@ -20,10 +20,9 @@
 //   --interp MODE   hold|linear between source samples (default hold)
 //   --no-align      join: keep native clocks instead of re-basing to t=0
 //   --trim          join: keep only the window every carrier covers
-//   --chunk BYTES   streaming window size (default 1 MiB); peak memory is
-//                   O(chunk), independent of the trace size
-//   --batch LINES   lines per pulled batch (default 4096)
-//   --no-mmap       use buffered reads instead of mmap windows
+//   --chunk BYTES   bytes per read of the streaming line source (default
+//                   1 MiB); peak memory is O(chunk), independent of the
+//                   trace size
 //   --shards N      join: parallel ingest shards, one per input file
 //                   (default 1; 0 = WHEELS_THREADS/auto). Output is
 //                   byte-identical at every shard count.
@@ -54,8 +53,8 @@ int usage() {
          "       ingest_trace --list-formats\n"
          "options: --format F --carrier C --up PATH --rtt MS --tech T\n"
          "         --tick MS --max-gap MS --interp hold|linear\n"
-         "         --no-align --trim --chunk BYTES --batch LINES --no-mmap\n"
-         "         --shards N --in-memory --replay --out DIR\n";
+         "         --no-align --trim --chunk BYTES --shards N --in-memory\n"
+         "         --replay --out DIR\n";
   return 2;
 }
 
@@ -127,11 +126,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--chunk") {
         options.chunk.chunk_bytes =
             static_cast<std::size_t>(std::stoull(value(i)));
-      } else if (arg == "--batch") {
-        options.chunk.batch_lines =
-            static_cast<std::size_t>(std::stoull(value(i)));
-      } else if (arg == "--no-mmap") {
-        options.chunk.use_mmap = false;
       } else if (arg == "--shards") {
         options.threads = std::stoi(value(i));
       } else if (arg == "--in-memory") {

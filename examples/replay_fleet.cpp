@@ -9,14 +9,15 @@
 //                                         (seeds SEED..SEED+N-1), then sweep
 //                                         a cc x server grid over them
 //
-// Bundle specs ending in ".csv" go through the external per-tick trace
-// adapter (optionally "@carrier" picks the synthetic carrier); a directory
-// that is not itself a bundle expands to its bundle subdirectories (the
-// layout synth_trace --out produces), and everything else is a dataset
-// directory. Grid values "recorded" keep a knob at its
-// recorded value; the all-recorded baseline cell is always included and is
-// the reference of every delta. The aggregate CSV (--out) is byte-identical
-// for every WHEELS_THREADS.
+// Bundle specs ending in ".csv" are t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms[,tech]
+// traces read through the ingest "minimal" adapter — resampled onto the
+// 500 ms tick, long gaps split into cycles — and an optional "@carrier"
+// suffix picks the trace bundle's carrier; a directory that is not itself a
+// bundle expands to its bundle subdirectories (the layout synth_trace --out
+// produces), and everything else is a dataset directory. Grid values
+// "recorded" keep a knob at its recorded value; the all-recorded baseline
+// cell is always included and is the reference of every delta. The
+// aggregate CSV (--out) is byte-identical for every WHEELS_THREADS.
 //
 // Knobs: WHEELS_THREADS (fleet-level fan-out), WHEELS_REPLAY_SEED,
 // WHEELS_REPLAY_INTERP (hold|linear); the WHEELS_REPLAY_CC/SERVER/MAX_TIER
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "ingest/ingest.hpp"
 #include "replay/fleet.hpp"
 #include "replay/replay_campaign.hpp"
 
@@ -132,7 +134,7 @@ int main(int argc, char** argv) {
       bundles.reserve(bundle_specs.size());
       for (const std::string& spec : bundle_specs) {
         std::cout << "Loading " << spec << "...\n";
-        bundles.push_back(replay::load_fleet_bundle(spec));
+        bundles.push_back(ingest::load_fleet_bundle(spec));
         names.push_back(spec);
       }
     }

@@ -4,13 +4,12 @@
 #include <stdexcept>
 
 #include "ingest/adapters.hpp"
-#include "replay/trace_text.hpp"
 
 namespace wheels::ingest {
 
 CanonicalTrace TraceAdapter::parse(std::istream& is,
                                    const IngestOptions& options) const {
-  IstreamLineSource lines{is, options.chunk.batch_lines};
+  LineSource lines{is, options.chunk};
   CollectSink sink;
   parse_stream(lines, options, sink);
   return sink.take();
@@ -103,16 +102,17 @@ const AdapterRegistry& builtin_registry() {
 }
 
 SniffInput sniff_file(const std::string& path, std::size_t max_lines) {
-  std::ifstream is{path};
+  std::ifstream is{path, std::ios::binary};
   if (!is) {
     throw std::runtime_error{"cannot open " + path};
   }
   SniffInput input;
   input.path = path;
-  replay::TraceLineReader reader{is};
-  std::string line;
-  while (input.head.size() < max_lines && reader.next(line)) {
-    input.head.push_back(line);
+  // The head is a few short lines; one small block usually holds them all.
+  LineSource lines{is, ChunkSpec{std::size_t{64} << 10}};
+  LineRef line;
+  while (input.head.size() < max_lines && lines.next(line)) {
+    input.head.emplace_back(line.text);
   }
   return input;
 }

@@ -13,8 +13,8 @@
 #include <string_view>
 #include <vector>
 
-#include "ingest/chunked_reader.hpp"
 #include "ingest/column_map.hpp"
+#include "ingest/line_source.hpp"
 #include "ingest/resample.hpp"
 #include "ingest/stream.hpp"
 #include "radio/technology.hpp"
@@ -46,7 +46,7 @@ struct IngestOptions {
   /// automatically.
   std::string paper_rtts_path;
   ResampleSpec resample;
-  /// Geometry of the chunked file reader (window size, batch size, mmap).
+  /// Block size of the line source.
   ChunkSpec chunk;
   /// Ingest shards for multi-trace joins: one worker per input file.
   /// 0 = resolve from WHEELS_THREADS / hardware concurrency.
@@ -64,14 +64,14 @@ class TraceAdapter {
   /// Confidence in [0, 100] that `input` is this format; 0 = no. The
   /// registry picks the highest strictly positive score.
   virtual int sniff(const SniffInput& input) const = 0;
-  /// Incrementally parse one trace: pull bounded line batches from `lines`,
-  /// emit canonical points into `sink` (finishing it exactly once, on
-  /// success). Adapter state stays O(1) in the input size. Throws
+  /// Incrementally parse one trace: pull payload lines from `lines` one at
+  /// a time, emit canonical points into `sink` (finishing it exactly once,
+  /// on success). Adapter state stays O(1) in the input size. Throws
   /// std::runtime_error "line N: ..." on malformed input (callers prefix
   /// the file path).
   virtual void parse_stream(LineSource& lines, const IngestOptions& options,
                             PointSink& sink) const = 0;
-  /// Whole-stream convenience wrapper over parse_stream; identical
+  /// parse_stream over a LineSource on `is`, collected in memory; identical
   /// semantics and errors.
   CanonicalTrace parse(std::istream& is, const IngestOptions& options) const;
 };

@@ -26,29 +26,21 @@ std::unique_ptr<TraceAdapter> make_errant_adapter();
 std::unique_ptr<TraceAdapter> make_monroe_adapter();
 std::unique_ptr<TraceAdapter> make_paper_tables_adapter();
 
-/// Merge a paired Mahimahi uplink trace into `down` (both already windowed
-/// by the mahimahi adapter on the same tick grid): cap_ul is replaced by the
-/// uplink trace's windowed rate; the shorter side holds its last windowed
-/// rate to the longer side's end.
-void merge_mahimahi_uplink(CanonicalTrace& down, const CanonicalTrace& up);
-
-/// Streaming form of the uplink merge: a PointSink wrapper that applies the
-/// positional merge to the downlink stream flowing through it and forwards
-/// the result (plus any uplink tail) to `inner`. The (already windowed)
-/// uplink trace is held in memory — O(duration / tick), not O(file bytes).
+/// Merge a paired Mahimahi uplink trace (already windowed by the mahimahi
+/// adapter on the same tick grid) into the downlink stream: a PointSink
+/// wrapper that replaces each point's cap_ul by the uplink trace's windowed
+/// rate and forwards the result to `inner`; the shorter side holds its last
+/// windowed rate to the longer side's end. The uplink trace is held in
+/// memory — O(duration / tick), not O(file bytes).
 std::unique_ptr<PointSink> make_mahimahi_uplink_merge(CanonicalTrace up,
                                                       PointSink& inner);
 
-/// Overlay recorded RTT samples (a paper rtts.csv table) onto `trace`: each
-/// point takes the latest recorded RTT at or before its timestamp (rows for
-/// other carriers are ignored; points before the first RTT sample keep
-/// their fill value). Throws std::runtime_error on a malformed table.
-void attach_paper_rtts(CanonicalTrace& trace, std::istream& rtts,
-                       radio::Carrier carrier);
-
-/// Streaming form of the RTT overlay: loads the rtts.csv table up front
-/// (paper tables are small) and rewrites each point flowing through to
-/// `inner`. Throws std::runtime_error on a malformed table.
+/// Overlay recorded RTT samples (a paper rtts.csv table) onto the point
+/// stream: loads the table up front (paper tables are small) and rewrites
+/// each point flowing through to `inner` with the latest recorded RTT at or
+/// before its timestamp (rows for other carriers are ignored; points before
+/// the first RTT sample keep their fill value). Throws std::runtime_error
+/// on a malformed table.
 std::unique_ptr<PointSink> make_paper_rtt_overlay(std::istream& rtts,
                                                   radio::Carrier carrier,
                                                   PointSink& inner);

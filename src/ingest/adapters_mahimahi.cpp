@@ -20,7 +20,7 @@
 #include <utility>
 
 #include "ingest/adapters.hpp"
-#include "replay/trace_text.hpp"
+#include "ingest/trace_text.hpp"
 
 namespace wheels::ingest {
 
@@ -84,36 +84,31 @@ class MahimahiAdapter final : public TraceAdapter {
       out.push(p);
     };
 
-    std::vector<LineRef> batch;
+    LineRef line;
     SimMillis last = -1;
     SimMillis window = 0;  // current window index, valid once have_window
     std::size_t count = 0;
     bool have_window = false;
-    while (lines.next_batch(batch)) {
-      for (const LineRef& line : batch) {
-        const SimMillis t = replay::parse_trace_time_ms(line.text,
-                                                        line.number);
-        if (t < last) {
-          replay::trace_fail(line.number, "time going backwards");
-        }
-        last = t;
-        const SimMillis w = t / tick;
-        if (!have_window) {
-          // The first timestamp anchors windowing — no counters for the
-          // (possibly billions of) empty windows before the recording.
-          window = w;
-          have_window = true;
-        }
-        while (window < w) {
-          emit_window(window, count);
-          ++window;
-          count = 0;
-        }
-        ++count;
+    while (lines.next(line)) {
+      const SimMillis t = parse_trace_time_ms(line.text, line.number);
+      if (t < last) trace_fail(line.number, "time going backwards");
+      last = t;
+      const SimMillis w = t / tick;
+      if (!have_window) {
+        // The first timestamp anchors windowing — no counters for the
+        // (possibly billions of) empty windows before the recording.
+        window = w;
+        have_window = true;
       }
+      while (window < w) {
+        emit_window(window, count);
+        ++window;
+        count = 0;
+      }
+      ++count;
     }
     if (!have_window) {
-      replay::trace_fail(lines.line_number(), "trace has no data rows");
+      trace_fail(lines.line_number(), "trace has no data rows");
     }
     emit_window(window, count);
     out.finish();
@@ -182,15 +177,6 @@ std::unique_ptr<TraceAdapter> make_mahimahi_adapter() {
 std::unique_ptr<PointSink> make_mahimahi_uplink_merge(CanonicalTrace up,
                                                       PointSink& inner) {
   return std::make_unique<MahimahiUplinkMerge>(std::move(up), inner);
-}
-
-void merge_mahimahi_uplink(CanonicalTrace& down, const CanonicalTrace& up) {
-  CollectSink merged;
-  const auto sink = make_mahimahi_uplink_merge(up, merged);
-  sink->on_run(std::span<const TracePoint>{down.points.data(),
-                                           down.points.size()});
-  sink->finish();
-  down = merged.take();
 }
 
 }  // namespace wheels::ingest

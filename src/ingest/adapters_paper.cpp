@@ -9,8 +9,8 @@
 // through an incremental parser that keeps only the per-timestamp
 // accumulators (the pivot's inherent state, O(unique ticks), independent of
 // the row count). RTTs live in a separate rtts.csv table;
-// attach_paper_rtts() / make_paper_rtt_overlay() overlay one when
-// available, otherwise the configured fill applies.
+// make_paper_rtt_overlay() overlays one when available, otherwise the
+// configured fill applies.
 #include <charconv>
 #include <istream>
 #include <map>
@@ -22,7 +22,7 @@
 #include "measure/enum_names.hpp"
 
 #include "ingest/adapters.hpp"
-#include "replay/trace_text.hpp"
+#include "ingest/trace_text.hpp"
 
 namespace wheels::ingest {
 
@@ -89,17 +89,16 @@ class PaperTablesAdapter final : public TraceAdapter {
       throw std::runtime_error{"paper tables: default rtt must be > 0"};
     }
 
-    std::vector<LineRef> batch;
-    if (!lines.next_batch(batch)) {
+    LineRef line;
+    if (!lines.next(line)) {
       csv_fail(1, "missing header, expected '" + std::string{kKpiHeader} +
                       "'");
     }
-    if (batch.front().text != kKpiHeader) {
-      csv_fail(batch.front().number,
-               "unexpected header '" + std::string{batch.front().text} +
-                   "', expected '" + std::string{kKpiHeader} + "'");
+    if (line.text != kKpiHeader) {
+      csv_fail(line.number, "unexpected header '" + std::string{line.text} +
+                                "', expected '" + std::string{kKpiHeader} +
+                                "'");
     }
-    std::size_t row = 1;
 
     struct Accumulator {
       double dl_sum = 0.0;
@@ -111,16 +110,10 @@ class PaperTablesAdapter final : public TraceAdapter {
     std::map<SimMillis, Accumulator> by_t;
     std::size_t rows = 0;
     std::vector<std::string_view> cells;
-    while (true) {
-      if (row == batch.size()) {
-        if (!lines.next_batch(batch)) break;
-        row = 0;
-      }
-      const std::string_view text = batch[row].text;
-      const std::size_t line_no = batch[row].number;
-      ++row;
-      if (text == kKpiHeader) csv_fail(line_no, "duplicated header");
-      replay::split_trace_row(text, cells);
+    while (lines.next(line)) {
+      const std::size_t line_no = line.number;
+      if (line.text == kKpiHeader) csv_fail(line_no, "duplicated header");
+      split_trace_row(line.text, cells);
       if (cells.size() != kKpiColumns) {
         csv_fail(line_no, "expected " + std::to_string(kKpiColumns) +
                               " fields, got " +
@@ -133,7 +126,7 @@ class PaperTablesAdapter final : public TraceAdapter {
       Accumulator& acc = by_t[csv_i64(cells[1], line_no)];
       const auto direction =
           csv_enum(cells[17], line_no, measure::names::parse_direction);
-      const double throughput = replay::parse_trace_double(cells[9], line_no);
+      const double throughput = parse_trace_double(cells[9], line_no);
       if (direction == radio::Direction::Downlink) {
         acc.dl_sum += throughput;
         ++acc.dl_n;
@@ -215,13 +208,6 @@ class PaperRttOverlay final : public PointSink {
 
 std::unique_ptr<TraceAdapter> make_paper_tables_adapter() {
   return std::make_unique<PaperTablesAdapter>();
-}
-
-void attach_paper_rtts(CanonicalTrace& trace, std::istream& rtts,
-                       radio::Carrier carrier) {
-  const std::map<SimMillis, double> by_t = load_rtt_map(rtts, carrier);
-  if (by_t.empty()) return;
-  for (TracePoint& p : trace.points) overlay_rtt(by_t, p);
 }
 
 std::unique_ptr<PointSink> make_paper_rtt_overlay(std::istream& rtts,

@@ -4,18 +4,14 @@
 #include <istream>
 #include <stdexcept>
 
-#include "ingest/chunked_reader.hpp"
+#include "ingest/line_source.hpp"
 #include "ingest/stream.hpp"
+#include "ingest/trace_text.hpp"
 #include "measure/enum_names.hpp"
-#include "replay/trace_text.hpp"
 
 namespace wheels::ingest {
 
 namespace {
-
-using replay::parse_trace_double;
-using replay::split_trace_row;
-using replay::trace_fail;
 
 constexpr std::size_t kMissing = static_cast<std::size_t>(-1);
 
@@ -52,21 +48,19 @@ void parse_with_map(LineSource& lines, const ColumnMap& map,
     throw std::runtime_error{"column map: missing time column or scale"};
   }
 
-  std::vector<LineRef> batch;
-  if (!lines.next_batch(batch)) {
+  LineRef line;
+  if (!lines.next(line)) {
     trace_fail(lines.line_number(), "empty trace");
   }
-  std::size_t row = 0;  // cursor into the current batch
 
-  // Bind the header row. The header is tiny and owned — batch views die at
+  // Bind the header row. The header is tiny and owned — line views die at
   // the next pull, so the column names are copied out.
   std::vector<std::string_view> cells;
-  split_trace_row(batch[row].text, cells);
+  split_trace_row(line.text, cells);
   std::vector<std::string> header;
   header.reserve(cells.size());
   for (std::string_view cell : cells) header.emplace_back(cell);
-  const std::size_t header_line = batch[row].number;
-  ++row;
+  const std::size_t header_line = line.number;
 
   const std::size_t time_idx = find_column(header, map.time_column,
                                            header_line);
@@ -106,14 +100,9 @@ void parse_with_map(LineSource& lines, const ColumnMap& map,
   std::optional<double> time_base;
   SimMillis prev_t = 0;
   bool have_prev = false;
-  while (true) {
-    if (row == batch.size()) {
-      if (!lines.next_batch(batch)) break;
-      row = 0;
-    }
-    const std::size_t line_no = batch[row].number;
-    split_trace_row(batch[row].text, cells);
-    ++row;
+  while (lines.next(line)) {
+    const std::size_t line_no = line.number;
+    split_trace_row(line.text, cells);
     if (cells.size() != header.size()) {
       trace_fail(line_no, "expected " + std::to_string(header.size()) +
                               " columns, got " +
@@ -173,7 +162,7 @@ void parse_with_map(LineSource& lines, const ColumnMap& map,
 
 CanonicalTrace parse_with_map(std::istream& is, const ColumnMap& map,
                               radio::Technology default_tech) {
-  IstreamLineSource lines{is};
+  LineSource lines{is, ChunkSpec{}};
   CollectSink sink;
   parse_with_map(lines, map, default_tech, sink);
   return sink.take();

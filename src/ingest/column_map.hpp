@@ -9,10 +9,10 @@
 // strict parser behind the minimal/ERRANT/MONROE adapters, so adding a
 // format of this family means writing a ColumnMap, not a parser.
 //
-// The streaming overload is the real parser: it pulls bounded line batches
-// from a LineSource and emits points into a PointSink, holding only the
-// header binding and the previous timestamp — O(1) state however large the
-// input. The istream overload is the whole-file wrapper over it.
+// The streaming overload is the real parser: it pulls payload lines one at
+// a time from a LineSource and emits points into a PointSink, holding only
+// the header binding and the previous timestamp — O(1) state however large
+// the input. The istream overload is the whole-file wrapper over it.
 #pragma once
 
 #include <iosfwd>
@@ -80,7 +80,7 @@ struct ColumnMap {
 
 /// Incrementally parse `lines` under `map`, emitting canonical points into
 /// `sink` (finishing it exactly once). Shares the strict trace dialect of
-/// replay/trace_text.hpp: '#' comments and blank lines are skipped without
+/// ingest/line_source.hpp: '#' comments and blank lines are skipped without
 /// renumbering, CRLF is accepted, numbers parse full-string, and time must
 /// be strictly increasing after scaling (duplicates and backwards steps are
 /// rejected). Capacities must be >= 0 and RTTs > 0 after scaling. Throws

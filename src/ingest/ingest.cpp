@@ -8,6 +8,7 @@
 
 #include "ingest/adapters.hpp"
 #include "measure/enum_names.hpp"
+#include "replay/fleet.hpp"
 
 namespace wheels::ingest {
 
@@ -29,14 +30,14 @@ const TraceAdapter& resolve_adapter(const AdapterRegistry& registry,
   }
 }
 
-/// Chunked parse of `path` through `adapter` into `sink`, with the adapter
+/// Streamed parse of `path` through `adapter` into `sink`, with the adapter
 /// errors prefixed "path: adapter: ...". The open error is not prefixed —
 /// it already names the path.
 void parse_path(const TraceAdapter& adapter, const std::string& path,
                 const IngestOptions& options, PointSink& sink) {
-  ChunkedReader reader{path, options.chunk};
+  LineSource lines{path, options.chunk};
   try {
-    adapter.parse_stream(reader, options, sink);
+    adapter.parse_stream(lines, options, sink);
   } catch (const std::runtime_error& e) {
     throw std::runtime_error{path + ": " + std::string{adapter.name()} + ": " +
                              e.what()};
@@ -115,6 +116,14 @@ replay::ReplayBundle ingest_file(const std::string& format,
     stream_trace(builtin_registry(), format, path, options, sink);
   };
   return join_streams(std::move(sources), JoinOptions{}, options.resample, 1);
+}
+
+replay::ReplayBundle load_fleet_bundle(const std::string& spec) {
+  const replay::FleetSpec parsed = replay::parse_fleet_spec(spec);
+  if (!parsed.is_trace) return replay::read_dataset(parsed.path);
+  IngestOptions options;
+  options.carrier = parsed.carrier;
+  return ingest_file("minimal", parsed.path, options);
 }
 
 std::vector<JoinEntry> parse_join_spec(const std::string& spec) {

@@ -1,7 +1,8 @@
 // Top-level ingest API: file in, validated ReplayBundle out.
 //
 // The free functions here tie the subsystem together for callers (the
-// ingest_trace CLI, replay_dataset --import, tests): resolve an adapter from
+// ingest_trace CLI, replay_dataset --import, the fleet path specs of
+// replay_fleet and wheelsd, tests): resolve an adapter from
 // the registry (sniffing the file only when the format is "auto" — an
 // explicit format never requires a readable, sniffable head), stream the
 // file through the adapter's incremental parser with the format's
@@ -21,7 +22,7 @@
 namespace wheels::ingest {
 
 /// Stream one file's canonical points into `sink` (finished exactly once on
-/// success) through a ChunkedReader sized by options.chunk. `format` is an
+/// success) through a LineSource sized by options.chunk. `format` is an
 /// adapter name or "auto" (sniff — only then is the file head read twice).
 /// Applies the Mahimahi uplink merge when options.mahimahi_uplink_path is
 /// set and the resolved adapter is "mahimahi", and the paper rtts.csv
@@ -43,6 +44,13 @@ CanonicalTrace load_trace(const AdapterRegistry& registry,
 replay::ReplayBundle ingest_file(const std::string& format,
                                  const std::string& path,
                                  const IngestOptions& options);
+
+/// Load one fleet path spec (replay::parse_fleet_spec): a bundle directory
+/// through replay::read_dataset, a ".csv[@carrier]" trace through
+/// ingest_file with the "minimal" adapter, tagged with the spec's carrier —
+/// so the trace is resampled onto the tick grid and split at long gaps like
+/// any other ingested trace.
+replay::ReplayBundle load_fleet_bundle(const std::string& spec);
 
 struct JoinEntry {
   radio::Carrier carrier = radio::Carrier::Verizon;

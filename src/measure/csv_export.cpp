@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -17,6 +16,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "core/line_reader.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
 #include "core/thread_pool.hpp"
@@ -148,18 +148,18 @@ class RowWriter {
   char* end_;
 };
 
-// Strict row cursor over one CSV table. Pulls the stream in blocks, verifies
-// the header on construction, enforces the column count per row, rejects a
-// repeated header line, and parses each field with full-string validation.
-// Fields are views into the block, valid until the next call to next(); no
-// row allocates. Every failure throws std::runtime_error citing the 1-based
-// line number of the offending line.
+// Strict row cursor over one CSV table. Pulls the stream in blocks through
+// core::LineReader, verifies the header on construction, enforces the
+// column count per row, rejects a repeated header line, and parses each
+// field with full-string validation. Fields are views into the block, valid
+// until the next call to next(); no row allocates. Every failure throws
+// std::runtime_error citing the 1-based line number of the offending line.
 class CsvTable {
  public:
   CsvTable(std::istream& is, std::string_view header, std::size_t columns)
-      : is_(is), header_(header), buf_(kBlockBytes), fields_(columns) {
+      : lines_(is, kBlockBytes), header_(header), fields_(columns) {
     std::string_view line;
-    if (!next_line(line)) {
+    if (!lines_.next(line)) {
       throw std::runtime_error{"csv: line 1: missing header, expected '" +
                                std::string{header_} + "'"};
     }
@@ -174,8 +174,7 @@ class CsvTable {
   /// skipped (the writers never emit them mid-table).
   bool next() {
     std::string_view line;
-    while (next_line(line)) {
-      ++line_;
+    while (lines_.next(line)) {
       if (line.empty()) continue;
       if (line == header_) fail("duplicated header");
       split(line);
@@ -185,8 +184,8 @@ class CsvTable {
   }
 
   [[noreturn]] void fail(const std::string& msg) const {
-    throw std::runtime_error{"csv: line " + std::to_string(line_) + ": " +
-                             msg};
+    throw std::runtime_error{"csv: line " +
+                             std::to_string(lines_.line_number()) + ": " + msg};
   }
 
   std::string_view cell(std::size_t i) const { return fields_[i]; }
@@ -259,38 +258,6 @@ class CsvTable {
   }
 
  private:
-  /// The next physical line, without its '\n' and one trailing '\r'; false
-  /// at end of input.
-  bool next_line(std::string_view& line) {
-    std::size_t scanned = pos_;
-    const char* nl = nullptr;
-    while ((nl = static_cast<const char*>(std::memchr(
-                buf_.data() + scanned, '\n', end_ - scanned))) == nullptr) {
-      scanned = end_ - pos_;  // fill() moves the scanned tail to the front
-      if (!fill()) break;
-    }
-    if (nl == nullptr && pos_ == end_) return false;
-    const std::size_t stop = nl ? nl - buf_.data() : end_;
-    line = std::string_view{buf_.data() + pos_, stop - pos_};
-    pos_ = nl ? stop + 1 : stop;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    return true;
-  }
-
-  /// Moves the unread tail to the front of the buffer and reads the next
-  /// block behind it, doubling the buffer when one line fills it. False
-  /// once the stream is drained.
-  bool fill() {
-    std::copy(buf_.begin() + pos_, buf_.begin() + end_, buf_.begin());
-    end_ -= pos_;
-    pos_ = 0;
-    if (end_ == buf_.size()) buf_.resize(2 * buf_.size());
-    is_.read(buf_.data() + end_,
-             static_cast<std::streamsize>(buf_.size() - end_));
-    end_ += static_cast<std::size_t>(is_.gcount());
-    return is_.gcount() > 0;
-  }
-
   /// Splits `line` into fields_, failing unless it has exactly as many.
   void split(std::string_view line) {
     std::size_t n = 0;
@@ -308,13 +275,9 @@ class CsvTable {
     }
   }
 
-  std::istream& is_;
+  core::LineReader lines_;
   std::string_view header_;
-  std::vector<char> buf_;
-  std::size_t pos_ = 0;  // start of the unread bytes in buf_
-  std::size_t end_ = 0;  // end of the bytes read into buf_
   std::vector<std::string_view> fields_;
-  std::size_t line_ = 1;  // the header occupies line 1
 };
 
 }  // namespace

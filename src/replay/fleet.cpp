@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "analysis/report.hpp"
@@ -12,7 +13,6 @@
 #include "core/thread_pool.hpp"
 #include "measure/csv_export.hpp"
 #include "measure/enum_names.hpp"
-#include "replay/external_adapter.hpp"
 
 namespace wheels::replay {
 
@@ -208,18 +208,20 @@ std::string cell_label(const ReplayKnobs& knobs) {
   return out;
 }
 
-ReplayBundle load_fleet_bundle(const std::string& spec) {
-  std::string path = spec;
-  radio::Carrier carrier = radio::Carrier::Verizon;
+FleetSpec parse_fleet_spec(const std::string& spec) {
+  const auto ends_in_csv = [](std::string_view s) {
+    return s.size() >= 4 && s.substr(s.size() - 4) == ".csv";
+  };
+  FleetSpec out;
+  out.path = spec;
   if (const std::size_t at = spec.rfind('@');
-      at != std::string::npos && at + 1 < spec.size()) {
-    carrier = measure::names::parse_carrier(spec.substr(at + 1));
-    path = spec.substr(0, at);
+      at != std::string::npos &&
+      ends_in_csv(std::string_view{spec}.substr(0, at))) {
+    out.path = spec.substr(0, at);
+    out.carrier = measure::names::parse_carrier(spec.substr(at + 1));
   }
-  const bool is_csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  if (is_csv) return import_external_trace_file(path, carrier);
-  return read_dataset(path);
+  out.is_trace = ends_in_csv(out.path);
+  return out;
 }
 
 std::vector<std::string> expand_fleet_specs(
@@ -227,8 +229,7 @@ std::vector<std::string> expand_fleet_specs(
   namespace fs = std::filesystem;
   std::vector<std::string> out;
   for (const std::string& spec : specs) {
-    const bool is_csv = spec.find(".csv") != std::string::npos;
-    if (is_csv || !fs::is_directory(spec) ||
+    if (parse_fleet_spec(spec).is_trace || !fs::is_directory(spec) ||
         fs::exists(fs::path{spec} / "manifest.json")) {
       out.push_back(spec);
       continue;

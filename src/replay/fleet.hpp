@@ -64,17 +64,29 @@ struct FleetItem {
   const ReplayBundle* bundle = nullptr;
 };
 
-/// Load a bundle from a fleet path spec: a dataset directory, or an external
+/// One fleet path spec, parsed: a dataset directory, or an external
 /// per-tick trace CSV (a path ending in ".csv"), optionally suffixed
-/// "@carrier" to pick the synthetic bundle's carrier (default Verizon).
-ReplayBundle load_fleet_bundle(const std::string& spec);
+/// "@carrier" to pick the trace bundle's carrier (default Verizon).
+/// ingest::load_fleet_bundle loads one.
+struct FleetSpec {
+  std::string path;
+  radio::Carrier carrier = radio::Carrier::Verizon;
+  bool is_trace = false;
+};
+
+/// The one parser of the fleet spec grammar. "@carrier" splits off only when
+/// the part before the last '@' ends in ".csv", so a bundle directory may
+/// hold '@' or ".csv" anywhere in its name. Throws std::runtime_error on an
+/// unknown carrier name.
+FleetSpec parse_fleet_spec(const std::string& spec);
 
 /// Expand fleet path specs in place of globbing: a spec naming a directory
 /// that is not itself a bundle (no manifest.json) but holds bundle
 /// subdirectories — e.g. synth_trace --out output, output/cycle-000/... —
 /// expands to those subdirectories in lexicographic name order. Every other
 /// spec (bundle dirs, ".csv[@carrier]" traces) passes through unchanged.
-/// Throws std::runtime_error when a directory spec contains no bundles.
+/// Throws std::runtime_error when a directory spec contains no bundles, or
+/// on a trace spec's unknown carrier.
 std::vector<std::string> expand_fleet_specs(
     const std::vector<std::string>& specs);
 

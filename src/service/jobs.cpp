@@ -9,6 +9,7 @@
 #include "campaign/campaign.hpp"
 #include "core/obs/manifest.hpp"
 #include "core/obs/metrics.hpp"
+#include "ingest/ingest.hpp"
 #include "measure/enum_names.hpp"
 #include "replay/fleet.hpp"
 #include "replay/ingest.hpp"
@@ -67,30 +68,20 @@ std::string manifest_identity(const core::obs::RunManifest& m) {
 
 /// Identity of one expanded fleet path spec: bundle dirs contribute their
 /// manifest identity, external trace CSVs the digest of their bytes plus
-/// the selected carrier — renaming a file changes nothing, editing a tick
-/// changes the key.
+/// the selected carrier and the ingest path that loads them (the "minimal"
+/// adapter of ingest::load_fleet_bundle) — renaming a file changes nothing,
+/// editing a tick changes the key, and a cache entry written while trace
+/// specs loaded another way misses.
 std::string spec_identity(const std::string& spec) {
-  std::string path = spec;
-  std::string carrier = measure::names::to_name(radio::Carrier::Verizon).data();
-  if (const std::size_t at = spec.rfind('@');
-      at != std::string::npos && at + 1 < spec.size()) {
-    const std::string tail = spec.substr(at + 1);
-    try {
-      carrier = measure::names::to_name(measure::names::parse_carrier(tail));
-      path = spec.substr(0, at);
-    } catch (const std::runtime_error&) {
-      // Not a carrier suffix; treat the whole spec as a path.
-    }
+  const replay::FleetSpec parsed = replay::parse_fleet_spec(spec);
+  if (parsed.is_trace) {
+    return "trace=" +
+           core::obs::hex64(core::obs::fnv1a64(read_file_bytes(parsed.path))) +
+           ";carrier=" + std::string{measure::names::to_name(parsed.carrier)} +
+           ";via=minimal";
   }
-  const bool is_csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  if (is_csv) {
-    return "trace=" + core::obs::hex64(core::obs::fnv1a64(
-                          read_file_bytes(path))) +
-           ";carrier=" + carrier;
-  }
-  return manifest_identity(
-      core::obs::read_manifest((fs::path{path} / "manifest.json").string()));
+  return manifest_identity(core::obs::read_manifest(
+      (fs::path{parsed.path} / "manifest.json").string()));
 }
 
 /// The fleet job's canonical config string: the expanded knob grid (cell
@@ -122,7 +113,7 @@ void run_fleet_job(const JobSpec& spec, const std::string& out_dir) {
   std::vector<replay::ReplayBundle> bundles;
   bundles.reserve(specs.size());
   for (const std::string& s : specs) {
-    bundles.push_back(replay::load_fleet_bundle(s));
+    bundles.push_back(ingest::load_fleet_bundle(s));
   }
   std::vector<replay::FleetItem> items;
   items.reserve(specs.size());

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
@@ -270,6 +272,168 @@ TEST(IngestTest, MalformedFixturesThrowWithLineNumbers) {
   // Every message names the offending file.
   EXPECT_NE(ingest_err("minimal", "minimal_bad.csv").find("minimal_bad.csv"),
             std::string::npos);
+  // A fleet trace spec reads through the same adapter: the same error.
+  EXPECT_NE(error_of([] {
+              (void)load_fleet_bundle(fixture("minimal_bad.csv"));
+            }).find("line 4: duplicate time 500"),
+            std::string::npos);
+}
+
+// --- fleet trace specs ------------------------------------------------------
+//
+// A ".csv[@carrier]" fleet spec is a minimal-format trace loaded through
+// load_fleet_bundle: the minimal adapter, then the join layer.
+
+/// Writes `text` to a temp file called `name`; returns its path.
+std::string write_trace(const std::string& name, const std::string& text) {
+  const std::string path =
+      (std::filesystem::path{::testing::TempDir()} / name).string();
+  std::ofstream os{path, std::ios::binary};
+  os << text;
+  return path;
+}
+
+constexpr char kFleetTrace[] =
+    "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms,tech\n"
+    "0,120.5,18.2,45,5G-mid\n"
+    "500,95.0,15.0,52,5G-mid\n"
+    "1000,3.1,1.0,88,LTE\n"
+    "1500,140.0,20.0,41,5G-mmWave\n";
+
+TEST(FleetTraceSpec, ImportsAndReplays) {
+  const std::string path = write_trace("fleet_spec_imports.csv", kFleetTrace);
+  const replay::ReplayBundle bundle = load_fleet_bundle(path + "@T-Mobile");
+  EXPECT_EQ(bundle.db.tests.size(), 3u);
+  EXPECT_EQ(bundle.db.tests[0].carrier, radio::Carrier::TMobile);
+  EXPECT_EQ(bundle.db.kpis.size(), 8u);  // 4 ticks x {DL, UL}
+  EXPECT_EQ(bundle.db.rtts.size(), 4u);
+  EXPECT_TRUE(measure::validate(bundle.db).empty());
+
+  replay::ReplayConfig cfg;
+  cfg.threads = 1;
+  const measure::ConsolidatedDb replayed =
+      replay::ReplayCampaign{bundle, cfg}.run();
+  EXPECT_EQ(replayed.kpis.size(), 8u);
+  EXPECT_EQ(replayed.rtts.size(), 4u);
+  for (const auto& r : replayed.rtts) {
+    EXPECT_GT(r.rtt, 0.0);
+  }
+}
+
+TEST(FleetTraceSpec, WithoutTechColumnDefaultsToLte) {
+  const std::string path =
+      write_trace("fleet_spec_no_tech.csv",
+                  "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n0,50,5,60\n");
+  const replay::ReplayBundle bundle = load_fleet_bundle(path);
+  ASSERT_EQ(bundle.db.kpis.size(), 2u);
+  EXPECT_EQ(bundle.db.kpis[0].tech, radio::Technology::Lte);
+}
+
+TEST(FleetTraceSpec, MalformedRowsReportLineNumbers) {
+  const auto error_of_text = [](const std::string& text) {
+    const std::string path = write_trace("fleet_spec_malformed.csv", text);
+    return error_of([&] { (void)load_fleet_bundle(path); });
+  };
+  const std::string header = "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n";
+  EXPECT_NE(error_of_text("bogus,header\n").find("line 1"), std::string::npos);
+  EXPECT_NE(error_of_text(header + "0,50,5\n").find("line 2"),
+            std::string::npos);
+  EXPECT_NE(error_of_text(header + "0,nan,5,60\n").find("line 2"),
+            std::string::npos);
+  EXPECT_NE(error_of_text(header + "0,50,5,0\n").find("line 2"),
+            std::string::npos);  // rtt must be > 0
+  EXPECT_NE(error_of_text(header + "500,50,5,60\n0,50,5,60\n").find("line 3"),
+            std::string::npos);  // time going backwards
+  EXPECT_NE(error_of_text(header).find("no data rows"), std::string::npos);
+  EXPECT_NE(error_of_text("").find("line 1: empty trace"), std::string::npos);
+  // A fifth header column other than tech is rejected on the header line.
+  EXPECT_NE(error_of_text("t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms,band\n"
+                          "0,50,5,60,n77\n")
+                .find("line 1"),
+            std::string::npos);
+}
+
+TEST(FleetTraceSpec, AcceptsCrlfLineEndings) {
+  // Windows-exported traces: CRLF on every line including the header, plus a
+  // trailing bare "\r" line. Must parse identically to the LF version.
+  const std::string path = write_trace(
+      "fleet_spec_crlf.csv",
+      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms,tech\r\n"
+      "0,120.5,18.2,45,5G-mid\r\n"
+      "500,95.0,15.0,52,LTE\r\n"
+      "\r\n");
+  const replay::ReplayBundle bundle = load_fleet_bundle(path + "@AT&T");
+  EXPECT_EQ(bundle.db.kpis.size(), 4u);  // 2 ticks x {DL, UL}
+  EXPECT_EQ(bundle.db.rtts.size(), 2u);
+  EXPECT_EQ(bundle.db.kpis[0].tech, radio::Technology::NrMid);
+  EXPECT_EQ(bundle.db.rtts[1].rtt, 52.0);
+  EXPECT_TRUE(measure::validate(bundle.db).empty());
+}
+
+TEST(FleetTraceSpec, AcceptsCommentAndBlankLines) {
+  // '#' comments and blank lines are allowed anywhere — including before the
+  // header — and do not shift the physical line numbers diagnostics report.
+  const std::string path = write_trace(
+      "fleet_spec_comments.csv",
+      "# exported by a field logger\n"
+      "\n"
+      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms,tech\n"
+      "0,120.5,18.2,45,5G-mid\n"
+      "# mid-trace annotation\n"
+      "500,95.0,15.0,52,LTE\n"
+      "\n");
+  const replay::ReplayBundle bundle = load_fleet_bundle(path);
+  EXPECT_EQ(bundle.db.kpis.size(), 4u);  // 2 ticks x {DL, UL}
+  EXPECT_EQ(bundle.db.rtts.size(), 2u);
+  EXPECT_EQ(bundle.db.rtts[1].rtt, 52.0);
+  EXPECT_TRUE(measure::validate(bundle.db).empty());
+
+  // Skipped lines still count: the bad row below is physical line 6.
+  const std::string bad = write_trace("fleet_spec_comments_bad.csv",
+                                      "# comment\n"
+                                      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n"
+                                      "0,50,5,60\n"
+                                      "\n"
+                                      "# another comment\n"
+                                      "500,50,5,0\n");
+  const std::string what = error_of([&] { (void)load_fleet_bundle(bad); });
+  EXPECT_NE(what.find("line 6: rtt must be > 0"), std::string::npos) << what;
+
+  // A comment-only stream has no header at all.
+  const std::string comments_only = write_trace(
+      "fleet_spec_comments_only.csv", "# nothing here\n\n# still nothing\n");
+  EXPECT_NE(error_of([&] { (void)load_fleet_bundle(comments_only); })
+                .find("empty trace"),
+            std::string::npos);
+}
+
+TEST(FleetTraceSpec, GapsSplitCyclesAndOffGridRowsResample) {
+  // A 20 s gap (> the 10 s max gap) splits the trace into two cycles.
+  const std::string gapped = write_trace(
+      "fleet_spec_gap.csv",
+      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n"
+      "0,50,5,60\n500,50,5,60\n1000,50,5,60\n"
+      "21000,70,7,40\n21500,70,7,40\n");
+  const replay::ReplayBundle split = load_fleet_bundle(gapped);
+  ASSERT_EQ(split.db.tests.size(), 6u);  // one DL/UL/RTT triple per cycle
+  EXPECT_EQ(split.db.tests[0].cycle, 0);
+  EXPECT_EQ(split.db.tests[3].cycle, 1);
+  EXPECT_EQ(split.db.tests[3].start, 21'000);
+
+  // A 1 s cadence starting at t = 5000 is rebased to 0 and held onto the
+  // 500 ms grid: 0, 500, ..., 2000.
+  const std::string coarse = write_trace(
+      "fleet_spec_coarse.csv",
+      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n"
+      "5000,40,4,60\n6000,60,6,50\n7000,80,8,40\n");
+  const replay::ReplayBundle ticks = load_fleet_bundle(coarse);
+  EXPECT_TRUE(measure::validate(ticks.db).empty());
+  ASSERT_EQ(ticks.db.rtts.size(), 5u);
+  const std::vector<double> dl{40, 40, 60, 60, 80};
+  for (std::size_t i = 0; i < dl.size(); ++i) {
+    EXPECT_EQ(ticks.db.kpis[2 * i].t, static_cast<SimMillis>(i) * 500) << i;
+    EXPECT_DOUBLE_EQ(ticks.db.kpis[2 * i].throughput, dl[i]) << i;
+  }
 }
 
 // --- resampling -------------------------------------------------------------

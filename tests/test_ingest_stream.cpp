@@ -1,10 +1,10 @@
-// The streamed ingest path: chunked reading, incremental adapters, and the
+// The streamed ingest path: block reading, incremental adapters, and the
 // byte-equivalence contract against the whole-file path.
 //
 // The hard compatibility contract under test: for every fixture, every
-// chunk/batch geometry, both reader backends and every shard count, the
-// streaming pipeline produces a bundle byte-identical (manifest digest and
-// every table) to the in-memory load_trace + join_traces path.
+// block size and every shard count, the streaming pipeline produces a
+// bundle byte-identical (manifest digest and every table) to the in-memory
+// load_trace + join_traces path.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -19,10 +19,9 @@
 
 #include "core/obs/metrics.hpp"
 #include "ingest/adapters.hpp"
-#include "ingest/chunked_reader.hpp"
 #include "ingest/ingest.hpp"
+#include "ingest/line_source.hpp"
 #include "measure/csv_export.hpp"
-#include "replay/trace_text.hpp"
 
 namespace wheels::ingest {
 namespace {
@@ -58,30 +57,34 @@ struct NumberedLine {
   bool operator==(const NumberedLine&) const = default;
 };
 
+/// The trace dialect, spelled out over std::getline: every non-blank,
+/// non-'#' line with one trailing CR stripped, numbered physically, and the
+/// end of input numbered one past the last line.
 std::vector<NumberedLine> lines_via_reference(const std::string& path) {
   std::ifstream is{path, std::ios::binary};
   EXPECT_TRUE(static_cast<bool>(is)) << path;
-  replay::TraceLineReader reader{is};
   std::vector<NumberedLine> out;
+  std::size_t number = 0;
   std::string line;
-  while (reader.next(line)) out.push_back({line, reader.line_number()});
-  out.push_back({"<eof>", reader.line_number()});
+  while (std::getline(is, line)) {
+    ++number;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty() || line.front() == '#') continue;
+    out.push_back({line, number});
+  }
+  out.push_back({"<eof>", number + 1});
   return out;
 }
 
-std::vector<NumberedLine> lines_via_chunked(const std::string& path,
-                                            const ChunkSpec& spec) {
-  ChunkedReader reader{path, spec};
+std::vector<NumberedLine> lines_via_source(const std::string& path,
+                                           const ChunkSpec& spec) {
+  LineSource source{path, spec};
   std::vector<NumberedLine> out;
-  std::vector<LineRef> batch;
-  while (reader.next_batch(batch)) {
-    EXPECT_FALSE(batch.empty());
-    EXPECT_LE(batch.size(), spec.batch_lines == 0 ? 1 : spec.batch_lines);
-    for (const LineRef& ref : batch) {
-      out.push_back({std::string{ref.text}, ref.number});
-    }
+  LineRef line;
+  while (source.next(line)) {
+    out.push_back({std::string{line.text}, line.number});
   }
-  out.push_back({"<eof>", reader.line_number()});
+  out.push_back({"<eof>", source.line_number()});
   return out;
 }
 
@@ -93,9 +96,9 @@ std::string write_temp(const std::string& name, const std::string& content) {
   return path;
 }
 
-// --- chunked reader ---------------------------------------------------------
+// --- line source ------------------------------------------------------------
 
-TEST(ChunkedReaderTest, MatchesTraceLineReaderAcrossGeometries) {
+TEST(LineSourceTest, MatchesGetlineOracleAcrossBlockSizes) {
   const std::vector<std::string> files{
       "minimal.csv",  "mahimahi.down",      "mahimahi.up",
       "errant.csv",   "monroe.csv",         "paper/kpis.csv",
@@ -106,72 +109,56 @@ TEST(ChunkedReaderTest, MatchesTraceLineReaderAcrossGeometries) {
     for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
                                     std::size_t{7}, std::size_t{64},
                                     std::size_t{1} << 20}) {
-      for (const bool mmap : {true, false}) {
-        for (const std::size_t batch : {std::size_t{1}, std::size_t{4096}}) {
-          ChunkSpec spec;
-          spec.chunk_bytes = chunk;
-          spec.batch_lines = batch;
-          spec.use_mmap = mmap;
-          EXPECT_EQ(lines_via_chunked(fixture(file), spec), expected)
-              << file << " chunk=" << chunk << " mmap=" << mmap
-              << " batch=" << batch;
-        }
-      }
+      ChunkSpec spec;
+      spec.chunk_bytes = chunk;
+      EXPECT_EQ(lines_via_source(fixture(file), spec), expected)
+          << file << " chunk=" << chunk;
     }
   }
 }
 
-TEST(ChunkedReaderTest, MmapBacksRegularFilesAndCanBeDisabled) {
-  ChunkSpec spec;
-  ChunkedReader mapped{fixture("minimal.csv"), spec};
-  EXPECT_TRUE(mapped.mmap_active());
-  spec.use_mmap = false;
-  ChunkedReader buffered{fixture("minimal.csv"), spec};
-  EXPECT_FALSE(buffered.mmap_active());
-}
-
-TEST(ChunkedReaderTest, FinalLineWithoutNewlineSurvivesEveryChunkSize) {
+TEST(LineSourceTest, FinalLineWithoutNewlineSurvivesEveryChunkSize) {
   const std::string path =
       write_temp("no_trailing_newline.txt", "alpha\nbeta\r\ngamma");
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{4},
                                   std::size_t{1} << 20}) {
     ChunkSpec spec;
     spec.chunk_bytes = chunk;
-    const std::vector<NumberedLine> got = lines_via_chunked(path, spec);
+    const std::vector<NumberedLine> got = lines_via_source(path, spec);
     const std::vector<NumberedLine> want{
         {"alpha", 1}, {"beta", 2}, {"gamma", 3}, {"<eof>", 4}};
     EXPECT_EQ(got, want) << "chunk=" << chunk;
   }
 }
 
-TEST(ChunkedReaderTest, EmptyAndCommentOnlyFiles) {
+TEST(LineSourceTest, EmptyAndCommentOnlyFiles) {
   ChunkSpec spec;
   {
-    ChunkedReader reader{write_temp("empty.txt", ""), spec};
-    std::vector<LineRef> batch;
-    EXPECT_FALSE(reader.next_batch(batch));
-    EXPECT_EQ(reader.line_number(), 1u);
+    LineSource source{write_temp("empty.txt", ""), spec};
+    LineRef line;
+    EXPECT_FALSE(source.next(line));
+    EXPECT_EQ(source.line_number(), 1u);
   }
   {
-    ChunkedReader reader{write_temp("comments.txt", "# a\n\n# b\n"), spec};
-    std::vector<LineRef> batch;
-    EXPECT_FALSE(reader.next_batch(batch));
-    EXPECT_EQ(reader.line_number(), 4u);  // past the final physical line
+    LineSource source{write_temp("comments.txt", "# a\n\n# b\n"), spec};
+    LineRef line;
+    EXPECT_FALSE(source.next(line));
+    EXPECT_EQ(source.line_number(), 4u);  // past the final physical line
   }
-  EXPECT_NE(error_of([&] { ChunkedReader r{fixture("missing.csv"), spec}; })
-                .find("cannot open"),
+  EXPECT_NE(error_of([&] { LineSource s{fixture("missing.csv"), spec}; })
+                .find("ingest: cannot open"),
             std::string::npos);
 }
 
-TEST(ChunkedReaderTest, ObsCountersTrackBytesAndChunks) {
+TEST(LineSourceTest, ObsCountersTrackBytesAndChunks) {
   const std::uintmax_t size =
       std::filesystem::file_size(fixture("minimal.csv"));
   core::obs::MetricsRegistry::global().reset();
   ChunkSpec spec;
   spec.chunk_bytes = 16;
-  ChunkedReader reader{fixture("minimal.csv"), spec};
-  std::vector<LineRef> batch;
-  while (reader.next_batch(batch)) {
+  LineSource reader{fixture("minimal.csv"), spec};
+  LineRef line;
+  while (reader.next(line)) {
   }
   const auto snapshot = core::obs::MetricsRegistry::global().snapshot();
   std::uint64_t bytes = 0;
@@ -200,16 +187,12 @@ TEST(IngestStreamTest, StreamingBundleMatchesInMemoryForEveryFixture) {
     const std::string expected = bundle_fingerprint(reference);
     for (const std::size_t chunk : {std::size_t{1}, std::size_t{17},
                                     std::size_t{1} << 20}) {
-      for (const bool mmap : {true, false}) {
-        IngestOptions streamed = options;
-        streamed.chunk.chunk_bytes = chunk;
-        streamed.chunk.batch_lines = 3;
-        streamed.chunk.use_mmap = mmap;
-        const replay::ReplayBundle bundle =
-            ingest_file(format, fixture(file), streamed);
-        EXPECT_EQ(bundle_fingerprint(bundle), expected)
-            << file << " chunk=" << chunk << " mmap=" << mmap;
-      }
+      IngestOptions streamed = options;
+      streamed.chunk.chunk_bytes = chunk;
+      const replay::ReplayBundle bundle =
+          ingest_file(format, fixture(file), streamed);
+      EXPECT_EQ(bundle_fingerprint(bundle), expected)
+          << file << " chunk=" << chunk;
     }
   }
 }
@@ -290,7 +273,6 @@ TEST(IngestStreamTest, RandomMinimalTracesRoundTripAtOddChunkSizes) {
   for (const std::size_t chunk : {std::size_t{13}, std::size_t{257}}) {
     IngestOptions streamed = options;
     streamed.chunk.chunk_bytes = chunk;
-    streamed.chunk.batch_lines = 7;
     EXPECT_EQ(bundle_fingerprint(ingest_file("minimal", path, streamed)),
               bundle_fingerprint(reference))
         << "chunk=" << chunk;

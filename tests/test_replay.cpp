@@ -11,7 +11,6 @@
 #include "campaign/campaign.hpp"
 #include "measure/csv_export.hpp"
 #include "measure/validate.hpp"
-#include "replay/external_adapter.hpp"
 #include "replay/ingest.hpp"
 #include "replay/replay_campaign.hpp"
 #include "replay/report.hpp"
@@ -400,170 +399,6 @@ TEST(ReplayCampaign_, MaxTierCapDowngradesAndClamps) {
   }
   for (const auto& r : db.rtts) {
     EXPECT_LE(radio::technology_tier(r.tech), cap_tier);
-  }
-}
-
-// --- external adapter -----------------------------------------------------
-
-constexpr char kExternalTrace[] =
-    "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms,tech\n"
-    "0,120.5,18.2,45,5G-mid\n"
-    "500,95.0,15.0,52,5G-mid\n"
-    "1000,3.1,1.0,88,LTE\n"
-    "1500,140.0,20.0,41,5G-mmWave\n";
-
-TEST(ExternalAdapter, ImportsAndReplays) {
-  std::stringstream ss{kExternalTrace};
-  const ReplayBundle bundle =
-      import_external_trace_csv(ss, radio::Carrier::TMobile);
-  EXPECT_EQ(bundle.db.tests.size(), 3u);
-  EXPECT_EQ(bundle.db.kpis.size(), 8u);  // 4 ticks x {DL, UL}
-  EXPECT_EQ(bundle.db.rtts.size(), 4u);
-  EXPECT_TRUE(measure::validate(bundle.db).empty());
-
-  ReplayConfig cfg;
-  cfg.threads = 1;
-  const measure::ConsolidatedDb replayed = ReplayCampaign{bundle, cfg}.run();
-  EXPECT_EQ(replayed.kpis.size(), 8u);
-  EXPECT_EQ(replayed.rtts.size(), 4u);
-  for (const auto& r : replayed.rtts) {
-    EXPECT_GT(r.rtt, 0.0);
-  }
-}
-
-TEST(ExternalAdapter, WithoutTechColumnDefaultsToLte) {
-  std::stringstream ss{
-      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n"
-      "0,50,5,60\n"};
-  const ReplayBundle bundle =
-      import_external_trace_csv(ss, radio::Carrier::Verizon);
-  ASSERT_EQ(bundle.db.kpis.size(), 2u);
-  EXPECT_EQ(bundle.db.kpis[0].tech, radio::Technology::Lte);
-}
-
-TEST(ExternalAdapter, MalformedRowsReportLineNumbers) {
-  const auto error_of = [](const std::string& text) {
-    std::stringstream ss{text};
-    try {
-      (void)import_external_trace_csv(ss, radio::Carrier::Verizon);
-    } catch (const std::runtime_error& e) {
-      return std::string{e.what()};
-    }
-    return std::string{};
-  };
-  const std::string header = "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n";
-  EXPECT_NE(error_of("bogus,header\n").find("line 1"), std::string::npos);
-  EXPECT_NE(error_of(header + "0,50,5\n").find("line 2"), std::string::npos);
-  EXPECT_NE(error_of(header + "0,nan,5,60\n").find("line 2"),
-            std::string::npos);
-  EXPECT_NE(error_of(header + "0,50,5,0\n").find("line 2"),
-            std::string::npos);  // rtt must be > 0
-  EXPECT_NE(error_of(header + "500,50,5,60\n0,50,5,60\n").find("line 3"),
-            std::string::npos);  // time going backwards
-  EXPECT_NE(error_of(header).find("no data rows"), std::string::npos);
-}
-
-TEST(ExternalAdapter, RejectsDuplicateTimestampsWithLineNumber) {
-  std::stringstream ss{
-      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n"
-      "0,50,5,60\n"
-      "500,52,6,58\n"
-      "500,48,4,61\n"};
-  try {
-    (void)import_external_trace_csv(ss, radio::Carrier::Verizon);
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("line 4"), std::string::npos) << what;
-    EXPECT_NE(what.find("duplicate time 500"), std::string::npos) << what;
-  }
-}
-
-TEST(ExternalAdapter, RejectsEmptyInput) {
-  std::stringstream ss{""};
-  try {
-    (void)import_external_trace_csv(ss, radio::Carrier::Verizon);
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("line 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("empty trace"), std::string::npos) << what;
-  }
-}
-
-TEST(ExternalAdapter, AcceptsCrlfLineEndings) {
-  // Windows-exported traces: CRLF on every line including the header, plus a
-  // trailing bare "\r" line. Must parse identically to the LF version.
-  std::stringstream crlf{
-      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms,tech\r\n"
-      "0,120.5,18.2,45,5G-mid\r\n"
-      "500,95.0,15.0,52,LTE\r\n"
-      "\r\n"};
-  const ReplayBundle bundle =
-      import_external_trace_csv(crlf, radio::Carrier::Att);
-  EXPECT_EQ(bundle.db.kpis.size(), 4u);  // 2 ticks x {DL, UL}
-  EXPECT_EQ(bundle.db.rtts.size(), 2u);
-  EXPECT_EQ(bundle.db.kpis[0].tech, radio::Technology::NrMid);
-  EXPECT_EQ(bundle.db.rtts[1].rtt, 52.0);
-  EXPECT_TRUE(measure::validate(bundle.db).empty());
-}
-
-TEST(ExternalAdapter, AcceptsCommentAndBlankLines) {
-  // '#' comments and blank lines are allowed anywhere — including before the
-  // header — and do not shift the physical line numbers diagnostics report.
-  std::stringstream ss{
-      "# exported by a field logger\n"
-      "\n"
-      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms,tech\n"
-      "0,120.5,18.2,45,5G-mid\n"
-      "# mid-trace annotation\n"
-      "500,95.0,15.0,52,LTE\n"
-      "\n"};
-  const ReplayBundle bundle =
-      import_external_trace_csv(ss, radio::Carrier::Verizon);
-  EXPECT_EQ(bundle.db.kpis.size(), 4u);  // 2 ticks x {DL, UL}
-  EXPECT_EQ(bundle.db.rtts.size(), 2u);
-  EXPECT_EQ(bundle.db.rtts[1].rtt, 52.0);
-  EXPECT_TRUE(measure::validate(bundle.db).empty());
-
-  // Skipped lines still count: the bad row below is physical line 6.
-  std::stringstream bad{
-      "# comment\n"
-      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n"
-      "0,50,5,60\n"
-      "\n"
-      "# another comment\n"
-      "500,50,5,0\n"};
-  try {
-    (void)import_external_trace_csv(bad, radio::Carrier::Verizon);
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("line 6"), std::string::npos) << what;
-    EXPECT_NE(what.find("rtt must be > 0"), std::string::npos) << what;
-  }
-
-  // A comment-only stream has no header at all.
-  std::stringstream comments_only{"# nothing here\n\n# still nothing\n"};
-  try {
-    (void)import_external_trace_csv(comments_only, radio::Carrier::Verizon);
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string{e.what()}.find("empty trace"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(ExternalAdapter, FifthHeaderColumnMustBeTech) {
-  std::stringstream ss{
-      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms,band\n"
-      "0,50,5,60,n77\n"};
-  try {
-    (void)import_external_trace_csv(ss, radio::Carrier::Verizon);
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string{e.what()}.find("line 1"), std::string::npos)
-        << e.what();
   }
 }
 

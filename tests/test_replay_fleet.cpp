@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstddef>
 #include <filesystem>
@@ -8,8 +9,10 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "ingest/adapter.hpp"
+#include "ingest/ingest.hpp"
+#include "measure/csv_export.hpp"
 #include "measure/enum_names.hpp"
-#include "replay/external_adapter.hpp"
 #include "replay/fleet.hpp"
 #include "replay/report.hpp"
 
@@ -112,9 +115,14 @@ std::string external_trace_text(int variant) {
   return ss.str();
 }
 
+/// The bundle a ".csv" fleet spec of external_trace_text(variant) loads:
+/// the minimal adapter, then the join layer.
 ReplayBundle external_bundle(int variant, radio::Carrier carrier) {
   std::istringstream is{external_trace_text(variant)};
-  return import_external_trace_csv(is, carrier);
+  const ingest::IngestOptions options;
+  return ingest::build_bundle(
+      ingest::builtin_registry().find("minimal")->parse(is, options), carrier,
+      options.resample);
 }
 
 TEST(ReplayFleetTest, LoadFleetBundleDispatchesOnSpec) {
@@ -123,16 +131,66 @@ TEST(ReplayFleetTest, LoadFleetBundleDispatchesOnSpec) {
     std::ofstream os{csv};
     os << external_trace_text(1);
   }
-  // Bare ".csv" spec: external adapter, default carrier Verizon.
-  const ReplayBundle plain = load_fleet_bundle(csv);
+  // Bare ".csv" spec: the minimal adapter, default carrier Verizon.
+  const ReplayBundle plain = ingest::load_fleet_bundle(csv);
   ASSERT_FALSE(plain.db.tests.empty());
   EXPECT_EQ(plain.db.tests[0].carrier, radio::Carrier::Verizon);
   // "@carrier" suffix picks the synthetic carrier.
-  const ReplayBundle tagged = load_fleet_bundle(csv + "@T-Mobile");
+  const ReplayBundle tagged = ingest::load_fleet_bundle(csv + "@T-Mobile");
   ASSERT_FALSE(tagged.db.tests.empty());
   EXPECT_EQ(tagged.db.tests[0].carrier, radio::Carrier::TMobile);
-  EXPECT_THROW((void)load_fleet_bundle(csv + "@sprint"), std::runtime_error);
+  EXPECT_THROW((void)ingest::load_fleet_bundle(csv + "@sprint"),
+               std::runtime_error);
   fs::remove(csv);
+}
+
+TEST(ReplayFleetTest, SpecGrammarSplitsCarrierOnlyAfterCsv) {
+  const FleetSpec plain = parse_fleet_spec("x.csv");
+  EXPECT_EQ(plain.path, "x.csv");
+  EXPECT_TRUE(plain.is_trace);
+  EXPECT_EQ(plain.carrier, radio::Carrier::Verizon);
+  const FleetSpec tagged = parse_fleet_spec("runs/x.csv@T-Mobile");
+  EXPECT_EQ(tagged.path, "runs/x.csv");
+  EXPECT_TRUE(tagged.is_trace);
+  EXPECT_EQ(tagged.carrier, radio::Carrier::TMobile);
+  // '@' and ".csv" inside a directory name are part of the path.
+  const FleetSpec at_dir = parse_fleet_spec("v@1");
+  EXPECT_EQ(at_dir.path, "v@1");
+  EXPECT_FALSE(at_dir.is_trace);
+  const FleetSpec csv_dir = parse_fleet_spec("runs.csv.d");
+  EXPECT_EQ(csv_dir.path, "runs.csv.d");
+  EXPECT_FALSE(csv_dir.is_trace);
+  try {
+    (void)parse_fleet_spec("x.csv@sprint");
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("unknown carrier name 'sprint'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ReplayFleetTest, DirectoryNamedLikeATraceExpandsAndAtDirectoryLoads) {
+  const fs::path root = fs::path{"/tmp"} / ("wheels-fleet-spec-" +
+                                            std::to_string(::getpid()));
+  fs::remove_all(root);
+  // A directory of bundle directories whose name contains ".csv".
+  const fs::path runs = root / "runs.csv.d";
+  for (const char* child : {"b", "a"}) {
+    fs::create_directories(runs / child);
+    std::ofstream{runs / child / "manifest.json"};
+  }
+  EXPECT_EQ(expand_fleet_specs({runs.string()}),
+            (std::vector<std::string>{(runs / "a").string(),
+                                      (runs / "b").string()}));
+  // A bundle directory with '@' in its name loads as a bundle.
+  const fs::path at_dir = root / "v@1";
+  const ReplayBundle source = external_bundle(1, radio::Carrier::Att);
+  measure::write_dataset(source.db, at_dir.string(), source.manifest);
+  const ReplayBundle loaded = ingest::load_fleet_bundle(at_dir.string());
+  EXPECT_EQ(loaded.db.kpis.size(), source.db.kpis.size());
+  EXPECT_EQ(loaded.db.tests[0].carrier, radio::Carrier::Att);
+  fs::remove_all(root);
 }
 
 // --- fleet runs -----------------------------------------------------------

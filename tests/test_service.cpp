@@ -344,6 +344,39 @@ TEST(ServiceCache, KeyDerivationPinsConfigSeedAndInput) {
   EXPECT_EQ(cache_key(synth_edited).config_digest, synth_base.config_digest);
 }
 
+TEST(ServiceCache, FleetSpecsParseOneWayForKeyAndLoader) {
+  const std::string root = fresh_dir("fleet-specs");
+  JobSpec spec;
+  spec.kind = JobKind::Fleet;
+  spec.seed = 3;
+  spec.ci_iterations = 20;
+
+  // A bundle directory with '@' in its name is a bundle: keyed by its
+  // manifest and loaded by the job.
+  const std::string at_dir = root + "/v@1";
+  fs::copy(golden_bundle(), at_dir, fs::copy_options::recursive);
+  spec.bundles = {at_dir};
+  EXPECT_NE(cache_key(spec).input_digest, "-");
+  run_job(spec, root + "/at-out");
+  EXPECT_TRUE(fs::exists(fs::path{root} / "at-out" / "fleet.csv"));
+
+  // An unknown carrier after ".csv" fails the key and the job alike.
+  const std::string trace = root + "/x.csv";
+  std::ofstream{trace} << "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n0,50,5,60\n";
+  spec.bundles = {trace + "@sprint"};
+  const std::string key_error = thrown([&] { (void)cache_key(spec); });
+  EXPECT_NE(key_error.find("unknown carrier name 'sprint'"),
+            std::string::npos)
+      << key_error;
+  EXPECT_EQ(thrown([&] { run_job(spec, root + "/sprint-out"); }), key_error);
+
+  // The carrier suffix is part of a trace's identity.
+  spec.bundles = {trace};
+  const CacheKey plain = cache_key(spec);
+  spec.bundles = {trace + "@T-Mobile"};
+  EXPECT_NE(cache_key(spec).input_digest, plain.input_digest);
+}
+
 TEST(ServiceCache, EvictsLeastRecentlyUsedPastByteBound) {
   const std::string root = fresh_dir("evict-cache");
   const auto staged = [&](const std::string& name, std::size_t bytes) {
