@@ -57,16 +57,10 @@ int main() {
                                           transport::CcAlgo::Bbr};
   std::array<std::optional<Outcome>, std::size(kDips) * std::size(kAlgos)>
       results;
-  std::vector<core::ThreadPool::Task> tasks;
-  for (std::size_t di = 0; di < std::size(kDips); ++di) {
-    for (std::size_t ai = 0; ai < std::size(kAlgos); ++ai) {
-      tasks.push_back([&, di, ai] {
-        results[di * std::size(kAlgos) + ai] = run(kAlgos[ai], kDips[di]);
-      });
-    }
-  }
-  core::ThreadPool pool{core::resolve_threads(0) - 1};
-  pool.run_batch(std::move(tasks));
+  core::run_indexed(0, results.size(), [&](std::size_t i) {
+    results[i] =
+        run(kAlgos[i % std::size(kAlgos)], kDips[i / std::size(kAlgos)]);
+  });
 
   Table t({"link", "cc", "goodput Mbps", "queue p50 ms", "queue p90 ms",
            "queue max ms"});

@@ -47,65 +47,59 @@ int main() {
   // The three policy arms replay identical radio randomness (every fork of
   // the const root Rng is repeatable) against different server placements;
   // they share nothing, so fan them across cores and print serially after.
-  std::vector<core::ThreadPool::Task> tasks;
-  for (std::size_t ai = 0; ai < std::size(kPolicies); ++ai) {
-    tasks.push_back([&, ai] {
-      const ServerPolicy policy = kPolicies[ai];
-      ArmResult& out = results[ai];
-      radio::Deployment dep{view, radio::Carrier::Verizon,
-                            root.fork("deploy")};
-      Rng rng = root.fork("run");
-      ran::RadioSession session{dep, ran::TrafficProfile::Interactive,
-                                rng.fork("session")};
-      net::RttProcess rtt{radio::Carrier::Verizon, rng.fork("rtt")};
+  core::run_indexed(0, results.size(), [&](std::size_t ai) {
+    const ServerPolicy policy = kPolicies[ai];
+    ArmResult& out = results[ai];
+    radio::Deployment dep{view, radio::Carrier::Verizon, root.fork("deploy")};
+    Rng rng = root.fork("run");
+    ran::RadioSession session{dep, ran::TrafficProfile::Interactive,
+                              rng.fork("session")};
+    net::RttProcess rtt{radio::Carrier::Verizon, rng.fork("rtt")};
 
-      geo::DriveTraceConfig tc;
-      tc.scale = cfg.scale;
-      geo::DriveTraceGenerator gen{route, tc, rng.fork("trace")};
-      apps::LinkTrace trace;
-      while (auto s = gen.next()) {
-        const geo::RoutePoint pt = view.at_physical(s->km);
-        const net::Server* edge = fleet.edge_near(route, route.at(pt.km));
-        const net::Server* server = nullptr;
-        switch (policy) {
-          case ServerPolicy::CloudOnly:
-            server = &fleet.cloud_for(s->tz);
-            break;
-          case ServerPolicy::FiveCities:
-            server = edge != nullptr ? edge : &fleet.cloud_for(s->tz);
-            break;
-          case ServerPolicy::Everywhere: {
-            // A hypothetical Wavelength zone in every metro: 2 ms wired RTT.
-            static const net::Server ubiquitous{
-                "edge-everywhere", net::ServerKind::Edge, {0, 0}, 0};
-            server = &ubiquitous;
-            break;
-          }
-        }
-        const ran::RadioTick tick = session.tick(*s, 500.0);
-        apps::LinkTick lt;
-        lt.cap_dl = tick.kpis.capacity_dl;
-        lt.cap_ul = tick.kpis.capacity_ul;
-        lt.rtt = rtt.sample(tick.tech, *server, s->pos, s->speed, 0.0, 0.0);
-        lt.interruption = tick.interruption;
-        lt.handovers = static_cast<int>(tick.handovers.size());
-        lt.tech = tick.tech;
-        trace.push_back(lt);
-
-        if (trace.size() == 40) {  // one 20 s AR run
-          const auto run = app.run(trace, /*compressed=*/true);
-          if (!run.frames.empty()) {
-            out.e2e.push_back(run.median_e2e);
-            out.fps.push_back(run.offload_fps);
-            out.map.push_back(run.map_percent);
-          }
-          trace.clear();
+    geo::DriveTraceConfig tc;
+    tc.scale = cfg.scale;
+    geo::DriveTraceGenerator gen{route, tc, rng.fork("trace")};
+    apps::LinkTrace trace;
+    while (auto s = gen.next()) {
+      const geo::RoutePoint pt = view.at_physical(s->km);
+      const net::Server* edge = fleet.edge_near(route, route.at(pt.km));
+      const net::Server* server = nullptr;
+      switch (policy) {
+        case ServerPolicy::CloudOnly:
+          server = &fleet.cloud_for(s->tz);
+          break;
+        case ServerPolicy::FiveCities:
+          server = edge != nullptr ? edge : &fleet.cloud_for(s->tz);
+          break;
+        case ServerPolicy::Everywhere: {
+          // A hypothetical Wavelength zone in every metro: 2 ms wired RTT.
+          static const net::Server ubiquitous{
+              "edge-everywhere", net::ServerKind::Edge, {0, 0}, 0};
+          server = &ubiquitous;
+          break;
         }
       }
-    });
-  }
-  core::ThreadPool pool{core::resolve_threads(0) - 1};
-  pool.run_batch(std::move(tasks));
+      const ran::RadioTick tick = session.tick(*s, 500.0);
+      apps::LinkTick lt;
+      lt.cap_dl = tick.kpis.capacity_dl;
+      lt.cap_ul = tick.kpis.capacity_ul;
+      lt.rtt = rtt.sample(tick.tech, *server, s->pos, s->speed, 0.0, 0.0);
+      lt.interruption = tick.interruption;
+      lt.handovers = static_cast<int>(tick.handovers.size());
+      lt.tech = tick.tech;
+      trace.push_back(lt);
+
+      if (trace.size() == 40) {  // one 20 s AR run
+        const auto run = app.run(trace, /*compressed=*/true);
+        if (!run.frames.empty()) {
+          out.e2e.push_back(run.median_e2e);
+          out.fps.push_back(run.offload_fps);
+          out.map.push_back(run.map_percent);
+        }
+        trace.clear();
+      }
+    }
+  });
 
   Table t({"server policy", "runs", "E2E p50 ms", "E2E p90 ms", "FPS p50",
            "mAP p50"});

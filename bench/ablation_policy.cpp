@@ -57,27 +57,21 @@ int main() {
   // streams, so fan them across cores into index-addressed slots and print
   // serially afterwards. Each arm builds its own Deployment from the same
   // fork (Rng::fork is const and repeatable), keeping arms share-nothing.
+  // Slot ci * (kProfiles + 1) holds carrier ci's truth, the next kProfiles
+  // slots its policies.
   std::array<TechShares, radio::kCarrierCount*(kProfiles + 1)> results{};
-  std::vector<core::ThreadPool::Task> tasks;
-  for (radio::Carrier c : radio::kAllCarriers) {
-    const std::size_t ci = measure::carrier_index(c);
-    tasks.push_back([&, c, ci] {
-      radio::Deployment dep{view, c, root.fork(radio::carrier_name(c))};
-      results[ci * (kProfiles + 1)] = passive_coverage(
-          dep, route, cfg.scale, ran::TrafficProfile::BackloggedDownlink,
-          root.fork("truth", static_cast<std::uint64_t>(c)));
-    });
-    for (std::size_t pi = 0; pi < kProfiles; ++pi) {
-      tasks.push_back([&, c, ci, pi] {
-        radio::Deployment dep{view, c, root.fork(radio::carrier_name(c))};
-        results[ci * (kProfiles + 1) + 1 + pi] = passive_coverage(
-            dep, route, cfg.scale, profiles[pi].profile,
-            root.fork(profiles[pi].name, static_cast<std::uint64_t>(c)));
-      });
-    }
-  }
-  core::ThreadPool pool{core::resolve_threads(0) - 1};
-  pool.run_batch(std::move(tasks));
+  core::run_indexed(0, results.size(), [&](std::size_t i) {
+    const radio::Carrier c = radio::kAllCarriers[i / (kProfiles + 1)];
+    const std::size_t arm = i % (kProfiles + 1);
+    const ran::TrafficProfile profile =
+        arm == 0 ? ran::TrafficProfile::BackloggedDownlink
+                 : profiles[arm - 1].profile;
+    const char* stream = arm == 0 ? "truth" : profiles[arm - 1].name;
+    radio::Deployment dep{view, c, root.fork(radio::carrier_name(c))};
+    results[i] =
+        passive_coverage(dep, route, cfg.scale, profile,
+                         root.fork(stream, static_cast<std::uint64_t>(c)));
+  });
 
   Table t({"carrier", "logger traffic", "5G share seen", "hi-speed share",
            "bias vs backlogged-DL"});

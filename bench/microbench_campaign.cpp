@@ -6,6 +6,7 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/fleet_runner.hpp"
+#include "core/thread_pool.hpp"
 
 namespace {
 
@@ -53,6 +54,21 @@ void BM_CampaignNoApps(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CampaignNoApps)->Unit(benchmark::kMillisecond);
+
+// One run_indexed of three empty jobs on a persistent pool: the fixed cost
+// of the per-segment carrier fan-out, paid 8,442 times by a full-scale
+// campaign and its bundle write. Arg = pool width, the caller included.
+void BM_PoolBatch(benchmark::State& state) {
+  core::ThreadPool pool{static_cast<int>(state.range(0))};
+  for (auto _ : state) {
+    pool.run_indexed(3, [](std::size_t i) { benchmark::DoNotOptimize(i); });
+  }
+}
+BENCHMARK(BM_PoolBatch)
+    ->Arg(1)
+    ->Arg(3)
+    ->UseRealTime()  // workers run jobs off the timing thread
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

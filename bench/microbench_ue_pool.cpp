@@ -37,11 +37,11 @@ void BM_UePoolTick(benchmark::State& state) {
   cfg.scheduler = kind;
   ran::UePool pool{dep, view.total_physical_km(), cfg, Rng{42}};
   // threads counts participants; the calling thread is one of them.
-  core::ThreadPool workers{threads - 1};
+  core::ThreadPool workers{threads};
 
   SimMillis t = 0;
   for (auto _ : state) {
-    pool.tick(t, threads > 1 ? &workers : nullptr);
+    pool.tick(t, workers);
     t += 500;
   }
   state.SetItemsProcessed(state.iterations() *

@@ -5,14 +5,13 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
-#include "core/thread_pool.hpp"
 
 namespace wheels::analysis {
 
 ConfidenceInterval bootstrap_ci(
     std::span<const double> samples,
     const std::function<double(std::span<const double>)>& statistic, Rng& rng,
-    double level, int iterations, int threads) {
+    double level, int iterations) {
   if (samples.empty()) {
     throw std::invalid_argument{"bootstrap_ci: empty sample set"};
   }
@@ -25,31 +24,17 @@ ConfidenceInterval bootstrap_ci(
 
   const auto n = samples.size();
   std::vector<double> stats(static_cast<std::size_t>(iterations));
-  // One child stream per iteration: stats[it] depends only on (base, it),
-  // never on which worker computed it or in what order, so the CI is
-  // identical for every thread count.
+  // One child stream per iteration: stats[it] depends only on (base, it).
   const Rng base{rng.next_u64()};
-  auto run_range = [&](int lo, int hi) {
-    std::vector<double> resample(n);
-    for (int it = lo; it < hi; ++it) {
-      Rng r = base.fork("resample", static_cast<std::uint64_t>(it));
-      for (std::size_t i = 0; i < n; ++i) {
-        resample[i] = samples[static_cast<std::size_t>(
-            r.uniform_int(0, static_cast<int>(n) - 1))];
-      }
-      stats[static_cast<std::size_t>(it)] = statistic(resample);
+  std::vector<double> resample(n);
+  for (int it = 0; it < iterations; ++it) {
+    Rng r = base.fork("resample", static_cast<std::uint64_t>(it));
+    for (std::size_t i = 0; i < n; ++i) {
+      resample[i] = samples[static_cast<std::size_t>(
+          r.uniform_int(0, static_cast<int>(n) - 1))];
     }
-  };
-
-  // Fixed-size chunks: the job count, and with it the pool's deterministic
-  // counters, does not depend on `threads`.
-  constexpr int kChunk = 64;
-  const auto jobs =
-      static_cast<std::size_t>((iterations + kChunk - 1) / kChunk);
-  core::run_indexed(threads, jobs, [&](std::size_t job) {
-    const int lo = static_cast<int>(job) * kChunk;
-    run_range(lo, std::min(lo + kChunk, iterations));
-  });
+    stats[static_cast<std::size_t>(it)] = statistic(resample);
+  }
   std::sort(stats.begin(), stats.end());
   const double alpha = (1.0 - level) / 2.0;
   const auto idx = [&](double q) {
@@ -63,14 +48,14 @@ ConfidenceInterval bootstrap_ci(
 }
 
 ConfidenceInterval bootstrap_median_ci(std::span<const double> samples,
-                                       Rng& rng, double level, int iterations,
-                                       int threads) {
+                                       Rng& rng, double level,
+                                       int iterations) {
   return bootstrap_ci(
       samples,
       [](std::span<const double> xs) {
         return median_of({xs.begin(), xs.end()});
       },
-      rng, level, iterations, threads);
+      rng, level, iterations);
 }
 
 }  // namespace wheels::analysis

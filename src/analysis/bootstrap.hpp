@@ -25,21 +25,17 @@ struct ConfidenceInterval {
 /// `level` is the two-sided confidence level (e.g. 0.95).
 ///
 /// Each resample draws from its own child stream forked off `rng`
-/// (`fork("resample", it)`), so the result is identical for every `threads`
-/// value: the multiset of bootstrap statistics does not depend on how
-/// iterations are partitioned across workers, and the stats are sorted
-/// before the quantiles are read. `threads` = 1 (default) runs inline;
-/// 0 = auto (WHEELS_THREADS, else hardware_concurrency). `statistic` must be
-/// safe to call concurrently from several threads (a pure function of its
-/// span — which every statistic in analysis/stats.hpp is).
+/// (`fork("resample", it)`), and the stats are sorted before the quantiles
+/// are read. Callers that want parallelism fan out over whole CIs (see
+/// replay::ReplayFleet), each on its own forked `rng`.
 ConfidenceInterval bootstrap_ci(
     std::span<const double> samples,
     const std::function<double(std::span<const double>)>& statistic, Rng& rng,
-    double level = 0.95, int iterations = 1000, int threads = 1);
+    double level = 0.95, int iterations = 1000);
 
 /// Convenience: CI of the median.
 ConfidenceInterval bootstrap_median_ci(std::span<const double> samples,
                                        Rng& rng, double level = 0.95,
-                                       int iterations = 1000, int threads = 1);
+                                       int iterations = 1000);
 
 }  // namespace wheels::analysis

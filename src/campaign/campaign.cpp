@@ -167,7 +167,11 @@ class CampaignRunner {
         view_(route_, cfg.scale),
         fleet_(net::ServerFleet::standard(route_)),
         trace_gen_(route_, make_trace_config(cfg), root_.fork("trace")),
-        pool_(carrier_workers(cfg.threads, cfg.population)) {
+        // The carrier fan-out is kCarrierCount wide, but a UE population's
+        // block fan-out (ran::UePool) is far wider and reuses this pool.
+        pool_(cfg.population > 0 ? core::resolve_threads(cfg.threads)
+                                 : std::min(core::resolve_threads(cfg.threads),
+                                            radio::kCarrierCount)) {
     for (Carrier c : radio::kAllCarriers) {
       auto& ctx = contexts_[measure::carrier_index(c)];
       ctx.carrier = c;
@@ -224,16 +228,6 @@ class CampaignRunner {
     return tc;
   }
 
-  /// The inner fan-out is at most kCarrierCount wide and the coordinator
-  /// thread drains batches too, so kCarrierCount - 1 workers saturate it —
-  /// unless a UE population is simulated, whose block fan-out (ran::UePool)
-  /// is far wider than three and reuses this pool on the coordinator.
-  static int carrier_workers(int requested, int population) {
-    const int threads = core::resolve_threads(requested);
-    if (population > 0) return threads - 1;
-    return std::min(threads, static_cast<int>(radio::kCarrierCount)) - 1;
-  }
-
   /// Advance the van by one tick. The sample joins the passive backlog
   /// (flushed to the per-carrier passive loggers at the next fan-out) and
   /// first arrivals in a city queue a static battery for the next segment
@@ -266,40 +260,36 @@ class CampaignRunner {
     return ticks;
   }
 
-  /// Fan `fn(ctx)` across the carriers (worker pool if available, inline in
-  /// carrier order otherwise), then merge every carrier's shard into the db
-  /// in canonical carrier order. Each worker first flushes the pending
-  /// passive backlog to its own passive logger, so passive logs see every
+  /// Fan `fn(ctx)` across the carriers (inline in carrier order on a
+  /// 1-wide pool), then merge every carrier's shard into the db in
+  /// canonical carrier order. Each job first flushes the pending passive
+  /// backlog to its carrier's passive logger, so passive logs see every
   /// sample exactly once, in production order.
   template <typename Fn>
   void parallel_carriers(Fn&& fn) {
     const std::vector<DriveSample> backlog = std::move(pending_passive_);
     pending_passive_.clear();
     // The UE pools advance on the coordinator, one pool at a time, each tick
-    // fanning its UE blocks across the full pool — run_batch admits one
+    // fanning its UE blocks across the full pool — run_indexed admits one
     // batch at a time, so the population tick must not nest inside the
     // carrier fan-out below. The measurement phones therefore see the
     // population's contention frozen at segment granularity (documented in
     // docs/SCALING.md).
     if (cfg_.population > 0) {
       for (const DriveSample& s : backlog) {
-        for (auto& ctx : contexts_) ctx.ue_pool->tick(s.t, &pool_);
+        for (auto& ctx : contexts_) ctx.ue_pool->tick(s.t, pool_);
       }
     }
     auto work = [&](CarrierContext& ctx) {
       for (const DriveSample& s : backlog) ctx.passive->tick(s);
       fn(ctx);
     };
-    // With zero workers run_batch executes the tasks inline in submission
-    // (= carrier) order, so one code path serves both modes — and the pool's
-    // deterministic counters (pool.batches, pool.tasks_run) see the same
-    // batches whatever the thread count.
-    std::vector<core::ThreadPool::Task> tasks;
-    tasks.reserve(contexts_.size());
-    for (auto& ctx : contexts_) {
-      tasks.push_back([&work, &ctx] { work(ctx); });
-    }
-    pool_.run_batch(std::move(tasks));
+    // A 1-wide pool runs the jobs inline in index (= carrier) order, so one
+    // code path serves both modes — and the pool's deterministic counters
+    // (pool.batches, pool.tasks_run) see the same batches whatever the
+    // thread count.
+    pool_.run_indexed(contexts_.size(),
+                      [&](std::size_t i) { work(contexts_[i]); });
     for (auto& ctx : contexts_) {
       measure::merge_shard_into(db_, ctx.shard);
     }

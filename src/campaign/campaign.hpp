@@ -55,10 +55,10 @@ struct CampaignConfig {
   /// gaming_ticks); 0 for bulk and ping tests.
   int app_ticks(measure::TestType type) const;
 
-  /// Worker threads for the per-carrier pipelines (radio ticks, transport,
-  /// apps, passive logging). 0 = auto (WHEELS_THREADS, else
-  /// hardware_concurrency); 1 = the legacy serial path. The resulting
-  /// ConsolidatedDb is byte-identical for every value — see
+  /// Threads for the per-carrier pipelines (radio ticks, transport, apps,
+  /// passive logging), the calling thread included. 0 = auto
+  /// (WHEELS_THREADS, else hardware_concurrency); 1 = the serial path. The
+  /// resulting ConsolidatedDb is byte-identical for every value — see
   /// docs/ARCHITECTURE.md, "Parallel execution".
   int threads = 0;
 

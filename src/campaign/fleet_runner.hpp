@@ -2,8 +2,8 @@
 //
 // The ablation and bootstrap benches run many *independent* campaigns —
 // different seeds, scenario overrides, scales. FleetRunner fans those
-// (seed, CampaignConfig) jobs across a work-stealing thread pool
-// (core::ThreadPool) and returns the databases in submission order.
+// (seed, CampaignConfig) jobs out through core::run_indexed and returns the
+// databases in submission order.
 //
 // Because a campaign's ConsolidatedDb is invariant to its own thread count
 // (see campaign.hpp), FleetRunner forces every inner campaign to the serial

@@ -35,9 +35,9 @@ namespace wheels::core::obs {
 /// static) and reuse; resolution takes the registry lock, add/observe do not.
 using MetricId = std::size_t;
 
-/// Names prefixed "rt." are *runtime* metrics (scheduler steals, wall-clock
-/// batch times): legitimate observability, but dependent on thread count and
-/// machine load, so Snapshot::to_json(false) excludes them.
+/// Names prefixed "rt." are *runtime* metrics (wall-clock batch times):
+/// legitimate observability, but dependent on thread count and machine load,
+/// so Snapshot::to_json(false) excludes them.
 bool is_runtime_metric(std::string_view name);
 
 class MetricsRegistry {
@@ -94,7 +94,7 @@ class MetricsRegistry {
   /// still running (each shard is merged under its own lock) — a mid-run
   /// snapshot is a consistent progress view. For an *exact* total, call
   /// after the concurrent work has joined (e.g. after DriveCampaign::run
-  /// returned); a batch completion on core::ThreadPool establishes the
+  /// returned); the return of core::ThreadPool::run_indexed establishes the
   /// needed happens-before edge.
   Snapshot snapshot() const;
 

@@ -146,30 +146,16 @@ const radio::CellSite& UePool::cell_site(std::uint32_t cell_index) const {
 }
 
 void UePool::run_blocks(
-    core::ThreadPool* pool, std::size_t n_items, std::size_t block,
+    core::ThreadPool& pool, std::size_t n_items, std::size_t block,
     const std::function<void(std::uint32_t, std::uint32_t, std::uint32_t)>&
         fn) {
-  if (n_items == 0) return;
   const std::size_t n_blocks = (n_items + block - 1) / block;
-  if (pool == nullptr || pool->workers() == 0 || n_blocks == 1) {
-    for (std::size_t b = 0; b < n_blocks; ++b) {
-      const auto begin = static_cast<std::uint32_t>(b * block);
-      const auto end =
-          static_cast<std::uint32_t>(std::min(n_items, (b + 1) * block));
-      fn(static_cast<std::uint32_t>(b), begin, end);
-    }
-    return;
-  }
-  std::vector<core::ThreadPool::Task> tasks;
-  tasks.reserve(n_blocks);
-  for (std::size_t b = 0; b < n_blocks; ++b) {
+  pool.run_indexed(n_blocks, [&](std::size_t b) {
     const auto begin = static_cast<std::uint32_t>(b * block);
     const auto end =
         static_cast<std::uint32_t>(std::min(n_items, (b + 1) * block));
-    tasks.push_back(
-        [&fn, b, begin, end] { fn(static_cast<std::uint32_t>(b), begin, end); });
-  }
-  pool->run_batch(std::move(tasks));
+    fn(static_cast<std::uint32_t>(b), begin, end);
+  });
 }
 
 // Phase 1: per-UE state advance. Writes only slots [begin, end) of the UE
@@ -335,7 +321,7 @@ void UePool::apply_block(std::uint32_t begin, std::uint32_t end,
   }
 }
 
-void UePool::tick(SimMillis t, core::ThreadPool* pool) {
+void UePool::tick(SimMillis t, core::ThreadPool& pool) {
   if (cfg_.count == 0) {
     ++tick_index_;
     return;

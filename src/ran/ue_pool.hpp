@@ -5,12 +5,12 @@
 // carrier serves, so the UePool keeps *all* per-UE state in parallel arrays
 // (structure-of-arrays): position, velocity, traffic profile, per-tick
 // demand, transmit backlog, served-rate average, RRC idle counter and the
-// attached cell. One tick sweeps the arrays in fixed-size blocks fanned
-// across the core::ThreadPool, then runs one per-cell scheduler
-// (ran/scheduler.hpp) per occupied cell to share the cell's capacity among
-// every attached UE — which turns cell load, contention and tier-policy
-// fairness into first-class simulated phenomena instead of a stochastic
-// stand-in.
+// attached cell. One tick sweeps the arrays in fixed-size blocks, one
+// core::ThreadPool::run_indexed job per block, then runs one per-cell
+// scheduler (ran/scheduler.hpp) per occupied cell to share the cell's
+// capacity among every attached UE — which turns cell load, contention and
+// tier-policy fairness into first-class simulated phenomena instead of a
+// stochastic stand-in.
 //
 // Determinism contract (the same one the campaign runner obeys, see
 // docs/SCALING.md): every parallel phase writes only disjoint array slots,
@@ -92,9 +92,9 @@ class UePool {
   void set_capacity_override(CapacityFn fn) { capacity_fn_ = std::move(fn); }
 
   /// Advance the whole population by one tick at sim time `t`. `pool`
-  /// receives the block fan-out (its worker count never changes the result);
-  /// nullptr runs every block inline.
-  void tick(SimMillis t, core::ThreadPool* pool);
+  /// receives the block fan-out; its width never changes the result, and a
+  /// 1-wide pool runs every block inline.
+  void tick(SimMillis t, core::ThreadPool& pool);
 
   std::uint32_t size() const { return cfg_.count; }
   std::int64_t ticks() const { return tick_index_; }
@@ -141,7 +141,7 @@ class UePool {
                            SimMillis t, SchedulerScratch& scratch);
   void apply_block(std::uint32_t begin, std::uint32_t end, BlockStats& stats);
   void rebuild_members();
-  void run_blocks(core::ThreadPool* pool, std::size_t n_items,
+  void run_blocks(core::ThreadPool& pool, std::size_t n_items,
                   std::size_t block,
                   const std::function<void(std::uint32_t, std::uint32_t,
                                            std::uint32_t)>& fn);

@@ -66,8 +66,8 @@ std::vector<std::string> split_csv(const std::string& s) {
 
 /// Percentile bootstrap of (median(cell) - median(base)) with independent
 /// resamples of both series per iteration. Mirrors bootstrap_ci's stream
-/// discipline (one child per iteration, stats sorted before the quantiles
-/// are read) so the CI is identical for every thread count.
+/// discipline: one child stream per iteration, stats sorted before the
+/// quantiles are read.
 analysis::ConfidenceInterval bootstrap_delta_ci(
     const std::vector<double>& cell, const std::vector<double>& base_xs,
     Rng& rng, double level, int iterations) {
@@ -321,8 +321,8 @@ FleetResult ReplayFleet::run(const std::vector<FleetItem>& items) const {
                       .fork("fleet.ci", ci)
                       .fork(radio::carrier_name(pooled[ci][c].carrier))
                       .fork(kFleetMetricNames[m]);
-        agg.ci = analysis::bootstrap_median_ci(xs, rng, 0.95,
-                                               config_.ci_iterations, 1);
+        agg.ci =
+            analysis::bootstrap_median_ci(xs, rng, 0.95, config_.ci_iterations);
         // Significance vs the recorded baseline: does the knob's delta
         // clear bootstrap noise? Baseline rows carry no delta.
         const std::vector<double>& base_xs = metric_series(pooled[0][c], m);

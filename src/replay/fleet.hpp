@@ -4,10 +4,10 @@
 // scales — and campaign-wide claims (Tables 2-4 medians, counterfactual
 // deltas) only reproduce over many recordings at once. ReplayFleet is the
 // campaign::FleetRunner of the replay world: it fans (bundle, knob-cell)
-// work items across core::ThreadPool, runs each through ReplayCampaign, and
-// pools the per-bundle sample series into one fleet-level aggregate —
-// per-carrier medians with bootstrap CIs per knob cell, plus each cell's
-// delta against the all-recorded baseline.
+// work items out through core::run_indexed, runs each through
+// ReplayCampaign, and pools the per-bundle sample series into one
+// fleet-level aggregate — per-carrier medians with bootstrap CIs per knob
+// cell, plus each cell's delta against the all-recorded baseline.
 //
 // Determinism contract (the FleetRunner discipline, fleet_runner.hpp):
 // every work item writes only its own pre-allocated slot, inner replays run

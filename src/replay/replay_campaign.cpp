@@ -141,8 +141,7 @@ class ReplayRunner {
         root_(cfg.seed),
         route_(geo::Route::cross_country()),
         fleet_(net::ServerFleet::standard(route_)),
-        scale_(bundle.manifest.scale > 0.0 ? bundle.manifest.scale : 1.0),
-        pool_(carrier_workers(cfg.threads)) {
+        scale_(bundle.manifest.scale > 0.0 ? bundle.manifest.scale : 1.0) {
     const ConsolidatedDb& rec = bundle_.db;
     kpis_by_test_.reserve(rec.tests.size());
     for (const auto& k : rec.kpis) kpis_by_test_[k.test_id].push_back(&k);
@@ -190,13 +189,12 @@ class ReplayRunner {
     }
 
     std::array<ReplayShard, radio::kCarrierCount> shards;
-    std::vector<core::ThreadPool::Task> tasks;
-    tasks.reserve(radio::kCarrierCount);
-    for (Carrier c : radio::kAllCarriers) {
-      ReplayShard& shard = shards[measure::carrier_index(c)];
-      tasks.push_back([this, c, &shard] { replay_carrier(c, shard); });
-    }
-    pool_.run_batch(std::move(tasks));
+    core::run_indexed(
+        std::min(core::resolve_threads(cfg_.threads), radio::kCarrierCount),
+        radio::kCarrierCount, [&](std::size_t i) {
+          const Carrier c = radio::kAllCarriers[i];
+          replay_carrier(c, shards[measure::carrier_index(c)]);
+        });
     merge_ordered(shards, db_.kpis, [](ReplayShard& s) -> auto& {
       return s.kpis;
     });
@@ -222,11 +220,6 @@ class ReplayRunner {
   }
 
  private:
-  static int carrier_workers(int requested) {
-    const int threads = core::resolve_threads(requested);
-    return std::min(threads, static_cast<int>(radio::kCarrierCount)) - 1;
-  }
-
   /// The server a test of the given class talks to at `pos`. Clouds follow
   /// the recorded timezone split; the edge counterfactual picks the nearest
   /// Wavelength city (ignoring the metro-radius gate — the "what if edge
@@ -561,7 +554,6 @@ class ReplayRunner {
   std::unordered_map<std::uint32_t,
                      std::vector<const measure::LinkTickRecord*>>
       link_ticks_by_test_;
-  core::ThreadPool pool_;
 };
 
 }  // namespace

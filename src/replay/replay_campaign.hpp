@@ -10,7 +10,7 @@
 //
 // Execution mirrors DriveCampaign's determinism contract: the per-carrier
 // replays are computationally independent (per-test Rng streams forked from
-// (seed, carrier, test id)), fan out across core::ThreadPool, and merge
+// (seed, carrier, test id)), fan out through core::run_indexed, and merge
 // their measure::RecordShards in canonical carrier order — the produced
 // ConsolidatedDb is byte-identical for every WHEELS_THREADS
 // (tests/test_replay.cpp).

@@ -80,7 +80,7 @@ ResultInfo result_info(const ResultCache& cache, const CacheEntry& entry) {
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       cache_(options_.config.cache_dir, options_.config.cache_max_bytes),
-      pool_(core::resolve_threads(options_.config.threads) - 1),
+      pool_(core::resolve_threads(options_.config.threads)),
       paused_(options_.start_paused) {}
 
 Server::~Server() { stop(); }
@@ -395,20 +395,16 @@ void Server::scheduler_loop() {
         job->stage = "cache lookup";
       }
     }
-    std::vector<core::ThreadPool::Task> tasks;
-    tasks.reserve(wave.size());
-    for (const JobPtr& job : wave) {
-      tasks.push_back([this, job] { execute_job(*job); });
-    }
     // The pool runs one batch at a time and this loop is its only caller;
-    // jobs themselves never touch the pool (they run with threads = 1).
-    pool_.run_batch(std::move(tasks));
+    // jobs themselves never touch this pool.
+    pool_.run_indexed(wave.size(),
+                      [&](std::size_t i) { execute_job(*wave[i]); });
   }
 }
 
 void Server::execute_job(Job& job) {
-  // A task that throws would terminate the process (core::ThreadPool
-  // contract) — every failure must land in job.error instead.
+  // run_indexed rethrows a job's exception on the scheduler thread, where
+  // it would end the process — every failure must land in job.error instead.
   const auto finish = [this, &job](JobState state) {
     std::lock_guard lk{mu_};
     job.state = state;

@@ -2,12 +2,15 @@
 // the job scheduler and the result cache.
 //
 // Threading model: one accept thread, one connection thread per client, one
-// scheduler thread. The scheduler drains admitted jobs in waves through a
-// single core::ThreadPool (the pool's one-batch-at-a-time contract makes it
-// the pool's sole caller); each job runs its library entry point strictly
-// serially inside (threads = 1, the ReplayFleet discipline), so every
-// output byte is independent of how many jobs ran beside it — concurrent
-// submission is byte-identical to serial, at every WHEELS_THREADS.
+// scheduler thread. The scheduler drains admitted jobs in waves, one
+// core::ThreadPool::run_indexed batch per wave (the pool's
+// one-batch-at-a-time contract makes the scheduler its sole caller). Each
+// job runs its library entry point with threads = 1 (the ReplayFleet
+// discipline); only measure::write_dataset still writes a bundle's tables
+// WHEELS_THREADS wide, on its own one-shot pool, and no byte depends on that
+// width. Every output byte is therefore independent of how many jobs ran
+// beside it — concurrent submission is byte-identical to serial, at every
+// WHEELS_THREADS.
 //
 // Job lifecycle: submit → cache lookup (hit: Done instantly, the cached
 // bundle is the result) → bounded queue admission (full: rejected with

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/bootstrap.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/fleet_runner.hpp"
 #include "core/thread_pool.hpp"
@@ -247,51 +246,28 @@ TEST(FleetRunnerTest, SubmissionOrderPinsResultOrder) {
 }
 
 TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  core::ThreadPool pool{3};
-  EXPECT_EQ(pool.workers(), 3);
+  core::ThreadPool pool{4};
+  EXPECT_EQ(pool.threads(), 4);
   std::vector<int> hits(64, 0);
   for (int round = 0; round < 5; ++round) {
-    std::vector<core::ThreadPool::Task> tasks;
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      tasks.push_back([&hits, i] { ++hits[i]; });  // distinct slots: no race
-    }
-    pool.run_batch(std::move(tasks));
+    // distinct slots: no race
+    pool.run_indexed(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
   }
   for (const int h : hits) EXPECT_EQ(h, 5);
 }
 
-TEST(ThreadPoolTest, ZeroWorkersRunsInlineInOrder) {
-  core::ThreadPool pool{0};
-  EXPECT_EQ(pool.workers(), 0);
-  std::vector<int> order;
-  std::vector<core::ThreadPool::Task> tasks;
-  for (int i = 0; i < 8; ++i) {
-    tasks.push_back([&order, i] { order.push_back(i); });
-  }
-  pool.run_batch(std::move(tasks));
+TEST(ThreadPoolTest, OneThreadRunsInlineInOrder) {
+  core::ThreadPool pool{1};
+  EXPECT_EQ(pool.threads(), 1);
+  std::vector<std::size_t> order;
+  pool.run_indexed(8, [&order](std::size_t i) { order.push_back(i); });
   ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPoolTest, ResolveThreadsFloorsAtOne) {
   EXPECT_EQ(core::resolve_threads(5), 5);
   EXPECT_GE(core::resolve_threads(0), 1);
-}
-
-TEST(BootstrapParallel, CiIdenticalAcrossThreadCounts) {
-  std::vector<double> samples;
-  Rng gen{42};
-  for (int i = 0; i < 400; ++i) samples.push_back(gen.normal(50.0, 10.0));
-
-  Rng r1{7};
-  Rng r4{7};
-  const auto ci1 =
-      analysis::bootstrap_median_ci(samples, r1, 0.95, 500, /*threads=*/1);
-  const auto ci4 =
-      analysis::bootstrap_median_ci(samples, r4, 0.95, 500, /*threads=*/4);
-  EXPECT_EQ(ci1.lo, ci4.lo);
-  EXPECT_EQ(ci1.hi, ci4.hi);
-  EXPECT_EQ(ci1.point, ci4.point);
 }
 
 }  // namespace

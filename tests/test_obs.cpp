@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/bootstrap.hpp"
 #include "campaign/campaign.hpp"
 #include "core/obs/manifest.hpp"
 #include "core/obs/metrics.hpp"
@@ -182,7 +181,7 @@ TEST(ObsDeterminism, SnapshotIdenticalAcrossThreadCounts) {
   MetricsRegistry::global().reset();
 }
 
-TEST(ObsDeterminism, JoinAndBootstrapSnapshotsIdenticalAcrossThreadCounts) {
+TEST(ObsDeterminism, JoinSnapshotIdenticalAcrossThreadCounts) {
   const std::string fixtures = WHEELS_INGEST_FIXTURE_DIR;
   const std::vector<ingest::JoinEntry> entries{
       {radio::Carrier::Verizon, fixtures + "/minimal.csv"},
@@ -199,18 +198,6 @@ TEST(ObsDeterminism, JoinAndBootstrapSnapshotsIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial_join.find("pool.tasks_run"), std::string::npos);
   EXPECT_NE(serial_join.find("ingest.rows_emitted"), std::string::npos);
   EXPECT_EQ(serial_join, join_with_threads(4));
-
-  const auto bootstrap_with_threads = [](int threads) {
-    MetricsRegistry::global().reset();
-    std::vector<double> xs;
-    for (int i = 0; i < 200; ++i) xs.push_back((i * 37) % 101);
-    Rng rng{42};
-    (void)analysis::bootstrap_median_ci(xs, rng, 0.95, 300, threads);
-    return MetricsRegistry::global().snapshot().to_json(false);
-  };
-  const std::string serial_ci = bootstrap_with_threads(1);
-  EXPECT_NE(serial_ci.find("pool.batches"), std::string::npos);
-  EXPECT_EQ(serial_ci, bootstrap_with_threads(4));
   MetricsRegistry::global().reset();
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
@@ -101,32 +102,69 @@ TEST_F(ThreadPoolEnv, EnvDoubleParsesFullStringOnly) {
 TEST_F(ThreadPoolEnv, PoolHonoursResolvedCountUnderEnv) {
   setenv("WHEELS_THREADS", "2", 1);
   ThreadPool pool{resolve_threads(0)};
-  EXPECT_EQ(pool.workers(), 2);
+  EXPECT_EQ(pool.threads(), 2);
   std::vector<int> hits(16, 0);
-  std::vector<ThreadPool::Task> tasks;
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    tasks.push_back([&hits, i] { ++hits[i]; });
-  }
-  pool.run_batch(std::move(tasks));
+  pool.run_indexed(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPoolTest, RunIndexedRethrowsTheLowestFailingJob) {
-  for (const int threads : {1, 4}) {
+  // `run(jobs, job)` runs one batch in which jobs 3 and 7 throw.
+  const auto expect_job_3_rethrown = [](const auto& run,
+                                        const std::string& where) {
     std::vector<std::atomic<int>> ran(10);
     try {
-      run_indexed(threads, ran.size(), [&](std::size_t i) {
+      run(ran.size(), [&ran](std::size_t i) {
         ++ran[i];
         if (i == 3 || i == 7) {
           throw std::runtime_error{"job " + std::to_string(i)};
         }
       });
-      ADD_FAILURE() << "no exception, threads=" << threads;
+      ADD_FAILURE() << "no exception, " << where;
     } catch (const std::runtime_error& e) {
-      EXPECT_EQ(std::string{e.what()}, "job 3") << "threads=" << threads;
+      EXPECT_EQ(std::string{e.what()}, "job 3") << where;
     }
     // A failing job does not stop the others.
-    for (const auto& r : ran) EXPECT_EQ(r.load(), 1) << "threads=" << threads;
+    for (const auto& r : ran) EXPECT_EQ(r.load(), 1) << where;
+  };
+  for (const int threads : {1, 4}) {
+    expect_job_3_rethrown(
+        [threads](std::size_t jobs, const auto& job) {
+          run_indexed(threads, jobs, job);
+        },
+        "threads=" + std::to_string(threads));
+  }
+
+  // On a persistent pool the batch after a throwing one still runs every
+  // job exactly once and throws nothing.
+  ThreadPool pool{4};
+  expect_job_3_rethrown(
+      [&pool](std::size_t jobs, const auto& job) {
+        pool.run_indexed(jobs, job);
+      },
+      "persistent pool");
+  std::vector<int> hits(10, 0);
+  pool.run_indexed(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
+  for (const int h : hits) EXPECT_EQ(h, 1);
+}
+
+// Thousands of back-to-back tiny batches give a worker that wakes late every
+// chance to run a finished batch's job or to claim the next batch's indices
+// with the old job. Each job adds its batch's own increment to its own slot,
+// so either shows up as a wrong slot value (and as a race under
+// ThreadSanitizer).
+TEST(ThreadPoolTest, ManySmallBatchesRunEachJobOnce) {
+  ThreadPool pool{4};
+  std::vector<int> hits(5, 0);
+  for (int batch = 0; batch < 20000; ++batch) {
+    const std::size_t jobs = 1 + static_cast<std::size_t>(batch % 5);
+    const int step = batch + 1;
+    std::fill(hits.begin(), hits.end(), 0);
+    pool.run_indexed(jobs, [&hits, step](std::size_t i) { hits[i] += step; });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i], i < jobs ? step : 0)
+          << "batch " << batch << ", slot " << i;
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "core/obs/metrics.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "geo/route.hpp"
@@ -34,6 +35,7 @@ struct PoolFixture {
   geo::ScaledRoute view{route, kScale};
   radio::Deployment deployment;
   ran::UePool pool;
+  core::ThreadPool inline_pool{1};  // runs every UE block inline
 
   PoolFixture(std::uint32_t count, ran::SchedulerKind kind,
               std::uint64_t seed = 7)
@@ -53,7 +55,7 @@ struct PoolFixture {
 TEST(UePoolTest, AllocationsRespectDemandAndCellLoadInvariants) {
   PoolFixture f{2000, ran::SchedulerKind::ProportionalFair};
   for (int t = 0; t < 200; ++t) {
-    f.pool.tick(t * 500, nullptr);
+    f.pool.tick(t * 500, f.inline_pool);
   }
   const auto demand = f.pool.demand_mbps();
   const auto alloc = f.pool.alloc_mbps();
@@ -83,7 +85,7 @@ TEST(UePoolTest, AllocationsRespectDemandAndCellLoadInvariants) {
 
 TEST(UePoolTest, PopulationShareIsAValidFraction) {
   PoolFixture f{5000, ran::SchedulerKind::ProportionalFair};
-  for (int t = 0; t < 50; ++t) f.pool.tick(t * 500, nullptr);
+  for (int t = 0; t < 50; ++t) f.pool.tick(t * 500, f.inline_pool);
   bool saw_contention = false;
   for (const auto& cell : f.deployment.cells()) {
     const double share = f.pool.population_share(cell.id);
@@ -100,10 +102,10 @@ TEST(UePoolTest, PopulationShareIsAValidFraction) {
 TEST(UePoolTest, DeterministicAcrossThreadCounts) {
   PoolFixture serial{3000, ran::SchedulerKind::ProportionalFair};
   PoolFixture threaded{3000, ran::SchedulerKind::ProportionalFair};
-  core::ThreadPool workers{3};
+  core::ThreadPool workers{4};
   for (int t = 0; t < 100; ++t) {
-    serial.pool.tick(t * 500, nullptr);
-    threaded.pool.tick(t * 500, &workers);
+    serial.pool.tick(t * 500, serial.inline_pool);
+    threaded.pool.tick(t * 500, workers);
   }
   const auto exact = [](std::span<const double> a, std::span<const double> b) {
     ASSERT_EQ(a.size(), b.size());
@@ -135,7 +137,7 @@ TEST(UePoolTest, CapacityOverrideIsConsumed) {
   // allocated no matter the demand.
   f.pool.set_capacity_override(
       [](const radio::CellSite&, SimMillis, Mbps) -> Mbps { return 0.0; });
-  for (int t = 0; t < 20; ++t) f.pool.tick(t * 500, nullptr);
+  for (int t = 0; t < 20; ++t) f.pool.tick(t * 500, f.inline_pool);
   EXPECT_EQ(f.pool.totals().delivered_bytes, 0.0);
   for (const auto& c : f.pool.cell_load()) {
     EXPECT_EQ(c.avg_allocated, 0.0);
@@ -143,7 +145,7 @@ TEST(UePoolTest, CapacityOverrideIsConsumed) {
   }
   // ...while the same pool without the override delivers bytes.
   PoolFixture g{1000, ran::SchedulerKind::ProportionalFair};
-  for (int t = 0; t < 20; ++t) g.pool.tick(t * 500, nullptr);
+  for (int t = 0; t < 20; ++t) g.pool.tick(t * 500, g.inline_pool);
   EXPECT_GT(g.pool.totals().delivered_bytes, 0.0);
 }
 
@@ -163,7 +165,7 @@ TEST(UePoolTest, TraceChannelDrivesRecordedCellCapacity) {
 
   f.pool.set_capacity_override(
       replay::population_capacity_from_trace(channel));
-  for (int t = 0; t < 50; ++t) f.pool.tick(t * 500, nullptr);
+  for (int t = 0; t < 50; ++t) f.pool.tick(t * 500, f.inline_pool);
 
   for (const auto& c : f.pool.cell_load()) {
     if (c.cell_id == traced_cell) {
@@ -179,8 +181,8 @@ TEST(UePoolTest, RrAndPfProduceDifferentAllocations) {
   PoolFixture pf{4000, ran::SchedulerKind::ProportionalFair};
   PoolFixture rr{4000, ran::SchedulerKind::RoundRobin};
   for (int t = 0; t < 100; ++t) {
-    pf.pool.tick(t * 500, nullptr);
-    rr.pool.tick(t * 500, nullptr);
+    pf.pool.tick(t * 500, pf.inline_pool);
+    rr.pool.tick(t * 500, rr.inline_pool);
   }
   // Same population, same demand streams — only the discipline differs, and
   // it must show up in the allocations of at least one loaded cell.
@@ -224,14 +226,24 @@ campaign::CampaignConfig population_config(int threads) {
 }
 
 TEST(UePoolTest, CampaignWithPopulationDeterministicAcrossThreads) {
+  auto& registry = core::obs::MetricsRegistry::global();
+  registry.reset();
   const ConsolidatedDb serial =
       campaign::DriveCampaign{population_config(1)}.run();
+  const std::string serial_metrics = registry.snapshot().to_json(false);
+  registry.reset();
   const ConsolidatedDb threaded =
       campaign::DriveCampaign{population_config(4)}.run();
+  const std::string threaded_metrics = registry.snapshot().to_json(false);
+  registry.reset();
   // The population produced cell-load rows and they pass validation.
   EXPECT_FALSE(serial.cell_load.empty());
   EXPECT_TRUE(measure::validate(serial).empty());
   EXPECT_EQ(serialize(serial), serialize(threaded));
+  // The deterministic counters, pool.* included, match as well: every UE
+  // phase is one batch at every width.
+  EXPECT_NE(serial_metrics.find("pool.batches"), std::string::npos);
+  EXPECT_EQ(serial_metrics, threaded_metrics);
 }
 
 TEST(UePoolTest, PopulationChangesTheManifestDigestOnlyWhenPresent) {
