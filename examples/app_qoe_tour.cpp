@@ -7,6 +7,7 @@
 #include "apps/gaming.hpp"
 #include "apps/offload.hpp"
 #include "apps/video.hpp"
+#include "core/obs/metrics.hpp"
 #include "core/rng.hpp"
 
 namespace {
@@ -44,6 +45,7 @@ apps::LinkTrace make_condition(const std::string& name, Rng rng) {
 
 int main() {
   using namespace wheels;
+  core::obs::flush_at_exit();
   Rng root{7};
 
   analysis::Table t({"condition", "AR E2E/FPS/mAP", "CAV E2E (comp.)",

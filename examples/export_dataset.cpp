@@ -6,10 +6,12 @@
 #include <iostream>
 
 #include "campaign/campaign.hpp"
+#include "core/obs/metrics.hpp"
 #include "measure/csv_export.hpp"
 
 int main(int argc, char** argv) {
   using namespace wheels;
+  core::obs::flush_at_exit();
 
   const std::string dir = argc > 1 ? argv[1] : "wheels-dataset";
   campaign::CampaignConfig config = campaign::config_from_env(0.1);

@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "core/obs/metrics.hpp"
 #include "export/exporter.hpp"
 #include "export/roundtrip.hpp"
 #include "ingest/ingest.hpp"
@@ -76,6 +77,7 @@ int list_backends() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  core::obs::flush_at_exit();
   try {
     std::string backend = "mahimahi";
     std::string out_base;

@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "core/obs/metrics.hpp"
 #include "ingest/ingest.hpp"
 #include "measure/csv_export.hpp"
 #include "measure/enum_names.hpp"
@@ -75,6 +76,7 @@ void print_summary(const replay::ReplayBundle& bundle) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  core::obs::flush_at_exit();
   try {
     std::string format = "auto";
     std::string join_spec;

@@ -15,9 +15,11 @@
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
 #include "campaign/campaign.hpp"
+#include "core/obs/metrics.hpp"
 
 int main() {
   using namespace wheels;
+  core::obs::flush_at_exit();
 
   campaign::CampaignConfig config = campaign::config_from_env(0.05);
 

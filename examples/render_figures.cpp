@@ -15,10 +15,12 @@
 #include "analysis/queries.hpp"
 #include "analysis/svg_plot.hpp"
 #include "campaign/campaign.hpp"
+#include "core/obs/metrics.hpp"
 
 int main(int argc, char** argv) {
   using namespace wheels;
   using namespace wheels::analysis;
+  core::obs::flush_at_exit();
 
   const std::string dir = argc > 1 ? argv[1] : "figures";
   campaign::CampaignConfig config = campaign::config_from_env(0.15);

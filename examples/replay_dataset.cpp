@@ -18,6 +18,7 @@
 #include <string>
 
 #include "campaign/campaign.hpp"
+#include "core/obs/metrics.hpp"
 #include "ingest/ingest.hpp"
 #include "measure/csv_export.hpp"
 #include "measure/enum_names.hpp"
@@ -106,6 +107,7 @@ int demo(const std::string& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  core::obs::flush_at_exit();
   try {
     const std::string mode = argc > 1 ? argv[1] : "";
     if (mode == "--reexport") {

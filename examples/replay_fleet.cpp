@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "core/obs/metrics.hpp"
 #include "ingest/ingest.hpp"
 #include "replay/fleet.hpp"
 #include "replay/replay_campaign.hpp"
@@ -65,6 +66,7 @@ std::vector<std::string> split_specs(const std::string& list) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  core::obs::flush_at_exit();
   try {
     replay::FleetConfig cfg;
     cfg.replay = replay::replay_config_from_env();

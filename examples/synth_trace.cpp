@@ -80,6 +80,7 @@ void print_profile_summary(const synth::SynthProfile& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  core::obs::flush_at_exit();
   try {
     std::vector<std::string> fit_dirs;
     std::string profile_path;
@@ -232,7 +233,6 @@ int main(int argc, char** argv) {
                                replay::summarize(bundle.db), "replayed",
                                replay::summarize(replayed));
     }
-    core::obs::flush_to_env_sinks();
     return rc;
   } catch (const std::exception& e) {
     std::cerr << "synth_trace: " << e.what() << '\n';

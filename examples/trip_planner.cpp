@@ -8,10 +8,12 @@
 #include "analysis/report.hpp"
 #include "analysis/segments.hpp"
 #include "campaign/campaign.hpp"
+#include "core/obs/metrics.hpp"
 #include "geo/route.hpp"
 
 int main() {
   using namespace wheels;
+  core::obs::flush_at_exit();
 
   campaign::CampaignConfig config = campaign::config_from_env(0.2);
   config.run_apps = false;

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/obs/metrics.hpp"
 #include "service/client.hpp"
 
 namespace {
@@ -68,6 +69,7 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  wheels::core::obs::flush_at_exit();
   std::string socket_path = "wheelsd.sock";
   if (const char* env = std::getenv("WHEELS_SERVICE_SOCKET");
       env && *env) {

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <string>
 
+#include "core/obs/metrics.hpp"
 #include "service/config.hpp"
 #include "service/server.hpp"
 
@@ -42,6 +43,7 @@ long long parse_ll(const char* flag, const char* text) {
 
 int main(int argc, char** argv) {
   using namespace wheels::service;
+  wheels::core::obs::flush_at_exit();
   ServiceConfig config = service_config_from_env();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

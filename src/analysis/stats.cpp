@@ -19,6 +19,26 @@ double interpolated_quantile(const std::vector<double>& sorted, double q) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
+/// The two-sided 95% normal quantile behind median_ci and median_delta_ci.
+constexpr double kZ95 = 1.959963984540054;
+
+/// median_ci's 1-based lower rank l; the upper rank is n + 1 - l.
+std::size_t lower_rank(std::size_t n) {
+  const double nd = static_cast<double>(n);
+  const double l = std::floor(nd / 2.0 - kZ95 * std::sqrt(nd) / 2.0);
+  return l < 1.0 ? 1 : static_cast<std::size_t>(l);
+}
+
+/// Price & Bonett's standard error of the median of `sorted`.
+double median_se(std::span<const double> sorted) {
+  const std::size_t n = sorted.size();
+  const std::size_t l = lower_rank(n);
+  const std::size_t u = n + 1 - l;
+  if (u == l) return 0.0;  // n == 1
+  return (sorted[u - 1] - sorted[l - 1]) *
+         std::sqrt(static_cast<double>(n)) / (2.0 * static_cast<double>(u - l));
+}
+
 }  // namespace
 
 Summary summarize(std::span<const double> xs) {
@@ -123,6 +143,36 @@ double median_of(std::vector<double> xs) {
     m = (m + *lower) / 2.0;
   }
   return m;
+}
+
+ConfidenceInterval median_ci(std::span<const double> sorted) {
+  if (sorted.empty()) {
+    throw std::invalid_argument{"median_ci: empty sample"};
+  }
+  const std::size_t n = sorted.size();
+  const std::size_t l = lower_rank(n);
+  ConfidenceInterval ci;
+  ci.lo = sorted[l - 1];
+  ci.hi = sorted[n - l];  // x(u), u = n + 1 - l
+  // median_of's arithmetic, so the point has its bits.
+  ci.point = n % 2 == 1 ? sorted[n / 2]
+                        : (sorted[n / 2] + sorted[n / 2 - 1]) / 2.0;
+  return ci;
+}
+
+ConfidenceInterval median_delta_ci(std::span<const double> sorted_a,
+                                   std::span<const double> sorted_b) {
+  if (sorted_a.empty() || sorted_b.empty()) {
+    throw std::invalid_argument{"median_delta_ci: empty sample"};
+  }
+  const double se_a = median_se(sorted_a);
+  const double se_b = median_se(sorted_b);
+  const double half = kZ95 * std::sqrt(se_a * se_a + se_b * se_b);
+  ConfidenceInterval ci;
+  ci.point = median_ci(sorted_a).point - median_ci(sorted_b).point;
+  ci.lo = ci.point - half;
+  ci.hi = ci.point + half;
+  return ci;
 }
 
 }  // namespace wheels::analysis

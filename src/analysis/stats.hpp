@@ -67,4 +67,33 @@ double ks_distance(std::span<const double> a, std::span<const double> b);
 /// xs.empty() before calling when 0 is a plausible median.
 double median_of(std::vector<double> xs);
 
+/// A two-sided confidence interval [lo, hi] around a point estimate.
+struct ConfidenceInterval {
+  double lo = 0.0;
+  double hi = 0.0;
+  double point = 0.0;
+
+  bool contains(double v) const { return v >= lo && v <= hi; }
+  double width() const { return hi - lo; }
+};
+
+/// 95% CI of the median of `sorted`, which must be sorted ascending: the
+/// binomial order-statistic interval [x(l), x(u)] (Conover, Practical
+/// Nonparametric Statistics, §3.2) with 1-based ranks
+/// l = max(1, floor(n/2 - z·√n/2)) and u = n + 1 - l, z = 1.959963984540054.
+/// The ranks round outward, so the interval is conservative. `point` is the
+/// median as median_of computes it. Built from + - × ÷, floor and sqrt only,
+/// so the result has the same bits under every standard library. Throws
+/// std::invalid_argument on an empty input.
+ConfidenceInterval median_ci(std::span<const double> sorted);
+
+/// 95% CI of median(a) - median(b), both inputs sorted ascending: Price &
+/// Bonett's interval (J. Stat. Comput. Simul. 72, 2002), d ± z·√(se_a² +
+/// se_b²). Each side's standard error is its median_ci width divided by
+/// twice the normal quantile its rank span covers, with continuity
+/// correction: se = (x(u) - x(l))·√n / (2(u - l)), and 0 when n = 1. Throws
+/// std::invalid_argument when either input is empty.
+ConfidenceInterval median_delta_ci(std::span<const double> sorted_a,
+                                   std::span<const double> sorted_b);
+
 }  // namespace wheels::analysis

@@ -1,9 +1,9 @@
 // FleetRunner: campaign-level parallelism.
 //
-// The ablation and bootstrap benches run many *independent* campaigns —
-// different seeds, scenario overrides, scales. FleetRunner fans those
-// (seed, CampaignConfig) jobs out through core::run_indexed and returns the
-// databases in submission order.
+// Some benches (ext_future_deployment, microbench_campaign) run many
+// *independent* campaigns — different seeds, scenario overrides, scales.
+// FleetRunner fans those (seed, CampaignConfig) jobs out through
+// core::run_indexed and returns the databases in submission order.
 //
 // Because a campaign's ConsolidatedDb is invariant to its own thread count
 // (see campaign.hpp), FleetRunner forces every inner campaign to the serial

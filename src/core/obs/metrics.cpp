@@ -264,6 +264,11 @@ void flush_to_env_sinks() {
 
 void flush_at_exit() {
   static const bool registered = [] {
+    // Construct both singletons before registering: a static first
+    // constructed after the std::atexit call is destroyed before the hook
+    // runs, and the hook would read a dead registry.
+    (void)MetricsRegistry::global();
+    (void)TraceCollector::global();
     std::atexit([] { flush_to_env_sinks(); });
     return true;
   }();

@@ -142,10 +142,13 @@ class Counter {
 /// Write the global registry's full snapshot (runtime metrics included) to
 /// $WHEELS_METRICS_OUT and the global trace collector to $WHEELS_TRACE_OUT,
 /// when those variables name writable paths. No-op when unset. Called by
-/// measure::write_dataset and, via flush_at_exit(), by the bench binaries.
+/// measure::write_dataset and, via flush_at_exit(), by every example and
+/// bench binary.
 void flush_to_env_sinks();
 
 /// Idempotently register a std::atexit hook running flush_to_env_sinks().
+/// Constructs the global registry and trace collector first, so both
+/// outlive the hook however late the program first uses them.
 void flush_at_exit();
 
 }  // namespace wheels::core::obs

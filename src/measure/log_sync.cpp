@@ -66,8 +66,9 @@ std::vector<KpiRecord> LogSynchronizer::join(const DrmFile& drm,
     }
     out.push_back(kpi);
   }
-  std::sort(out.begin(), out.end(),
-            [](const KpiRecord& a, const KpiRecord& b) { return a.t < b.t; });
+  std::stable_sort(
+      out.begin(), out.end(),
+      [](const KpiRecord& a, const KpiRecord& b) { return a.t < b.t; });
   return out;
 }
 

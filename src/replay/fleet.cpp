@@ -64,47 +64,6 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-/// Percentile bootstrap of (median(cell) - median(base)) with independent
-/// resamples of both series per iteration. Mirrors bootstrap_ci's stream
-/// discipline: one child stream per iteration, stats sorted before the
-/// quantiles are read.
-analysis::ConfidenceInterval bootstrap_delta_ci(
-    const std::vector<double>& cell, const std::vector<double>& base_xs,
-    Rng& rng, double level, int iterations) {
-  analysis::ConfidenceInterval ci;
-  ci.point = analysis::median_of(cell) - analysis::median_of(base_xs);
-
-  std::vector<double> stats(static_cast<std::size_t>(iterations));
-  const Rng base{rng.next_u64()};
-  std::vector<double> rc(cell.size());
-  std::vector<double> rb(base_xs.size());
-  const auto draw = [](Rng& r, const std::vector<double>& from,
-                       std::vector<double>& into) {
-    for (std::size_t i = 0; i < into.size(); ++i) {
-      into[i] = from[static_cast<std::size_t>(
-          r.uniform_int(0, static_cast<int>(from.size()) - 1))];
-    }
-  };
-  for (int it = 0; it < iterations; ++it) {
-    Rng r_cell = base.fork("cell", static_cast<std::uint64_t>(it));
-    Rng r_base = base.fork("base", static_cast<std::uint64_t>(it));
-    draw(r_cell, cell, rc);
-    draw(r_base, base_xs, rb);
-    stats[static_cast<std::size_t>(it)] =
-        analysis::median_of(rc) - analysis::median_of(rb);
-  }
-  std::sort(stats.begin(), stats.end());
-  const double alpha = (1.0 - level) / 2.0;
-  const auto idx = [&](double q) {
-    return stats[static_cast<std::size_t>(
-        std::clamp(q * static_cast<double>(stats.size() - 1), 0.0,
-                   static_cast<double>(stats.size() - 1)))];
-  };
-  ci.lo = idx(alpha);
-  ci.hi = idx(1.0 - alpha);
-  return ci;
-}
-
 transport::CcAlgo parse_cc(const std::string& text) {
   if (text == transport::cc_algo_name(transport::CcAlgo::Cubic)) {
     return transport::CcAlgo::Cubic;
@@ -288,54 +247,46 @@ FleetResult ReplayFleet::run(const std::vector<FleetItem>& items) const {
     out.runs[j].summary = summarize_samples(samples[j]);
   });
 
-  // Pool each cell's samples across bundles in submission order — the same
-  // fixed concatenation order for every thread count.
-  std::vector<DbSamples> pooled(ncells);
+  // Phase 2: one job per (cell, carrier, metric) slot pools its series
+  // across bundles in submission order and sorts it in place. The intervals
+  // are then read off the sorted series and draw no random number, so the
+  // aggregate depends neither on job scheduling nor on a seed.
+  core::obs::ScopedSpan aggregate_span{"replay.fleet.aggregate", "replay"};
+  constexpr std::size_t kPerCell = kCarriers * kFleetMetricCount;
+  std::vector<std::vector<double>> sorted(ncells * kPerCell);
+  core::run_indexed(config_.threads, sorted.size(), [&](std::size_t j) {
+    const std::size_t ci = j / kPerCell;
+    const std::size_t c = (j % kPerCell) / kFleetMetricCount;
+    const std::size_t m = j % kFleetMetricCount;
+    for (std::size_t bi = 0; bi < items.size(); ++bi) {
+      const std::vector<double>& part =
+          metric_series(samples[bi * ncells + ci][c], m);
+      sorted[j].insert(sorted[j].end(), part.begin(), part.end());
+    }
+    std::sort(sorted[j].begin(), sorted[j].end());
+  });
+  out.aggregate.resize(ncells);
   for (std::size_t ci = 0; ci < ncells; ++ci) {
+    out.aggregate[ci].cell = ci;
     for (std::size_t c = 0; c < kCarriers; ++c) {
-      pooled[ci][c].carrier = radio::kAllCarriers[c];
-      for (std::size_t bi = 0; bi < items.size(); ++bi) {
-        pooled[ci][c].append(samples[bi * ncells + ci][c]);
+      for (std::size_t m = 0; m < kFleetMetricCount; ++m) {
+        const std::size_t slot = c * kFleetMetricCount + m;
+        const std::vector<double>& xs = sorted[ci * kPerCell + slot];
+        const std::vector<double>& base_xs = sorted[slot];  // cell 0
+        MetricAggregate& agg = out.aggregate[ci].metrics[c][m];
+        agg.n = xs.size();
+        if (xs.empty()) continue;
+        agg.ci = analysis::median_ci(xs);
+        agg.median = agg.ci.point;
+        // Significance vs the recorded baseline: does the knob's delta
+        // clear sampling noise? Baseline rows carry no delta.
+        if (ci == 0 || base_xs.empty()) continue;
+        agg.delta_ci = analysis::median_delta_ci(xs, base_xs);
+        agg.has_delta = true;
+        agg.significant = agg.delta_ci.lo > 0.0 || agg.delta_ci.hi < 0.0;
       }
     }
   }
-
-  // Phase 2: pooled medians and bootstrap CIs, one independent job per
-  // (cell, carrier, metric) slot. Each CI draws from its own Rng stream
-  // forked off (seed, cell, carrier, metric), so the aggregate does not
-  // depend on job scheduling.
-  out.aggregate.resize(ncells);
-  for (std::size_t ci = 0; ci < ncells; ++ci) out.aggregate[ci].cell = ci;
-  constexpr std::size_t kPerCell = kCarriers * kFleetMetricCount;
-  core::run_indexed(
-      config_.threads, ncells * kPerCell, [&](std::size_t j) {
-        const std::size_t ci = j / kPerCell;
-        const std::size_t c = (j % kPerCell) / kFleetMetricCount;
-        const std::size_t m = j % kFleetMetricCount;
-        const std::vector<double>& xs = metric_series(pooled[ci][c], m);
-        MetricAggregate& agg = out.aggregate[ci].metrics[c][m];
-        agg.n = xs.size();
-        if (xs.empty()) return;
-        agg.median = analysis::median_of(xs);
-        Rng rng = Rng{config_.replay.seed}
-                      .fork("fleet.ci", ci)
-                      .fork(radio::carrier_name(pooled[ci][c].carrier))
-                      .fork(kFleetMetricNames[m]);
-        agg.ci =
-            analysis::bootstrap_median_ci(xs, rng, 0.95, config_.ci_iterations);
-        // Significance vs the recorded baseline: does the knob's delta
-        // clear bootstrap noise? Baseline rows carry no delta.
-        const std::vector<double>& base_xs = metric_series(pooled[0][c], m);
-        if (ci == 0 || base_xs.empty()) return;
-        Rng drng = Rng{config_.replay.seed}
-                       .fork("fleet.delta", ci)
-                       .fork(radio::carrier_name(pooled[ci][c].carrier))
-                       .fork(kFleetMetricNames[m]);
-        agg.delta_ci =
-            bootstrap_delta_ci(xs, base_xs, drng, 0.95, config_.ci_iterations);
-        agg.has_delta = true;
-        agg.significant = agg.delta_ci.lo > 0.0 || agg.delta_ci.hi < 0.0;
-      });
   return out;
 }
 
@@ -381,7 +332,7 @@ std::string fmt_agg(const MetricAggregate& a) {
 std::string fmt_delta(const MetricAggregate& a, const MetricAggregate& base) {
   if (a.n == 0 || base.n == 0 || base.median == 0.0) return "-";
   std::string out = analysis::fmt_pct(a.median / base.median - 1.0);
-  // '*': the delta's own bootstrap CI excludes zero.
+  // '*': the delta's own CI excludes zero.
   if (a.significant) out += " *";
   return out;
 }
@@ -444,7 +395,7 @@ void print_fleet(std::ostream& os, const FleetResult& result) {
       }
     }
     delta.print(os);
-    os << "(* = delta's bootstrap 95% CI excludes zero)\n";
+    os << "(* = delta's 95% CI excludes zero)\n";
   }
 }
 

@@ -6,13 +6,14 @@
 // campaign::FleetRunner of the replay world: it fans (bundle, knob-cell)
 // work items out through core::run_indexed, runs each through
 // ReplayCampaign, and pools the per-bundle sample series into one
-// fleet-level aggregate — per-carrier medians with bootstrap CIs per knob
-// cell, plus each cell's delta against the all-recorded baseline.
+// fleet-level aggregate — per-carrier medians with closed-form 95% CIs per
+// knob cell, plus each cell's delta against the all-recorded baseline.
 //
 // Determinism contract (the FleetRunner discipline, fleet_runner.hpp):
 // every work item writes only its own pre-allocated slot, inner replays run
-// serially (they are thread-count invariant anyway), and pooling/aggregation
-// read the slots in submission order — so FleetResult, and the CSV
+// serially (they are thread-count invariant anyway), and pooling reads the
+// slots in submission order. The intervals are read off each sorted pooled
+// series and draw no random number — so FleetResult, and the CSV
 // write_fleet_csv emits, are byte-identical for every WHEELS_THREADS.
 #pragma once
 
@@ -23,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/bootstrap.hpp"
+#include "analysis/stats.hpp"
 #include "net/server.hpp"
 #include "radio/technology.hpp"
 #include "replay/ingest.hpp"
@@ -98,24 +99,23 @@ struct FleetConfig {
   /// Concurrent (bundle, cell) work items; 0 = auto (WHEELS_THREADS).
   int threads = 0;
   KnobGrid grid;
-  /// Bootstrap iterations behind each pooled median's 95% CI.
-  int ci_iterations = 300;
 };
 
 /// Pooled statistics of one metric over every bundle's samples in one cell.
 struct MetricAggregate {
   std::size_t n = 0;
   double median = 0.0;
-  /// Percentile-bootstrap 95% CI of the median; {0,0,0} when n == 0.
+  /// 95% order-statistic CI of the median (analysis::median_ci); {0,0,0}
+  /// when n == 0.
   analysis::ConfidenceInterval ci;
-  /// Percentile-bootstrap 95% CI of (this cell's median - the recorded
-  /// baseline's median), from independent resamples of both pooled series.
-  /// Only meaningful when has_delta.
+  /// 95% CI of (this cell's median - the recorded baseline's median), Price
+  /// & Bonett's interval over both pooled series
+  /// (analysis::median_delta_ci). Only meaningful when has_delta.
   analysis::ConfidenceInterval delta_ci;
   /// delta_ci was computed: a non-baseline cell with samples on both sides.
   bool has_delta = false;
   /// delta_ci excludes zero — the knob's effect on this metric clears
-  /// bootstrap sampling noise at the 95% level.
+  /// sampling noise at the 95% level.
   bool significant = false;
 };
 

@@ -493,11 +493,11 @@ class ReplayRunner {
         it != handovers_by_test_.end()) {
       events = it->second;
     }
-    std::sort(events.begin(), events.end(),
-              [](const measure::HandoverRecord* a,
-                 const measure::HandoverRecord* b) {
-                return a->event.t < b->event.t;
-              });
+    std::stable_sort(events.begin(), events.end(),
+                     [](const measure::HandoverRecord* a,
+                        const measure::HandoverRecord* b) {
+                       return a->event.t < b->event.t;
+                     });
 
     std::size_t e = 0;
     for (int i = 0; i < n_ticks; ++i) {

@@ -9,21 +9,6 @@
 
 namespace wheels::replay {
 
-void CarrierSamples::append(const CarrierSamples& other) {
-  tests += other.tests;
-  app_runs += other.app_runs;
-  const auto cat = [](std::vector<double>& into,
-                      const std::vector<double>& from) {
-    into.insert(into.end(), from.begin(), from.end());
-  };
-  cat(dl_mbps, other.dl_mbps);
-  cat(ul_mbps, other.ul_mbps);
-  cat(rtt_ms, other.rtt_ms);
-  cat(video_qoe, other.video_qoe);
-  cat(gaming_latency_ms, other.gaming_latency_ms);
-  cat(offload_e2e_ms, other.offload_e2e_ms);
-}
-
 DbSamples collect_samples(const measure::ConsolidatedDb& db) {
   DbSamples out;
   for (radio::Carrier c : radio::kAllCarriers) {

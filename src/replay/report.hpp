@@ -27,9 +27,6 @@ struct CarrierSamples {
   std::vector<double> gaming_latency_ms;
   std::vector<double> offload_e2e_ms;
   std::size_t app_runs = 0;
-
-  /// Append every series of `other` (same carrier) to this one.
-  void append(const CarrierSamples& other);
 };
 
 using DbSamples = std::array<CarrierSamples, radio::kCarrierCount>;

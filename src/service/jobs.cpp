@@ -85,13 +85,13 @@ std::string spec_identity(const std::string& spec) {
 }
 
 /// The fleet job's canonical config string: the expanded knob grid (cell
-/// labels in expand_grid order), the interpolation policy and the bootstrap
-/// depth — everything that shapes fleet.csv besides the input bundles.
+/// labels in expand_grid order) and the interpolation policy — everything
+/// that shapes fleet.csv besides the input bundles.
 std::string fleet_canonical(const JobSpec& spec,
                             const std::vector<replay::ReplayKnobs>& cells) {
   std::string canon = "fleet;interp=";
   canon += spec.policy == replay::HoldPolicy::Hold ? "hold" : "linear";
-  canon += ";ci=" + std::to_string(spec.ci_iterations) + ";cells=";
+  canon += ";cells=";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (i) canon += ",";
     canon += replay::cell_label(cells[i]);
@@ -123,7 +123,6 @@ void run_fleet_job(const JobSpec& spec, const std::string& out_dir) {
   replay::FleetConfig cfg;
   cfg.replay = to_replay_config(spec);
   cfg.threads = 1;
-  cfg.ci_iterations = spec.ci_iterations;
   for (const std::string& axis : spec.grid) {
     replay::apply_grid_axis(cfg.grid, axis);
   }

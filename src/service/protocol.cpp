@@ -200,11 +200,6 @@ bool apply_job_key(const Doc& doc, JobSpec& spec, const std::string& key,
       spec.grid = string_list(doc, val, key);
       return true;
     }
-    if (key == "ci") {
-      spec.ci_iterations =
-          static_cast<int>(int_field(doc, val, key, 1, 1 << 20));
-      return true;
-    }
     return false;
   }
   // Synth.
@@ -394,7 +389,7 @@ std::string JobSpec::to_json() const {
         if (i) out += ", ";
         out += quoted(grid[i]);
       }
-      out += "], \"ci\": " + int_str(ci_iterations) + ", \"interp\": ";
+      out += "], \"interp\": ";
       out += policy == replay::HoldPolicy::Hold ? "\"hold\"" : "\"linear\"";
       break;
     }
@@ -420,7 +415,7 @@ void apply_job_arg(JobSpec& spec, const std::string& arg) {
   const Doc doc{"job argument \"" + arg + "\""};
   std::string json;
   if (key == "scale" || key == "seed" || key == "stride" || key == "idle" ||
-      key == "ues" || key == "ci" || key == "cycles") {
+      key == "ues" || key == "cycles") {
     json = value;  // numeric
   } else if (key == "apps" || key == "static") {
     json = value == "1" ? "true" : value == "0" ? "false" : value;

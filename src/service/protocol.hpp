@@ -63,7 +63,7 @@ struct JobSpec {
   ran::SchedulerKind scheduler = ran::SchedulerKind::ProportionalFair;
 
   // --- replay ("bundle", "cc", "server", "tier", "interp") /
-  //     fleet ("bundles", "grid", "ci", "interp") ---
+  //     fleet ("bundles", "grid", "interp") ---
   /// replay: exactly one source bundle dir; fleet: one or more fleet path
   /// specs (bundle dirs, trace CSVs, dirs of bundles — replay/fleet.hpp).
   std::vector<std::string> bundles;
@@ -71,7 +71,6 @@ struct JobSpec {
   replay::HoldPolicy policy = replay::HoldPolicy::Hold;
   /// Fleet knob-grid axes, apply_grid_axis grammar ("cc=cubic,bbr", ...).
   std::vector<std::string> grid;
-  int ci_iterations = 300;
 
   // --- synth ("profile", "cycles", "spec") ---
   std::string profile;

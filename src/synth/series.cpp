@@ -73,8 +73,9 @@ void append_series(FleetSeries& out, const measure::ConsolidatedDb& db,
     test_carrier[k.test_id] = k.carrier;
   }
   for (auto& [test_id, ticks] : dl_by_test) {
-    std::sort(ticks.begin(), ticks.end(),
-              [](const DlTick& a, const DlTick& b) { return a.t < b.t; });
+    std::stable_sort(
+        ticks.begin(), ticks.end(),
+        [](const DlTick& a, const DlTick& b) { return a.t < b.t; });
     const radio::Carrier carrier = test_carrier[test_id];
     CarrierSeries& cs = out.carriers[cidx(carrier)];
     std::vector<radio::Technology>* tech_run = nullptr;
@@ -114,8 +115,9 @@ void append_series(FleetSeries& out, const measure::ConsolidatedDb& db,
     rtt_carrier[r.test_id] = r.carrier;
   }
   for (auto& [test_id, ticks] : rtt_by_test) {
-    std::sort(ticks.begin(), ticks.end(),
-              [](const RttTick& a, const RttTick& b) { return a.t < b.t; });
+    std::stable_sort(
+        ticks.begin(), ticks.end(),
+        [](const RttTick& a, const RttTick& b) { return a.t < b.t; });
     const radio::Carrier carrier = rtt_carrier[test_id];
     std::vector<double>* run = nullptr;
     for (std::size_t i = 0; i < ticks.size(); ++i) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "analysis/coverage.hpp"
 #include "analysis/correlations.hpp"
@@ -10,6 +14,7 @@
 #include "analysis/queries.hpp"
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
+#include "core/rng.hpp"
 
 namespace wheels::analysis {
 namespace {
@@ -90,6 +95,108 @@ TEST(Stats, MedianOfEvenOdd) {
   EXPECT_DOUBLE_EQ(median_of({3.0, 1.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(median_of({4.0, 1.0, 2.0, 3.0}), 2.5);
   EXPECT_DOUBLE_EQ(median_of({}), 0.0);
+}
+
+/// 1.0, 2.0, ..., n: x(i) = i, so an interval's ends are its 1-based ranks.
+std::vector<double> ranks_1_to(std::size_t n) {
+  std::vector<double> xs(n);
+  std::iota(xs.begin(), xs.end(), 1.0);
+  return xs;
+}
+
+TEST(MedianCi, HandComputedRanks) {
+  // n = 8: floor(4 - z·√8/2) = 1, so [x(1), x(8)].
+  const ConfidenceInterval small = median_ci(ranks_1_to(8));
+  EXPECT_EQ(small.lo, 1.0);
+  EXPECT_EQ(small.hi, 8.0);
+  EXPECT_EQ(small.point, 4.5);
+  // n = 100: floor(50 - z·10/2) = 40, u = 101 - 40 = 61.
+  const ConfidenceInterval big = median_ci(ranks_1_to(100));
+  EXPECT_EQ(big.lo, 40.0);
+  EXPECT_EQ(big.hi, 61.0);
+  EXPECT_EQ(big.point, 50.5);
+}
+
+TEST(MedianCi, SingleSampleHasZeroWidth) {
+  const std::vector<double> a{7.0};
+  const std::vector<double> b{3.0};
+  const ConfidenceInterval ci = median_ci(a);
+  EXPECT_EQ(ci.lo, 7.0);
+  EXPECT_EQ(ci.hi, 7.0);
+  EXPECT_EQ(ci.point, 7.0);
+  const ConfidenceInterval delta = median_delta_ci(a, b);
+  EXPECT_EQ(delta.point, 4.0);
+  EXPECT_EQ(delta.lo, 4.0);
+  EXPECT_EQ(delta.hi, 4.0);
+}
+
+TEST(MedianCi, HandComputedDelta) {
+  // Each side: l = 40, u = 61, se = (61 - 40)·√100 / (2·21) = 5.
+  const std::vector<double> a = ranks_1_to(100);
+  std::vector<double> b = a;
+  for (double& x : b) x += 10.0;
+  const ConfidenceInterval delta = median_delta_ci(a, b);
+  const double half = 1.959963984540054 * std::sqrt(50.0);
+  EXPECT_EQ(delta.point, -10.0);
+  EXPECT_DOUBLE_EQ(delta.lo, -10.0 - half);
+  EXPECT_DOUBLE_EQ(delta.hi, -10.0 + half);
+}
+
+TEST(MedianCi, RejectsEmptyInput) {
+  const std::vector<double> xs{1.0, 2.0};
+  EXPECT_THROW((void)median_ci({}), std::invalid_argument);
+  EXPECT_THROW((void)median_delta_ci({}, xs), std::invalid_argument);
+  EXPECT_THROW((void)median_delta_ci(xs, {}), std::invalid_argument);
+}
+
+/// Over 2,000 replications at n = 500 and 1000, median_ci must cover the
+/// true median `truth`, and median_delta_ci against a second sample of
+/// n + n/3 draws shifted by +5 must cover -5, 93-97% of the time.
+template <typename Draw>
+void expect_coverage(std::string_view dist, double truth, Draw draw) {
+  constexpr int kReps = 2000;
+  for (const std::size_t n : {std::size_t{500}, std::size_t{1000}}) {
+    Rng rng = Rng{1}.fork(dist, n);
+    std::vector<double> a(n);
+    std::vector<double> b(n + n / 3);
+    int median_hits = 0;
+    int delta_hits = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      for (double& x : a) x = draw(rng);
+      for (double& x : b) x = draw(rng) + 5.0;
+      std::sort(a.begin(), a.end());
+      std::sort(b.begin(), b.end());
+      median_hits += median_ci(a).contains(truth) ? 1 : 0;
+      delta_hits += median_delta_ci(a, b).contains(-5.0) ? 1 : 0;
+    }
+    const double median_cover = median_hits / static_cast<double>(kReps);
+    const double delta_cover = delta_hits / static_cast<double>(kReps);
+    EXPECT_GE(median_cover, 0.93) << dist << " n=" << n;
+    EXPECT_LE(median_cover, 0.97) << dist << " n=" << n;
+    EXPECT_GE(delta_cover, 0.93) << dist << " n=" << n;
+    EXPECT_LE(delta_cover, 0.97) << dist << " n=" << n;
+  }
+}
+
+TEST(MedianCi, CoverageNormal) {
+  expect_coverage("normal", 50.0,
+                  [](Rng& r) { return r.normal(50.0, 10.0); });
+}
+
+TEST(MedianCi, CoverageLognormal) {
+  expect_coverage("lognormal", std::exp(3.0),
+                  [](Rng& r) { return r.lognormal(3.0, 1.0); });
+}
+
+TEST(MedianCi, CoverageExponential) {
+  // Mean 10: rate 0.1, median 10·ln 2.
+  expect_coverage("exponential", 10.0 * std::log(2.0),
+                  [](Rng& r) { return r.exponential(0.1); });
+}
+
+TEST(MedianCi, CoverageUniform) {
+  expect_coverage("uniform", 50.0,
+                  [](Rng& r) { return r.uniform(0.0, 100.0); });
 }
 
 TEST(Stats, KsDistanceIdenticalAndDisjoint) {

@@ -622,7 +622,6 @@ TEST(IngestTest, JoinedBundleReplaysByteIdenticalAcrossFleetThreads) {
   const auto csv_at = [&](int threads) {
     replay::FleetConfig cfg;
     cfg.threads = threads;
-    cfg.ci_iterations = 40;
     replay::apply_grid_axis(cfg.grid, "server=cloud,edge");
     const replay::FleetResult result =
         replay::ReplayFleet{cfg}.run({{"joined", &bundle}});

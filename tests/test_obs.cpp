@@ -285,5 +285,41 @@ TEST(ObsSinks, FlushWritesMetricsAndTraceFiles) {
   std::filesystem::remove_all(dir);
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream is{path};
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+/// The death-test child: arm the exit hook before the first metric or span
+/// exists, then exit through std::exit.
+[[noreturn]] void flush_late_and_exit(const std::string& metrics_path,
+                                      const std::string& trace_path) {
+  setenv("WHEELS_METRICS_OUT", metrics_path.c_str(), 1);
+  setenv("WHEELS_TRACE_OUT", trace_path.c_str(), 1);
+  flush_at_exit();
+  Counter{"obs.exit_test.late"}.add();
+  { ScopedSpan span{"exit-test-span", "test"}; }
+  std::exit(0);
+}
+
+TEST(ObsSinks, FlushAtExitOutlivesLateFirstUse) {
+  // The threadsafe child re-runs only this test, so its registry and trace
+  // collector are first used after flush_at_exit() registered its hook.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string dir = "/tmp/wheels-obs-exit-test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string metrics_path = dir + "/metrics.json";
+  const std::string trace_path = dir + "/trace.json";
+  EXPECT_EXIT(flush_late_and_exit(metrics_path, trace_path),
+              ::testing::ExitedWithCode(0), "");
+  EXPECT_NE(read_file(metrics_path).find("\"obs.exit_test.late\": 1"),
+            std::string::npos);
+  EXPECT_NE(read_file(trace_path).find("exit-test-span"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace wheels::core::obs

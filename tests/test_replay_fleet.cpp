@@ -204,7 +204,6 @@ std::string fleet_csv(const FleetResult& result) {
 FleetConfig small_fleet_config(int threads) {
   FleetConfig cfg;
   cfg.threads = threads;
-  cfg.ci_iterations = 60;
   apply_grid_axis(cfg.grid, "cc=cubic,bbr");
   apply_grid_axis(cfg.grid, "server=cloud,edge");
   return cfg;
@@ -345,9 +344,9 @@ TEST(ReplayFleetTest, SignificanceMarksDeltasWhoseCiExcludesZero) {
         EXPECT_FALSE(rtt.significant) << cell_label(result.cells[ci]);
       }
     }
-    // ...and for most carriers the drop clears the bootstrap CI. (One
-    // synthetic trace has RTT spread wide enough to keep zero inside its
-    // CI — exactly the verdict the column exists to report.)
+    // ...and for most carriers the drop clears the delta's CI. (A trace
+    // with RTT spread wide enough would keep zero inside its CI — exactly
+    // the verdict the column exists to report.)
     if (edge) {
       EXPECT_GE(flagged, 2u) << cell_label(result.cells[ci]);
     }

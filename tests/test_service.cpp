@@ -205,7 +205,6 @@ TEST(ServiceRoundTrip, FleetSubmitRoundTrip) {
   spec.seed = 4;
   spec.bundles = {golden_bundle()};
   spec.grid = {"cc=cubic,bbr"};
-  spec.ci_iterations = 50;
   const JobStatus done = c.wait(c.submit(spec).id);
   ASSERT_EQ(done.state, JobState::Done) << done.error;
   const ResultInfo info = c.result(done.id);
@@ -349,7 +348,6 @@ TEST(ServiceCache, FleetSpecsParseOneWayForKeyAndLoader) {
   JobSpec spec;
   spec.kind = JobKind::Fleet;
   spec.seed = 3;
-  spec.ci_iterations = 20;
 
   // A bundle directory with '@' in its name is a bundle: keyed by its
   // manifest and loaded by the job.
@@ -552,6 +550,9 @@ TEST(ServiceProtocol, MalformedRequestsFailWithExactStrings) {
   EXPECT_EQ(
       err(R"({"v": 1, "op": "submit", "job": {"kind": "replay"}})"),
       "protocol: line 1: replay job needs \"bundle\"");
+  EXPECT_EQ(
+      err(R"({"v": 1, "op": "submit", "job": {"kind": "fleet", "ci": 300}})"),
+      "protocol: line 1: key \"ci\" does not apply to fleet jobs");
 }
 
 TEST(ServiceProtocol, JobAndResultErrorsNameTheJob) {
@@ -593,7 +594,6 @@ TEST(ServiceProtocol, SpecJsonRoundTripsForEveryKind) {
   fleet.seed = 9;
   fleet.bundles = {"a", "b"};
   fleet.grid = {"cc=cubic,bbr", "tier=recorded,LTE"};
-  fleet.ci_iterations = 123;
   specs.push_back(fleet);
   specs.push_back(quick_synth(10));
 
