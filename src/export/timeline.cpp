@@ -96,8 +96,8 @@ EmuTimeline timeline_from_bundle(const measure::ConsolidatedDb& db,
     const replay::TraceSample s = channel.at(t);
     const replay::TraceEvents ev = channel.events_in(t, tick_d);
     EmuTick out;
-    out.cap_dl_mbps = s.capacity_dl;
-    out.cap_ul_mbps = s.capacity_ul;
+    out.cap_dl_mbps = s.cap_dl;
+    out.cap_ul_mbps = s.cap_ul;
     out.rtt_ms = s.rtt;
     out.loss = std::clamp(ev.interruption / tick_d, 0.0, 1.0);
     out.tech = s.tech;

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "measure/enum_names.hpp"
 #include "ran/handover.hpp"
@@ -44,6 +45,12 @@ class Collector {
 };
 
 bool bad_fraction(double v) { return !std::isfinite(v) || v < 0.0 || v > 1.0; }
+
+bool is_bulk(TestType type) {
+  return type == TestType::DownlinkBulk || type == TestType::UplinkBulk;
+}
+
+bool is_app(TestType type) { return app_kind_of(type).has_value(); }
 
 void check_coverage(const std::vector<CoverageSegment>& segments,
                     const char* what, radio::Carrier carrier, Collector& out) {
@@ -101,6 +108,10 @@ std::vector<std::string> validate(const ConsolidatedDb& db,
     const auto& k = db.kpis[i];
     const TestRecord* t = resolve("kpis", i, k.test_id, k.carrier);
     if (t != nullptr) {
+      if (!is_bulk(t->type)) {
+        out.add("kpis[", i, "]: test ", t->id, " (", names::to_name(t->type),
+                ") is not a bulk test");
+      }
       if (k.is_static != t->is_static) {
         out.add("kpis[", i, "]: is_static mismatch with test ", t->id);
       }
@@ -126,6 +137,10 @@ std::vector<std::string> validate(const ConsolidatedDb& db,
     const auto& r = db.rtts[i];
     const TestRecord* t = resolve("rtts", i, r.test_id, r.carrier);
     if (t != nullptr) {
+      if (t->type != TestType::Rtt) {
+        out.add("rtts[", i, "]: test ", t->id, " (", names::to_name(t->type),
+                ") is not a ping test");
+      }
       if (r.is_static != t->is_static) {
         out.add("rtts[", i, "]: is_static mismatch with test ", t->id);
       }
@@ -155,10 +170,18 @@ std::vector<std::string> validate(const ConsolidatedDb& db,
     }
   }
 
+  std::unordered_set<std::uint32_t> with_run;
   for (std::size_t i = 0; i < db.app_runs.size() && !out.full(); ++i) {
     const auto& r = db.app_runs[i];
     const TestRecord* t = resolve("app_runs", i, r.test_id, r.carrier);
     if (t != nullptr) {
+      if (!is_app(t->type)) {
+        out.add("app_runs[", i, "]: test ", t->id, " (",
+                names::to_name(t->type), ") is not an app test");
+      }
+      if (!with_run.insert(t->id).second) {
+        out.add("app_runs[", i, "]: second app run of test ", t->id);
+      }
       if (r.is_static != t->is_static) {
         out.add("app_runs[", i, "]: is_static mismatch with test ", t->id);
       }
@@ -195,6 +218,10 @@ std::vector<std::string> validate(const ConsolidatedDb& db,
   for (std::size_t i = 0; i < db.link_ticks.size() && !out.full(); ++i) {
     const auto& l = db.link_ticks[i];
     const TestRecord* t = resolve("link_ticks", i, l.test_id, l.carrier);
+    if (t != nullptr && !is_app(t->type)) {
+      out.add("link_ticks[", i, "]: test ", t->id, " (",
+              names::to_name(t->type), ") is not an app test");
+    }
     if (t != nullptr && l.t + kSampleSlackMs < t->start) {
       out.add("link_ticks[", i, "]: sample at ", l.t, " before test ", t->id,
               "'s start ", t->start);

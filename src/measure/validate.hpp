@@ -17,6 +17,10 @@ namespace wheels::measure {
 /// violation string per problem (empty == valid):
 ///  - test ids are unique; every record's test_id resolves to a test;
 ///  - records agree with their test on carrier / is_static / server;
+///  - each row kind belongs to its kind of test: kpis rows to a DL or UL
+///    bulk test, rtts rows to a ping test, link_ticks and app_runs rows to
+///    an app test, and a test has at most one app run (replay rewrites a
+///    recording in place and relies on this);
 ///  - test windows are ordered (start <= end) and KPI/RTT samples are not
 ///    earlier than their test's start;
 ///  - doubles are finite, fractions (bler, rebuffer, ...) are in [0, 1],

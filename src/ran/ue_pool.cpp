@@ -256,7 +256,7 @@ void UePool::rebuild_members() {
 // aggregate slots are written by exactly one task (cells are partitioned by
 // block), so writes stay disjoint even though `alloc_` is shared.
 void UePool::schedule_cell_block(std::uint32_t begin, std::uint32_t end,
-                                 SimMillis t, SchedulerScratch& scratch) {
+                                 SchedulerScratch& scratch) {
   for (std::uint32_t c = begin; c < end; ++c) {
     const std::uint32_t m_begin = cell_begin_[c];
     const std::uint32_t m_end = cell_begin_[c + 1];
@@ -266,9 +266,7 @@ void UePool::schedule_cell_block(std::uint32_t begin, std::uint32_t end,
 
     const std::span<const std::uint32_t> members(members_.data() + m_begin,
                                                  m_end - m_begin);
-    Mbps capacity = model_cap_dl_[c];
-    if (capacity_fn_) capacity = capacity_fn_(*cell_sites_[c], t, capacity);
-
+    const Mbps capacity = model_cap_dl_[c];
     schedule_cell(cfg_.scheduler, capacity, members, demand_, avg_, alloc_,
                   scratch);
 
@@ -338,9 +336,8 @@ void UePool::tick(SimMillis t, core::ThreadPool& pool) {
   rebuild_members();
 
   run_blocks(pool, cell_sites_.size(), kCellBlock,
-             [this, t](std::uint32_t b, std::uint32_t begin,
-                       std::uint32_t end) {
-               schedule_cell_block(begin, end, t, scheduler_scratch_[b]);
+             [this](std::uint32_t b, std::uint32_t begin, std::uint32_t end) {
+               schedule_cell_block(begin, end, scheduler_scratch_[b]);
              });
 
   run_blocks(pool, cfg_.count, cfg_.block,

@@ -75,21 +75,11 @@ struct CellLoadSummary {
 
 class UePool {
  public:
-  /// Replaces the model-driven per-cell capacity: called once per occupied
-  /// cell per tick with the cell, the tick time and the model capacity it
-  /// would have used. replay::population_capacity_from_trace adapts a
-  /// recorded TraceChannel timeline into this hook, which is how the
-  /// scheduler consumes replayed capacity.
-  using CapacityFn =
-      std::function<Mbps(const radio::CellSite&, SimMillis, Mbps)>;
-
   /// Place `cfg.count` UEs along `route_length_km` of `deployment`'s route.
   /// All initial draws (placement, velocity, profile, device tier) come from
   /// `rng`; per-tick randomness is derived per UE, counter-based.
   UePool(const radio::Deployment& deployment, Km route_length_km,
          const UePoolConfig& cfg, Rng rng);
-
-  void set_capacity_override(CapacityFn fn) { capacity_fn_ = std::move(fn); }
 
   /// Advance the whole population by one tick at sim time `t`. `pool`
   /// receives the block fan-out; its width never changes the result, and a
@@ -138,7 +128,7 @@ class UePool {
   void update_ue_block(std::uint32_t begin, std::uint32_t end, SimMillis t,
                        BlockStats& stats);
   void schedule_cell_block(std::uint32_t begin, std::uint32_t end,
-                           SimMillis t, SchedulerScratch& scratch);
+                           SchedulerScratch& scratch);
   void apply_block(std::uint32_t begin, std::uint32_t end, BlockStats& stats);
   void rebuild_members();
   void run_blocks(core::ThreadPool& pool, std::size_t n_items,
@@ -149,7 +139,6 @@ class UePool {
   const radio::Deployment* deployment_;
   UePoolConfig cfg_;
   Km route_km_;
-  CapacityFn capacity_fn_;
 
   // ---- SoA per-UE state (all vectors have size() == cfg_.count) ----
   std::vector<double> km_;        // position along the physical route

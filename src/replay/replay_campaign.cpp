@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
+#include <numeric>
+#include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -22,7 +25,6 @@
 #include "measure/csv_export.hpp"
 #include "measure/enum_names.hpp"
 #include "replay/fleet.hpp"
-#include "measure/shard.hpp"
 #include "net/latency.hpp"
 #include "radio/band_plan.hpp"
 
@@ -99,61 +101,94 @@ namespace {
 
 constexpr Millis kTick = 500.0;
 
-/// Thread-private sink of one carrier's replayed records. Each record is
-/// tagged with the index of the recorded row it re-creates, so the
-/// coordinator can rebuild the recording's exact global row order (the
-/// campaign interleaves carriers chronologically; a single end-of-run merge
-/// in carrier order would not) — replayed tables line up row-for-row with
-/// the recorded ones.
-struct ReplayShard {
-  std::vector<std::pair<std::size_t, measure::KpiRecord>> kpis;
-  std::vector<std::pair<std::size_t, measure::RttRecord>> rtts;
-  std::vector<std::pair<std::size_t, measure::HandoverRecord>> handovers;
-  std::vector<std::pair<std::size_t, measure::AppRunRecord>> app_runs;
-  std::vector<std::pair<std::size_t, measure::LinkTickRecord>> link_ticks;
+/// Test id -> the test's position in db.tests.
+using TestPositions = std::unordered_map<std::uint32_t, std::uint32_t>;
+
+/// Row numbers of one recorded table grouped by their test's position in
+/// db.tests, table order kept within a group: a two-pass counting sort.
+/// Groups are not ranges of the table, because tables need not be grouped
+/// by test (ingest writes a DL and a UL test's KPI rows interleaved tick by
+/// tick).
+class RowsByTest {
+ public:
+  template <typename Record>
+  RowsByTest(const std::vector<Record>& table, const TestPositions& position,
+             std::size_t n_tests)
+      : offsets_(n_tests + 1, 0), rows_(table.size()) {
+    std::vector<std::uint32_t> test_of(table.size());
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      const auto it = position.find(table[i].test_id);
+      if (it == position.end()) {
+        throw std::runtime_error{"replay: row of unknown test id " +
+                                 std::to_string(table[i].test_id)};
+      }
+      test_of[i] = it->second;
+      ++offsets_[it->second + 1];
+    }
+    std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+    std::vector<std::uint32_t> next(offsets_.begin(), offsets_.end() - 1);
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      rows_[next[test_of[i]]++] = static_cast<std::uint32_t>(i);
+    }
+  }
+
+  /// The rows of the test at `position` in db.tests.
+  std::span<const std::uint32_t> of(std::size_t position) const {
+    return {rows_.data() + offsets_[position],
+            offsets_[position + 1] - offsets_[position]};
+  }
+
+ private:
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> rows_;
+};
+
+TestPositions test_positions(const std::vector<TestRecord>& tests) {
+  TestPositions position;
+  position.reserve(tests.size());
+  for (std::size_t i = 0; i < tests.size(); ++i) {
+    position.emplace(tests[i].id, static_cast<std::uint32_t>(i));
+  }
+  return position;
+}
+
+/// What one carrier job produces besides its in-place rewrites: the rows
+/// the recording lacks (the fallback's link ticks, the runs of app tests
+/// that recorded none) and the bytes its transfers moved.
+struct CarrierOutput {
+  std::vector<measure::LinkTickRecord> link_ticks;
+  std::vector<measure::AppRunRecord> app_runs;
   double rx_bytes = 0.0;
   double tx_bytes = 0.0;
 };
 
-/// Drain `shards` into `out`, restoring the recorded row order.
-template <typename Record, typename Get>
-void merge_ordered(std::array<ReplayShard, radio::kCarrierCount>& shards,
-                   std::vector<Record>& out, Get get) {
-  std::vector<std::pair<std::size_t, Record>> all;
-  for (ReplayShard& shard : shards) {
-    auto& rows = get(shard);
-    all.insert(all.end(), std::make_move_iterator(rows.begin()),
-               std::make_move_iterator(rows.end()));
-    rows.clear();
+/// Append every carrier's `rows` to `table` in carrier order and sort the
+/// appended tail by test id. The sort is stable, so a test's own rows keep
+/// their order.
+template <typename Record>
+void append_by_test(std::vector<Record>& table,
+                    std::array<CarrierOutput, radio::kCarrierCount>& outputs,
+                    std::vector<Record> CarrierOutput::*rows) {
+  const auto tail = static_cast<std::ptrdiff_t>(table.size());
+  for (CarrierOutput& out : outputs) {
+    table.insert(table.end(), (out.*rows).begin(), (out.*rows).end());
   }
-  std::stable_sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  });
-  out.reserve(all.size());
-  for (auto& [index, record] : all) out.push_back(std::move(record));
+  std::stable_sort(table.begin() + tail, table.end(),
+                   [](const Record& a, const Record& b) {
+                     return a.test_id < b.test_id;
+                   });
 }
 
+/// A replay is a rewrite of the recording: the output tables start as
+/// copies of the recorded ones, and each carrier job rewrites its own
+/// tests' rows in place, so the replayed tables line up row for row with
+/// the recorded ones. Jobs write disjoint rows (a row belongs to one test,
+/// a test to one carrier). The recording must pass measure::validate: a
+/// row whose test the rewrite never visits keeps its recorded value.
 class ReplayRunner {
  public:
   ReplayRunner(const ReplayBundle& bundle, const ReplayConfig& cfg)
-      : bundle_(bundle),
-        cfg_(cfg),
-        root_(cfg.seed),
-        route_(geo::Route::cross_country()),
-        fleet_(net::ServerFleet::standard(route_)),
-        scale_(bundle.manifest.scale > 0.0 ? bundle.manifest.scale : 1.0) {
-    const ConsolidatedDb& rec = bundle_.db;
-    kpis_by_test_.reserve(rec.tests.size());
-    for (const auto& k : rec.kpis) kpis_by_test_[k.test_id].push_back(&k);
-    for (const auto& r : rec.rtts) rtts_by_test_[r.test_id].push_back(&r);
-    for (const auto& h : rec.handovers) {
-      handovers_by_test_[h.test_id].push_back(&h);
-    }
-    for (const auto& a : rec.app_runs) app_run_by_test_[a.test_id] = &a;
-    for (const auto& l : rec.link_ticks) {
-      link_ticks_by_test_[l.test_id].push_back(&l);
-    }
-  }
+      : ReplayRunner(bundle, cfg, test_positions(bundle.db.tests)) {}
 
   ConsolidatedDb run() {
     core::obs::ScopedSpan span{"replay.run", "replay"};
@@ -167,11 +202,17 @@ class ReplayRunner {
     db_.experiment_runtime = rec.experiment_runtime;
 
     // Tests keep their recorded ids, order and windows; the server knob
-    // rewrites which server class each test talks to.
+    // rewrites which server class each test talks to. Handovers replay
+    // unchanged, so their copy is already the output.
     db_.tests = rec.tests;
     if (cfg_.knobs.server.has_value()) {
       for (auto& t : db_.tests) t.server = *cfg_.knobs.server;
     }
+    db_.kpis = rec.kpis;
+    db_.rtts = rec.rtts;
+    db_.handovers = rec.handovers;
+    db_.app_runs = rec.app_runs;
+    db_.link_ticks = rec.link_ticks;
 
     // Bundles written before link_ticks.csv existed cannot replay app
     // sessions from their recorded per-tick traces; say so once, up front,
@@ -188,38 +229,39 @@ class ReplayRunner {
       }
     }
 
-    std::array<ReplayShard, radio::kCarrierCount> shards;
+    std::array<CarrierOutput, radio::kCarrierCount> outputs;
     core::run_indexed(
         std::min(core::resolve_threads(cfg_.threads), radio::kCarrierCount),
         radio::kCarrierCount, [&](std::size_t i) {
           const Carrier c = radio::kAllCarriers[i];
-          replay_carrier(c, shards[measure::carrier_index(c)]);
+          replay_carrier(c, outputs[measure::carrier_index(c)]);
         });
-    merge_ordered(shards, db_.kpis, [](ReplayShard& s) -> auto& {
-      return s.kpis;
-    });
-    merge_ordered(shards, db_.rtts, [](ReplayShard& s) -> auto& {
-      return s.rtts;
-    });
-    merge_ordered(shards, db_.handovers, [](ReplayShard& s) -> auto& {
-      return s.handovers;
-    });
-    merge_ordered(shards, db_.app_runs, [](ReplayShard& s) -> auto& {
-      return s.app_runs;
-    });
-    merge_ordered(shards, db_.link_ticks, [](ReplayShard& s) -> auto& {
-      return s.link_ticks;
-    });
+    append_by_test(db_.link_ticks, outputs, &CarrierOutput::link_ticks);
+    append_by_test(db_.app_runs, outputs, &CarrierOutput::app_runs);
     // Byte counters sum in canonical carrier order — the same fixed
     // floating-point summation order for every thread count.
-    for (const ReplayShard& shard : shards) {
-      db_.rx_bytes += shard.rx_bytes;
-      db_.tx_bytes += shard.tx_bytes;
+    for (const CarrierOutput& out : outputs) {
+      db_.rx_bytes += out.rx_bytes;
+      db_.tx_bytes += out.tx_bytes;
     }
     return std::move(db_);
   }
 
  private:
+  ReplayRunner(const ReplayBundle& bundle, const ReplayConfig& cfg,
+               const TestPositions& position)
+      : bundle_(bundle),
+        cfg_(cfg),
+        root_(cfg.seed),
+        route_(geo::Route::cross_country()),
+        fleet_(net::ServerFleet::standard(route_)),
+        scale_(bundle.manifest.scale > 0.0 ? bundle.manifest.scale : 1.0),
+        kpis_(bundle.db.kpis, position, bundle.db.tests.size()),
+        rtts_(bundle.db.rtts, position, bundle.db.tests.size()),
+        handovers_(bundle.db.handovers, position, bundle.db.tests.size()),
+        app_runs_(bundle.db.app_runs, position, bundle.db.tests.size()),
+        link_ticks_(bundle.db.link_ticks, position, bundle.db.tests.size()) {}
+
   /// The server a test of the given class talks to at `pos`. Clouds follow
   /// the recorded timezone split; the edge counterfactual picks the nearest
   /// Wavelength city (ignoring the metro-radius gate — the "what if edge
@@ -297,14 +339,7 @@ class ReplayRunner {
            net::base_rtt(carrier, recorded_tech, old_server, pos);
   }
 
-  void replay_carrier(Carrier carrier, ReplayShard& shard) {
-    // App sessions recorded no KPI rows; their radio conditions come from
-    // the carrier's merged bulk/RTT timeline in the matching motion regime.
-    const TraceChannel moving =
-        carrier_timeline(bundle_.db, carrier, false, cfg_.policy);
-    const TraceChannel statics =
-        carrier_timeline(bundle_.db, carrier, true, cfg_.policy);
-
+  void replay_carrier(Carrier carrier, CarrierOutput& out) {
     for (std::size_t i = 0; i < bundle_.db.tests.size(); ++i) {
       const TestRecord& recorded = bundle_.db.tests[i];
       if (recorded.carrier != carrier) continue;
@@ -312,53 +347,35 @@ class ReplayRunner {
       switch (recorded.type) {
         case TestType::DownlinkBulk:
         case TestType::UplinkBulk:
-          replay_bulk(recorded, replayed, shard);
+          replay_bulk(i, recorded, replayed, out);
           break;
         case TestType::Rtt:
-          replay_rtt(recorded, replayed, shard);
+          replay_rtt(i, recorded, replayed);
           break;
         default:
-          replay_app(recorded, replayed,
-                     recorded.is_static && !statics.empty() ? statics : moving,
-                     shard);
+          replay_app(i, recorded, replayed, out);
           break;
       }
-      refire_handovers(recorded.id, shard);
       count_test();
     }
   }
 
-  /// Recorded row index of a record, recovered from its address inside the
-  /// recorded table (the by-test maps store pointers into those tables).
-  template <typename Record>
-  std::size_t row_index(const std::vector<Record>& table,
-                        const Record* row) const {
-    return static_cast<std::size_t>(row - table.data());
-  }
-
-  void refire_handovers(std::uint32_t test_id, ReplayShard& shard) {
-    const auto it = handovers_by_test_.find(test_id);
-    if (it == handovers_by_test_.end()) return;
-    for (const measure::HandoverRecord* h : it->second) {
-      shard.handovers.emplace_back(row_index(bundle_.db.handovers, h), *h);
-    }
-  }
-
-  void replay_bulk(const TestRecord& recorded, const TestRecord& replayed,
-                   ReplayShard& shard) {
-    const auto it = kpis_by_test_.find(recorded.id);
-    if (it == kpis_by_test_.end() || it->second.empty()) return;
-    const auto& rows = it->second;
+  void replay_bulk(std::size_t test, const TestRecord& recorded,
+                   const TestRecord& replayed, CarrierOutput& out) {
+    const std::span<const std::uint32_t> rows = kpis_.of(test);
+    if (rows.empty()) return;
+    const ConsolidatedDb& rec = bundle_.db;
     const Direction dir = recorded.direction;
     const Carrier carrier = recorded.carrier;
 
     transport::TcpFlowConfig fc;
     fc.algo = cfg_.knobs.cc.value_or(transport::CcAlgo::Cubic);
-    const geo::RoutePoint start_pt = route_.at(rows.front()->map_km);
+    const measure::KpiRecord& first = rec.kpis[rows.front()];
+    const geo::RoutePoint start_pt = route_.at(first.map_km);
     const net::Server& server0 =
         server_for(replayed.server, recorded.tz, start_pt.pos);
     transport::TcpBulkFlow flow{
-        net::base_rtt(carrier, effective_tech(rows.front()->tech), server0,
+        net::base_rtt(carrier, effective_tech(first.tech), server0,
                       start_pt.pos),
         root_.fork(radio::carrier_name(carrier)).fork("bulk", recorded.id),
         fc};
@@ -366,45 +383,43 @@ class ReplayRunner {
     auto& reg = core::obs::MetricsRegistry::global();
     static const core::obs::MetricId ticks =
         reg.counter_id("replay.kpi_ticks");
-    for (const measure::KpiRecord* k : rows) {
-      const radio::Technology tech = effective_tech(k->tech);
-      const Mbps cap = capped_capacity(k->throughput, carrier, k->tech, dir);
-      const geo::RoutePoint pt = route_.at(k->map_km);
+    for (const std::uint32_t row : rows) {
+      const measure::KpiRecord& k = rec.kpis[row];
+      const radio::Technology tech = effective_tech(k.tech);
+      const Mbps cap = capped_capacity(k.throughput, carrier, k.tech, dir);
+      const geo::RoutePoint pt = route_.at(k.map_km);
       flow.set_base_rtt(net::base_rtt(
-          carrier, tech, server_for(replayed.server, k->tz, pt.pos), pt.pos));
+          carrier, tech, server_for(replayed.server, k.tz, pt.pos), pt.pos));
       const double bytes = flow.advance(cap, kTick);
 
-      measure::KpiRecord out = *k;
-      out.tech = tech;
-      out.server = replayed.server;
-      out.throughput = bytes * 8.0 / 1e6 / (kTick / 1000.0);
-      shard.kpis.emplace_back(row_index(bundle_.db.kpis, k), out);
+      measure::KpiRecord& o = db_.kpis[row];
+      o.tech = tech;
+      o.server = replayed.server;
+      o.throughput = bytes * 8.0 / 1e6 / (kTick / 1000.0);
       if (dir == Direction::Downlink) {
-        shard.rx_bytes += bytes;
+        out.rx_bytes += bytes;
       } else {
-        shard.tx_bytes += bytes;
+        out.tx_bytes += bytes;
       }
       reg.add(ticks);
     }
   }
 
-  void replay_rtt(const TestRecord& recorded, const TestRecord& replayed,
-                  ReplayShard& shard) {
-    const auto it = rtts_by_test_.find(recorded.id);
-    if (it == rtts_by_test_.end()) return;
+  void replay_rtt(std::size_t test, const TestRecord& recorded,
+                  const TestRecord& replayed) {
     auto& reg = core::obs::MetricsRegistry::global();
     static const core::obs::MetricId samples =
         reg.counter_id("replay.rtt_samples");
-    for (const measure::RttRecord* r : it->second) {
-      const geo::RoutePoint pt = point_at(recorded, r->t);
+    for (const std::uint32_t row : rtts_.of(test)) {
+      const measure::RttRecord& r = bundle_.db.rtts[row];
+      const geo::RoutePoint pt = point_at(recorded, r.t);
       const Millis delta =
-          rtt_delta(recorded.carrier, r->tech, recorded.server,
-                    replayed.server, r->tz, pt.pos);
-      measure::RttRecord out = *r;
-      out.tech = effective_tech(r->tech);
-      out.server = replayed.server;
-      out.rtt = delta == 0.0 ? r->rtt : std::max(1.0, r->rtt + delta);
-      shard.rtts.emplace_back(row_index(bundle_.db.rtts, r), out);
+          rtt_delta(recorded.carrier, r.tech, recorded.server,
+                    replayed.server, r.tz, pt.pos);
+      measure::RttRecord& o = db_.rtts[row];
+      o.tech = effective_tech(r.tech);
+      o.server = replayed.server;
+      o.rtt = delta == 0.0 ? r.rtt : std::max(1.0, r.rtt + delta);
       reg.add(samples);
     }
   }
@@ -426,49 +441,45 @@ class ReplayRunner {
     if (delta != 0.0) tick.rtt = std::max(1.0, tick.rtt + delta);
   }
 
-  void replay_app(const TestRecord& recorded, const TestRecord& replayed,
-                  const TraceChannel& timeline, ReplayShard& shard) {
+  void replay_app(std::size_t test, const TestRecord& recorded,
+                  const TestRecord& replayed, CarrierOutput& out) {
     if (!measure::app_kind_of(recorded.type).has_value()) return;
 
     // Bundles that carry link_ticks.csv replay the session from the exact
     // per-tick trace the recorded app consumed: with every knob unset the
     // replayed app_runs row is byte-identical to the recorded one. Older
-    // bundles fall back to the statistical carrier timeline. Either way the
-    // replayed ticks are re-emitted, so a replay's own bundle replays
-    // exactly too; recorded rows keep their row indices (and bytes, when no
-    // knob fires).
-    const std::size_t first = shard.link_ticks.size();
-    if (const auto it = link_ticks_by_test_.find(recorded.id);
-        it != link_ticks_by_test_.end() && !it->second.empty()) {
-      for (const measure::LinkTickRecord* r : it->second) {
-        measure::LinkTickRecord tick = *r;
-        apply_knobs(tick, recorded, replayed, point_at(recorded, r->t).pos);
-        shard.link_ticks.emplace_back(row_index(bundle_.db.link_ticks, r),
-                                      tick);
+    // bundles fall back to the statistical carrier timeline, whose ticks
+    // follow the recorded ones, so a replay's own bundle replays exactly
+    // too.
+    LinkTrace trace;
+    const std::span<const std::uint32_t> rows = link_ticks_.of(test);
+    if (!rows.empty()) {
+      trace.reserve(rows.size());
+      for (const std::uint32_t row : rows) {
+        measure::LinkTickRecord& tick = db_.link_ticks[row];
+        apply_knobs(tick, recorded, replayed, point_at(recorded, tick.t).pos);
+        trace.push_back(tick);
       }
     } else {
-      synthesize_link_ticks(recorded, replayed, timeline, shard);
-    }
-    LinkTrace trace;
-    trace.reserve(shard.link_ticks.size() - first);
-    for (std::size_t i = first; i < shard.link_ticks.size(); ++i) {
-      trace.push_back(shard.link_ticks[i].second);
+      const std::size_t first = out.link_ticks.size();
+      synthesize_link_ticks(test, recorded, replayed, out.link_ticks);
+      trace.assign(out.link_ticks.begin() +
+                       static_cast<std::ptrdiff_t>(first),
+                   out.link_ticks.end());
     }
 
-    // Sort key: the recorded run's row when the bundle has one, else past
-    // the end (keyed by test id for a stable order among such extras).
-    std::size_t index = bundle_.db.app_runs.size() + recorded.id;
-    bool compressed = false;
-    if (const auto it = app_run_by_test_.find(recorded.id);
-        it != app_run_by_test_.end()) {
-      index = row_index(bundle_.db.app_runs, it->second);
-      compressed = it->second->compressed;
-    }
+    const std::span<const std::uint32_t> run = app_runs_.of(test);
+    const bool compressed =
+        !run.empty() && bundle_.db.app_runs[run.front()].compressed;
     const campaign::AppSession session =
         campaign::run_app_session(replayed, trace, compressed);
-    shard.app_runs.emplace_back(index, session.run);
-    shard.rx_bytes += session.rx_bytes;
-    shard.tx_bytes += session.tx_bytes;
+    if (run.empty()) {
+      out.app_runs.push_back(session.run);
+    } else {
+      db_.app_runs[run.front()] = session.run;
+    }
+    out.rx_bytes += session.rx_bytes;
+    out.tx_bytes += session.tx_bytes;
 
     auto& reg = core::obs::MetricsRegistry::global();
     static const core::obs::MetricId runs = reg.counter_id("replay.app_runs");
@@ -477,27 +488,23 @@ class ReplayRunner {
 
   /// The statistical fallback: re-create an app session's link ticks from
   /// the carrier's merged timeline, with the session's own recorded
-  /// handovers re-firing at their original ticks. The rows sort past the
-  /// recorded link_ticks table, grouped by test.
-  void synthesize_link_ticks(const TestRecord& recorded,
+  /// handovers re-firing at their original ticks.
+  void synthesize_link_ticks(std::size_t test, const TestRecord& recorded,
                              const TestRecord& replayed,
-                             const TraceChannel& timeline,
-                             ReplayShard& shard) const {
+                             std::vector<measure::LinkTickRecord>& out) {
+    const TraceChannel& timeline = fallback_timeline(recorded);
     // The campaign's standard budget, not the recorded window: a static
     // session's window is empty, and a moving one that straddles an
     // overnight stop spans hours.
     const int n_ticks = campaign::CampaignConfig{}.app_ticks(recorded.type);
 
-    std::vector<const measure::HandoverRecord*> events;
-    if (const auto it = handovers_by_test_.find(recorded.id);
-        it != handovers_by_test_.end()) {
-      events = it->second;
+    std::vector<const ran::HandoverEvent*> events;
+    for (const std::uint32_t row : handovers_.of(test)) {
+      events.push_back(&bundle_.db.handovers[row].event);
     }
     std::stable_sort(events.begin(), events.end(),
-                     [](const measure::HandoverRecord* a,
-                        const measure::HandoverRecord* b) {
-                       return a->event.t < b->event.t;
-                     });
+                     [](const ran::HandoverEvent* a,
+                        const ran::HandoverEvent* b) { return a->t < b->t; });
 
     std::size_t e = 0;
     for (int i = 0; i < n_ticks; ++i) {
@@ -507,26 +514,36 @@ class ReplayRunner {
                static_cast<SimMillis>(i) * static_cast<SimMillis>(kTick);
       tick.carrier = recorded.carrier;
       const TraceSample s = timeline.at(tick.t);
-      tick.tech = s.tech;
-      tick.cap_dl = s.capacity_dl;
-      tick.cap_ul = s.capacity_ul;
-      tick.rtt = s.rtt;
+      static_cast<apps::LinkTick&>(tick) = s;
       apply_knobs(tick, recorded, replayed, route_.at(s.map_km).pos);
       const SimMillis window_end = tick.t + static_cast<SimMillis>(kTick);
-      while (e < events.size() && events[e]->event.t < window_end) {
-        if (events[e]->event.t >= tick.t) {
+      while (e < events.size() && events[e]->t < window_end) {
+        if (events[e]->t >= tick.t) {
           ++tick.handovers;
           tick.interruption =
-              std::min(tick.interruption + events[e]->event.duration, kTick);
+              std::min(tick.interruption + events[e]->duration, kTick);
         }
         ++e;
       }
-      shard.link_ticks.emplace_back(
-          bundle_.db.link_ticks.size() +
-              static_cast<std::size_t>(recorded.id) * 1000000 +
-              static_cast<std::size_t>(i),
-          tick);
+      out.push_back(tick);
     }
+  }
+
+  /// The fallback's timeline for a test: its carrier's merged timeline in
+  /// the test's motion regime (the moving one when the carrier recorded no
+  /// static samples). Built on first use: a bundle with link ticks never
+  /// needs one. Only the test's own carrier job touches its slots.
+  const TraceChannel& fallback_timeline(const TestRecord& test) {
+    auto& slots = timelines_[measure::carrier_index(test.carrier)];
+    const auto get = [&](bool is_static) -> const TraceChannel& {
+      std::optional<TraceChannel>& slot = slots[is_static ? 1 : 0];
+      if (!slot) {
+        slot.emplace(carrier_timeline(bundle_.db, test.carrier, is_static,
+                                      cfg_.policy));
+      }
+      return *slot;
+    };
+    return test.is_static && !get(true).empty() ? get(true) : get(false);
   }
 
   static void count_test() {
@@ -541,19 +558,16 @@ class ReplayRunner {
   geo::Route route_;
   net::ServerFleet fleet_;
   double scale_;
+  // The recording's rows, grouped by test.
+  const RowsByTest kpis_;
+  const RowsByTest rtts_;
+  const RowsByTest handovers_;
+  const RowsByTest app_runs_;
+  const RowsByTest link_ticks_;
   ConsolidatedDb db_;
-  std::unordered_map<std::uint32_t, std::vector<const measure::KpiRecord*>>
-      kpis_by_test_;
-  std::unordered_map<std::uint32_t, std::vector<const measure::RttRecord*>>
-      rtts_by_test_;
-  std::unordered_map<std::uint32_t,
-                     std::vector<const measure::HandoverRecord*>>
-      handovers_by_test_;
-  std::unordered_map<std::uint32_t, const measure::AppRunRecord*>
-      app_run_by_test_;
-  std::unordered_map<std::uint32_t,
-                     std::vector<const measure::LinkTickRecord*>>
-      link_ticks_by_test_;
+  // [carrier][is_static]: the fallback's timelines, built on first use.
+  std::array<std::array<std::optional<TraceChannel>, 2>, radio::kCarrierCount>
+      timelines_;
 };
 
 }  // namespace

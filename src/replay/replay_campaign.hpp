@@ -1,19 +1,25 @@
 // ReplayCampaign: re-run the transport and application layers over a
 // recorded drive.
 //
-// The recorded bundle pins the radio layer (per-test TraceChannels and
-// per-carrier timelines replace the stochastic channel); TCP bulk flows, the
-// ping latency model and all four apps run live on top. With unchanged knobs
-// the replay reproduces the recorded per-test summaries; with a knob turned
-// — another congestion control, cloud<->edge, a service-tier cap — the same
-// recorded radio conditions answer a counterfactual.
+// The recorded bundle pins the radio layer: bulk flows run over each test's
+// recorded KPI rows, pings over its recorded echoes, and app sessions over
+// their recorded link ticks (or, in bundles without them, over the carrier's
+// merged TraceChannel timeline). TCP bulk flows, the ping latency model and
+// all four apps run live on top. With unchanged knobs the replay reproduces
+// the recorded per-test summaries; with a knob turned — another congestion
+// control, cloud<->edge, a service-tier cap — the same recorded radio
+// conditions answer a counterfactual.
 //
-// Execution mirrors DriveCampaign's determinism contract: the per-carrier
-// replays are computationally independent (per-test Rng streams forked from
-// (seed, carrier, test id)), fan out through core::run_indexed, and merge
-// their measure::RecordShards in canonical carrier order — the produced
-// ConsolidatedDb is byte-identical for every WHEELS_THREADS
-// (tests/test_replay.cpp).
+// A replay rewrites the recording in place: the output tables start as
+// copies of the recorded ones, one job per carrier (core::run_indexed)
+// rewrites that carrier's tests' rows, and rows the recording lacks (the
+// fallback's link ticks, runs of app tests that recorded none) follow the
+// recorded rows in test-id order. Jobs write disjoint rows and draw from
+// per-test Rng streams forked from (seed, carrier, test id); byte counters
+// sum in carrier order. The replayed ConsolidatedDb therefore lines up row
+// for row with the recording and is byte-identical for every WHEELS_THREADS
+// (tests/test_replay.cpp). The recording must pass measure::validate, whose
+// row-kind rules guarantee every row is visited.
 #pragma once
 
 #include <cstdint>

@@ -1,32 +1,12 @@
 #include "replay/trace_channel.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace wheels::replay {
 
 namespace {
 
 double lerp(double a, double b, double f) { return a + (b - a) * f; }
-
-TraceSample from_kpi(const measure::KpiRecord& k, Mbps cap_dl, Mbps cap_ul) {
-  TraceSample s;
-  s.t = k.t;
-  s.tech = k.tech;
-  s.cell_id = k.cell_id;
-  s.rsrp = k.rsrp;
-  s.mcs = k.mcs;
-  s.bler = k.bler;
-  s.ca = k.ca;
-  s.capacity_dl = cap_dl;
-  s.capacity_ul = cap_ul;
-  s.speed = k.speed;
-  s.km = k.km;
-  s.map_km = k.map_km;
-  s.tz = k.tz;
-  s.region = k.region;
-  return s;
-}
 
 }  // namespace
 
@@ -65,33 +45,11 @@ TraceSample TraceChannel::at(SimMillis t) const {
   const double span = static_cast<double>(next.t - s.t);
   if (span <= 0.0) return s;
   const double f = std::clamp(static_cast<double>(t - s.t) / span, 0.0, 1.0);
-  s.capacity_dl = lerp(s.capacity_dl, next.capacity_dl, f);
-  s.capacity_ul = lerp(s.capacity_ul, next.capacity_ul, f);
-  s.rsrp = lerp(s.rsrp, next.rsrp, f);
-  s.bler = lerp(s.bler, next.bler, f);
+  s.cap_dl = lerp(s.cap_dl, next.cap_dl, f);
+  s.cap_ul = lerp(s.cap_ul, next.cap_ul, f);
   s.rtt = lerp(s.rtt, next.rtt, f);
-  s.speed = lerp(s.speed, next.speed, f);
-  s.km = lerp(s.km, next.km, f);
   s.map_km = lerp(s.map_km, next.map_km, f);
-  // tech / cell / mcs / ca / tz / region are discrete: they hold.
   return s;
-}
-
-radio::LinkKpis TraceChannel::kpis_at(SimMillis t) const {
-  const TraceSample s = at(t);
-  radio::LinkKpis k;
-  k.rsrp = s.rsrp;
-  k.mcs_dl = s.mcs;
-  k.mcs_ul = s.mcs;
-  k.bler_dl = s.bler;
-  k.bler_ul = s.bler;
-  k.cc_dl = s.ca;
-  k.cc_ul = s.ca;
-  k.capacity_dl = s.capacity_dl;
-  k.capacity_ul = s.capacity_ul;
-  k.outage =
-      std::max(s.capacity_dl, s.capacity_ul) < kOutageThresholdMbps;
-  return k;
 }
 
 TraceEvents TraceChannel::events_in(SimMillis t, Millis dt) const {
@@ -106,36 +64,6 @@ TraceEvents TraceChannel::events_in(SimMillis t, Millis dt) const {
   }
   ev.interruption = std::min(ev.interruption, dt);
   return ev;
-}
-
-TraceChannel channel_for_test(const measure::ConsolidatedDb& db,
-                              const measure::TestRecord& test,
-                              HoldPolicy policy) {
-  std::vector<TraceSample> samples;
-  if (test.type == measure::TestType::Rtt) {
-    for (const auto& r : db.rtts) {
-      if (r.test_id != test.id) continue;
-      TraceSample s;
-      s.t = r.t;
-      s.tech = r.tech;
-      s.rtt = r.rtt;
-      s.speed = r.speed;
-      s.tz = r.tz;
-      samples.push_back(s);
-    }
-  } else {
-    for (const auto& k : db.kpis) {
-      if (k.test_id != test.id) continue;
-      // The recorded application-layer throughput is what the link actually
-      // delivered that tick — it becomes the replayed bottleneck capacity.
-      samples.push_back(from_kpi(k, k.throughput, k.throughput));
-    }
-  }
-  std::vector<ran::HandoverEvent> handovers;
-  for (const auto& h : db.handovers) {
-    if (h.test_id == test.id) handovers.push_back(h.event);
-  }
-  return TraceChannel{std::move(samples), std::move(handovers), policy};
 }
 
 TraceChannel carrier_timeline(const measure::ConsolidatedDb& db,
@@ -159,7 +87,13 @@ TraceChannel carrier_timeline(const measure::ConsolidatedDb& db,
     } else {
       last_ul = k->throughput;
     }
-    samples.push_back(from_kpi(*k, last_dl, last_ul));
+    TraceSample s;
+    s.t = k->t;
+    s.tech = k->tech;
+    s.cap_dl = last_dl;
+    s.cap_ul = last_ul;
+    s.map_km = k->map_km;
+    samples.push_back(s);
   }
 
   // Fold the carrier's RTT observations in: each sample carries the most
@@ -186,19 +120,6 @@ TraceChannel carrier_timeline(const measure::ConsolidatedDb& db,
     if (h.carrier == carrier) handovers.push_back(h.event);
   }
   return TraceChannel{std::move(samples), std::move(handovers), policy};
-}
-
-ran::UePool::CapacityFn population_capacity_from_trace(
-    const TraceChannel& channel) {
-  return [&channel](const radio::CellSite& cell, SimMillis t,
-                    Mbps model_capacity) -> Mbps {
-    if (channel.empty()) return model_capacity;
-    const TraceSample s = channel.at(t);
-    // Only the cell the recorded phone was camped on has evidence in the
-    // trace; every other cell keeps the band-plan model.
-    if (s.cell_id != cell.id) return model_capacity;
-    return std::max<Mbps>(s.capacity_dl, 0.0);
-  };
 }
 
 }  // namespace wheels::replay

@@ -3,7 +3,7 @@
 //
 // Trace-driven emulation (ERRANT's approach for cellular, Mahimahi's for
 // fixed links) replaces the channel's random processes with a recorded
-// per-tick KPI timeline: the per-500 ms application-layer throughput a test
+// per-tick timeline: the per-500 ms application-layer throughput the drive
 // actually achieved becomes the replayed link's capacity, and the recorded
 // handover events are re-fired at their original times. The transport and
 // app layers above then run live, so counterfactuals (a different congestion
@@ -13,47 +13,26 @@
 
 #include <vector>
 
+#include "apps/link_trace.hpp"
 #include "core/sim_time.hpp"
 #include "core/units.hpp"
-#include "geo/route.hpp"
-#include "geo/timezone.hpp"
 #include "measure/records.hpp"
-#include "radio/channel.hpp"
 #include "ran/handover.hpp"
-#include "ran/ue_pool.hpp"
 
 namespace wheels::replay {
 
 /// Behaviour between two recorded 500 ms samples. XCAL rows are snapshots,
 /// so Hold (previous sample applies until the next one) is the faithful
-/// default; Interpolate linearly blends the continuous fields (capacity,
-/// rsrp, rtt, speed, position) for smoother app input. Discrete fields
-/// (tech, cell, mcs, ca) always hold.
+/// default; Interpolate linearly blends the continuous fields (capacities,
+/// rtt, position) for smoother app input. tech always holds.
 enum class HoldPolicy { Hold, Interpolate };
 
-/// Below this capacity a replayed tick counts as an outage — the recorded
-/// row delivered essentially nothing (the paper's "below 2 Mbps" cutoff is
-/// two orders of magnitude above this, so only true zero-throughput ticks
-/// qualify).
-inline constexpr Mbps kOutageThresholdMbps = 0.01;
-
-/// One recorded timeline point, assembled from a KpiRecord or RttRecord.
-struct TraceSample {
+/// One recorded timeline point: a tick's link state at time `t` and route
+/// position `map_km`, the way measure::LinkTickRecord is a LinkTick plus its
+/// key.
+struct TraceSample : apps::LinkTick {
   SimMillis t = 0;
-  radio::Technology tech = radio::Technology::Lte;
-  std::uint32_t cell_id = 0;
-  Dbm rsrp = -120.0;
-  int mcs = 0;
-  double bler = 0.0;
-  int ca = 1;
-  Mbps capacity_dl = 0.0;
-  Mbps capacity_ul = 0.0;
-  Millis rtt = 50.0;
-  MilesPerHour speed = 0.0;
-  Km km = 0.0;
   Km map_km = 0.0;
-  geo::Timezone tz = geo::Timezone::Pacific;
-  geo::RegionType region = geo::RegionType::Highway;
 };
 
 /// Recorded handover activity inside one replay window.
@@ -64,7 +43,7 @@ struct TraceEvents {
 
 class TraceChannel {
  public:
-  /// `samples` must be sorted by t (the builders below guarantee it);
+  /// `samples` must be sorted by t (carrier_timeline guarantees it);
   /// `handovers` are the events to re-fire, by recorded time.
   TraceChannel(std::vector<TraceSample> samples,
                std::vector<ran::HandoverEvent> handovers,
@@ -79,19 +58,13 @@ class TraceChannel {
   /// continuous fields lerped towards the next sample.
   TraceSample at(SimMillis t) const;
 
-  /// The LinkKpis the radio layer would report at time t — the drop-in
-  /// replacement for ChannelModel::sample().
-  radio::LinkKpis kpis_at(SimMillis t) const;
-
   /// Recorded handovers re-fired in [t, t + dt); the interruption is capped
   /// at dt (an interruption longer than the window blanks the whole window).
   TraceEvents events_in(SimMillis t, Millis dt) const;
 
-  const std::vector<TraceSample>& samples() const { return samples_; }
   const std::vector<ran::HandoverEvent>& handovers() const {
     return handovers_;
   }
-  HoldPolicy policy() const { return policy_; }
 
  private:
   /// Index of the last sample with samples_[i].t <= t (0 when t precedes the
@@ -103,32 +76,15 @@ class TraceChannel {
   HoldPolicy policy_;
 };
 
-/// Per-test channel: the test's own recorded rows. Bulk tests use their KPI
-/// rows (recorded throughput -> replay capacity, both directions); RTT tests
-/// use their echo observations (rtt timeline, zero capacity). Handovers are
-/// the test's recorded events.
-TraceChannel channel_for_test(const measure::ConsolidatedDb& db,
-                              const measure::TestRecord& test,
-                              HoldPolicy policy = HoldPolicy::Hold);
-
 /// Whole-carrier timeline for one carrier and one motion regime: every KPI
 /// row with matching is_static merged in time order, holding the last seen
 /// capacity per direction across test boundaries, with the carrier's RTT
-/// observations folded in (last echo at or before each sample). App-session
-/// replays read this — app tests recorded no KPI rows of their own, so their
-/// radio conditions come from the bulk tests bracketing them.
+/// observations folded in (last echo at or before each sample). The
+/// replay's statistical fallback and emu::timeline_from_bundle read this —
+/// app tests record no KPI rows of their own, so without recorded link
+/// ticks their radio conditions come from the bulk tests bracketing them.
 TraceChannel carrier_timeline(const measure::ConsolidatedDb& db,
                               radio::Carrier carrier, bool is_static,
                               HoldPolicy policy = HoldPolicy::Hold);
-
-/// Adapt a recorded timeline into the UE pool's per-cell capacity hook
-/// (ran::UePool::set_capacity_override): every cell the recorded phone is
-/// currently attached to replays the recorded downlink capacity instead of
-/// the band-plan model — trace-driven cell load, the massive-UE half of the
-/// data-driven/model-based hybrid (docs/SCALING.md, "Replay"). Cells the
-/// trace is not visiting at time t keep their model capacity. `channel` must
-/// outlive the returned callback.
-ran::UePool::CapacityFn population_capacity_from_trace(
-    const TraceChannel& channel);
 
 }  // namespace wheels::replay

@@ -126,6 +126,22 @@ void expect_app_runs_eq(const std::vector<measure::AppRunRecord>& a,
   }
 }
 
+void expect_link_ticks_eq(const std::vector<measure::LinkTickRecord>& a,
+                          const std::vector<measure::LinkTickRecord>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_FIELD_EQ(test_id);
+    EXPECT_FIELD_EQ(t);
+    EXPECT_FIELD_EQ(carrier);
+    EXPECT_FIELD_EQ(tech);
+    EXPECT_FIELD_EQ(cap_dl);
+    EXPECT_FIELD_EQ(cap_ul);
+    EXPECT_FIELD_EQ(rtt);
+    EXPECT_FIELD_EQ(interruption);
+    EXPECT_FIELD_EQ(handovers);
+  }
+}
+
 void expect_segments_eq(const std::vector<measure::CoverageSegment>& a,
                         const std::vector<measure::CoverageSegment>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -144,6 +160,7 @@ void expect_db_eq(const ConsolidatedDb& x, const ConsolidatedDb& y) {
   expect_rtts_eq(x.rtts, y.rtts);
   expect_handovers_eq(x.handovers, y.handovers);
   expect_app_runs_eq(x.app_runs, y.app_runs);
+  expect_link_ticks_eq(x.link_ticks, y.link_ticks);
   for (std::size_t ci = 0; ci < radio::kCarrierCount; ++ci) {
     EXPECT_EQ(x.passive[ci].carrier, y.passive[ci].carrier);
     EXPECT_EQ(x.passive[ci].handovers, y.passive[ci].handovers);

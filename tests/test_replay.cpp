@@ -5,10 +5,13 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "ingest/ingest.hpp"
 #include "measure/csv_export.hpp"
 #include "measure/validate.hpp"
 #include "replay/ingest.hpp"
@@ -203,6 +206,73 @@ TEST(ReplayValidate, RejectsNonFiniteAndNegativeFields) {
   EXPECT_FALSE(measure::validate(db).empty());
 }
 
+/// The first recorded test of `type`.
+const measure::TestRecord& first_test_of(const measure::ConsolidatedDb& db,
+                                         measure::TestType type) {
+  for (const auto& t : db.tests) {
+    if (t.type == type) return t;
+  }
+  throw std::runtime_error{"recording has no test of the requested type"};
+}
+
+/// Point `row` at `test`, agreeing with it on every field validate
+/// cross-checks, so that only a row-kind rule can object.
+template <typename Row>
+void move_row_to(Row& row, const measure::TestRecord& test) {
+  row.test_id = test.id;
+  row.carrier = test.carrier;
+  if constexpr (requires { row.is_static; }) row.is_static = test.is_static;
+  if constexpr (requires { row.server; }) row.server = test.server;
+  if constexpr (requires { row.t; }) row.t = test.start;
+}
+
+TEST(ReplayValidate, RejectsKpiRowUnderAPingTest) {
+  measure::ConsolidatedDb db = recorded_db();
+  const measure::TestRecord& ping =
+      first_test_of(db, measure::TestType::Rtt);
+  ASSERT_FALSE(db.kpis.empty());
+  move_row_to(db.kpis[0], ping);
+  EXPECT_EQ(measure::validate(db),
+            std::vector<std::string>{"kpis[0]: test " +
+                                     std::to_string(ping.id) +
+                                     " (rtt) is not a bulk test"});
+}
+
+TEST(ReplayValidate, RejectsRttRowUnderABulkTest) {
+  measure::ConsolidatedDb db = recorded_db();
+  const measure::TestRecord& bulk =
+      first_test_of(db, measure::TestType::UplinkBulk);
+  ASSERT_FALSE(db.rtts.empty());
+  move_row_to(db.rtts[0], bulk);
+  EXPECT_EQ(measure::validate(db),
+            std::vector<std::string>{"rtts[0]: test " +
+                                     std::to_string(bulk.id) +
+                                     " (uplink-bulk) is not a ping test"});
+}
+
+TEST(ReplayValidate, RejectsLinkTickUnderABulkTest) {
+  measure::ConsolidatedDb db = recorded_db();
+  const measure::TestRecord& bulk =
+      first_test_of(db, measure::TestType::DownlinkBulk);
+  ASSERT_FALSE(db.link_ticks.empty());
+  move_row_to(db.link_ticks[0], bulk);
+  EXPECT_EQ(measure::validate(db),
+            std::vector<std::string>{
+                "link_ticks[0]: test " + std::to_string(bulk.id) +
+                " (downlink-bulk) is not an app test"});
+}
+
+TEST(ReplayValidate, RejectsASecondAppRunForOneTest) {
+  measure::ConsolidatedDb db = recorded_db();
+  ASSERT_FALSE(db.app_runs.empty());
+  db.app_runs.push_back(db.app_runs.front());
+  EXPECT_EQ(measure::validate(db),
+            std::vector<std::string>{
+                "app_runs[" + std::to_string(db.app_runs.size() - 1) +
+                "]: second app run of test " +
+                std::to_string(db.app_runs.front().test_id)});
+}
+
 TEST(ReplayValidate, RejectsOverlappingCoverage) {
   measure::ConsolidatedDb db = recorded_db();
   measure::CoverageSegment s;
@@ -218,14 +288,14 @@ TEST(ReplayValidate, RejectsOverlappingCoverage) {
 std::vector<TraceSample> two_samples() {
   TraceSample a;
   a.t = 1000;
-  a.capacity_dl = 10.0;
-  a.capacity_ul = 2.0;
+  a.cap_dl = 10.0;
+  a.cap_ul = 2.0;
   a.rtt = 40.0;
   a.tech = radio::Technology::Lte;
   TraceSample b = a;
   b.t = 1500;
-  b.capacity_dl = 20.0;
-  b.capacity_ul = 4.0;
+  b.cap_dl = 20.0;
+  b.cap_ul = 4.0;
   b.rtt = 60.0;
   b.tech = radio::Technology::NrMid;
   return {a, b};
@@ -233,30 +303,21 @@ std::vector<TraceSample> two_samples() {
 
 TEST(TraceChannel, HoldKeepsTheLastSample) {
   const TraceChannel ch{two_samples(), {}, HoldPolicy::Hold};
-  EXPECT_EQ(ch.at(999).capacity_dl, 10.0);   // before start: first sample
-  EXPECT_EQ(ch.at(1000).capacity_dl, 10.0);
-  EXPECT_EQ(ch.at(1250).capacity_dl, 10.0);  // held, not interpolated
-  EXPECT_EQ(ch.at(1500).capacity_dl, 20.0);
-  EXPECT_EQ(ch.at(9999).capacity_dl, 20.0);  // after end: last sample
+  EXPECT_EQ(ch.at(999).cap_dl, 10.0);   // before start: first sample
+  EXPECT_EQ(ch.at(1000).cap_dl, 10.0);
+  EXPECT_EQ(ch.at(1250).cap_dl, 10.0);  // held, not interpolated
+  EXPECT_EQ(ch.at(1500).cap_dl, 20.0);
+  EXPECT_EQ(ch.at(9999).cap_dl, 20.0);  // after end: last sample
 }
 
 TEST(TraceChannel, InterpolateLerpsContinuousFields) {
   const TraceChannel ch{two_samples(), {}, HoldPolicy::Interpolate};
   const TraceSample mid = ch.at(1250);
-  EXPECT_DOUBLE_EQ(mid.capacity_dl, 15.0);
-  EXPECT_DOUBLE_EQ(mid.capacity_ul, 3.0);
+  EXPECT_DOUBLE_EQ(mid.cap_dl, 15.0);
+  EXPECT_DOUBLE_EQ(mid.cap_ul, 3.0);
   EXPECT_DOUBLE_EQ(mid.rtt, 50.0);
   // Discrete fields hold instead of blending.
   EXPECT_EQ(mid.tech, radio::Technology::Lte);
-}
-
-TEST(TraceChannel, KpisAtFlagsOutage) {
-  std::vector<TraceSample> samples = two_samples();
-  samples[0].capacity_dl = 0.0;
-  samples[0].capacity_ul = 0.0;
-  const TraceChannel ch{samples, {}, HoldPolicy::Hold};
-  EXPECT_TRUE(ch.kpis_at(1000).outage);
-  EXPECT_FALSE(ch.kpis_at(1500).outage);
 }
 
 TEST(TraceChannel, EventsInWindowCountsAndCaps) {
@@ -275,24 +336,6 @@ TEST(TraceChannel, EventsInWindowCountsAndCaps) {
   EXPECT_EQ(none.interruption, 0.0);
 }
 
-TEST(TraceChannel, PerTestChannelUsesRecordedThroughputAsCapacity) {
-  const measure::ConsolidatedDb& rec = recorded_db();
-  const measure::TestRecord* bulk = nullptr;
-  for (const auto& t : rec.tests) {
-    if (t.type == measure::TestType::DownlinkBulk && !t.is_static) {
-      bulk = &t;
-      break;
-    }
-  }
-  ASSERT_NE(bulk, nullptr);
-  const TraceChannel ch = channel_for_test(rec, *bulk, HoldPolicy::Hold);
-  ASSERT_FALSE(ch.empty());
-  for (const auto& k : rec.kpis) {
-    if (k.test_id != bulk->id) continue;
-    EXPECT_EQ(ch.at(k.t).capacity_dl, k.throughput);
-  }
-}
-
 // --- ReplayCampaign -------------------------------------------------------
 
 TEST(ReplayCampaign_, DeterministicAcrossThreadCounts) {
@@ -303,6 +346,74 @@ TEST(ReplayCampaign_, DeterministicAcrossThreadCounts) {
   const measure::ConsolidatedDb a = ReplayCampaign{ingested(), one}.run();
   const measure::ConsolidatedDb b = ReplayCampaign{ingested(), four}.run();
   EXPECT_EQ(db_to_string(a), db_to_string(b));
+}
+
+using RowKey = std::tuple<std::uint32_t, SimMillis, radio::Carrier>;
+
+/// (test_id, t, carrier) of every row of `table`, in table order.
+template <typename Record, typename Time>
+std::vector<RowKey> row_keys(const std::vector<Record>& table, Time time) {
+  std::vector<RowKey> keys;
+  keys.reserve(table.size());
+  for (const Record& r : table) {
+    keys.emplace_back(r.test_id, time(r), r.carrier);
+  }
+  return keys;
+}
+
+void expect_same_keys(const std::vector<RowKey>& replayed,
+                      const std::vector<RowKey>& recorded,
+                      const std::string& table) {
+  ASSERT_EQ(replayed.size(), recorded.size()) << table;
+  for (std::size_t i = 0; i < replayed.size(); ++i) {
+    ASSERT_EQ(replayed[i], recorded[i]) << table << " row " << i;
+  }
+}
+
+void expect_recorded_row_order(const measure::ConsolidatedDb& replayed,
+                               const measure::ConsolidatedDb& recorded) {
+  const auto t = [](const auto& r) { return r.t; };
+  const auto event_t = [](const measure::HandoverRecord& h) {
+    return h.event.t;
+  };
+  // App runs carry no timestamp of their own.
+  const auto no_t = [](const measure::AppRunRecord&) { return SimMillis{0}; };
+  expect_same_keys(row_keys(replayed.kpis, t), row_keys(recorded.kpis, t),
+                   "kpis");
+  expect_same_keys(row_keys(replayed.rtts, t), row_keys(recorded.rtts, t),
+                   "rtts");
+  expect_same_keys(row_keys(replayed.handovers, event_t),
+                   row_keys(recorded.handovers, event_t), "handovers");
+  expect_same_keys(row_keys(replayed.app_runs, no_t),
+                   row_keys(recorded.app_runs, no_t), "app_runs");
+  expect_same_keys(row_keys(replayed.link_ticks, t),
+                   row_keys(recorded.link_ticks, t), "link_ticks");
+}
+
+TEST(ReplayCampaign_, KeepsRecordedRowOrder) {
+  const std::string fixtures = WHEELS_INGEST_FIXTURE_DIR;
+  const ReplayBundle joined = ingest::ingest_join(
+      "auto",
+      {{radio::Carrier::Verizon, fixtures + "/minimal.csv"},
+       {radio::Carrier::TMobile, fixtures + "/monroe.csv"},
+       {radio::Carrier::Att, fixtures + "/errant.csv"}},
+      ingest::IngestOptions{}, ingest::JoinOptions{});
+  // The joined bundle is not grouped by test: its KPI rows alternate
+  // between a DL and a UL test tick by tick.
+  ASSERT_GE(joined.db.kpis.size(), 3u);
+  ASSERT_NE(joined.db.kpis[0].test_id, joined.db.kpis[1].test_id);
+  ASSERT_EQ(joined.db.kpis[0].test_id, joined.db.kpis[2].test_id);
+  ASSERT_FALSE(ingested().db.link_ticks.empty());
+
+  for (const ReplayBundle* bundle : {&joined, &ingested()}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "threads " << threads);
+      ReplayConfig cfg;
+      cfg.threads = threads;
+      expect_recorded_row_order(ReplayCampaign{*bundle, cfg}.run(),
+                                bundle->db);
+    }
+  }
 }
 
 TEST(ReplayCampaign_, UnchangedKnobsReproduceRecordedSummaries) {

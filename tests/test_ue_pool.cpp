@@ -1,9 +1,8 @@
 // Tests of the massive-UE core (ran/ue_pool.hpp): the standalone pool's
-// invariants and thread-count determinism, the TraceChannel capacity
-// override, and the whole-campaign gate — a 10k-UE campaign must produce a
-// byte-identical ConsolidatedDb at WHEELS_THREADS 1 and 4, serialized
-// through every CSV writer (the same byte-for-byte contract the six-handset
-// campaign already obeys).
+// invariants and thread-count determinism, and the whole-campaign gate — a
+// 10k-UE campaign must produce a byte-identical ConsolidatedDb at
+// WHEELS_THREADS 1 and 4, serialized through every CSV writer (the same
+// byte-for-byte contract the six-handset campaign already obeys).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,7 +20,6 @@
 #include "measure/validate.hpp"
 #include "radio/deployment.hpp"
 #include "ran/ue_pool.hpp"
-#include "replay/trace_channel.hpp"
 
 namespace wheels {
 namespace {
@@ -128,52 +126,6 @@ TEST(UePoolTest, DeterministicAcrossThreadCounts) {
     EXPECT_EQ(a[i].cell_id, b[i].cell_id);
     EXPECT_EQ(a[i].avg_allocated, b[i].avg_allocated);
     EXPECT_EQ(a[i].fairness, b[i].fairness);
-  }
-}
-
-TEST(UePoolTest, CapacityOverrideIsConsumed) {
-  PoolFixture f{1000, ran::SchedulerKind::ProportionalFair};
-  // A dead trace: every cell replays zero capacity, so nothing can be
-  // allocated no matter the demand.
-  f.pool.set_capacity_override(
-      [](const radio::CellSite&, SimMillis, Mbps) -> Mbps { return 0.0; });
-  for (int t = 0; t < 20; ++t) f.pool.tick(t * 500, f.inline_pool);
-  EXPECT_EQ(f.pool.totals().delivered_bytes, 0.0);
-  for (const auto& c : f.pool.cell_load()) {
-    EXPECT_EQ(c.avg_allocated, 0.0);
-    EXPECT_EQ(c.avg_capacity, 0.0);
-  }
-  // ...while the same pool without the override delivers bytes.
-  PoolFixture g{1000, ran::SchedulerKind::ProportionalFair};
-  for (int t = 0; t < 20; ++t) g.pool.tick(t * 500, g.inline_pool);
-  EXPECT_GT(g.pool.totals().delivered_bytes, 0.0);
-}
-
-TEST(UePoolTest, TraceChannelDrivesRecordedCellCapacity) {
-  PoolFixture f{1000, ran::SchedulerKind::ProportionalFair};
-  // Record a one-cell timeline pinning that cell's downlink to 5 Mbps.
-  const auto& cells = f.deployment.cells();
-  ASSERT_FALSE(cells.empty());
-  const std::uint32_t traced_cell = cells.front().id;
-  std::vector<replay::TraceSample> samples(2);
-  samples[0].t = 0;
-  samples[0].cell_id = traced_cell;
-  samples[0].capacity_dl = 5.0;
-  samples[1] = samples[0];
-  samples[1].t = 1000000;
-  const replay::TraceChannel channel{std::move(samples), {}};
-
-  f.pool.set_capacity_override(
-      replay::population_capacity_from_trace(channel));
-  for (int t = 0; t < 50; ++t) f.pool.tick(t * 500, f.inline_pool);
-
-  for (const auto& c : f.pool.cell_load()) {
-    if (c.cell_id == traced_cell) {
-      EXPECT_DOUBLE_EQ(c.avg_capacity, 5.0);
-    } else {
-      // Untraced cells keep the band-plan model, far above 5 Mbps.
-      EXPECT_GT(c.avg_capacity, 5.0);
-    }
   }
 }
 
