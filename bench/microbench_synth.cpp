@@ -27,7 +27,6 @@ const replay::ReplayBundle& source_bundle() {
   static const replay::ReplayBundle bundle = [] {
     const auto produce = [](std::uint64_t salt, double base_mbps) {
       return [salt, base_mbps](ingest::PointSink& sink) {
-        ingest::RunEmitter emitter{sink};
         std::uint64_t h = salt;
         for (int i = 0; i < 4000; ++i) {
           h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -39,9 +38,9 @@ const replay::ReplayBundle& source_bundle() {
           p.cap_dl_mbps = u < 0.02 ? 0.0 : base_mbps * swing * (0.5 + u);
           p.cap_ul_mbps = p.cap_dl_mbps * 0.25;
           p.rtt_ms = 30.0 + 40.0 * u + (u < 0.02 ? 150.0 : 0.0);
-          emitter.push(p);
+          sink.push(p);
         }
-        emitter.finish();
+        sink.finish();
       };
     };
     std::vector<ingest::StreamSource> sources;

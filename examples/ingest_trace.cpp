@@ -26,9 +26,6 @@
 //   --shards N      join: parallel ingest shards, one per input file
 //                   (default 1; 0 = WHEELS_THREADS/auto). Output is
 //                   byte-identical at every shard count.
-//   --in-memory     legacy whole-file path (load the full trace first);
-//                   byte-identical to the streaming default, kept for
-//                   equivalence checks
 //   --replay        replay the bundle through ReplayCampaign and print the
 //                   recorded-vs-replayed comparison
 //   --out DIR       write the bundle as a dataset directory
@@ -54,7 +51,7 @@ int usage() {
          "       ingest_trace --list-formats\n"
          "options: --format F --carrier C --up PATH --rtt MS --tech T\n"
          "         --tick MS --max-gap MS --interp hold|linear\n"
-         "         --no-align --trim --chunk BYTES --shards N --in-memory\n"
+         "         --no-align --trim --chunk BYTES --shards N\n"
          "         --replay --out DIR\n";
   return 2;
 }
@@ -83,7 +80,6 @@ int main(int argc, char** argv) {
     std::string trace_path;
     std::string out_dir;
     bool do_replay = false;
-    bool in_memory = false;
     ingest::IngestOptions options;
     ingest::JoinOptions join;
 
@@ -130,8 +126,6 @@ int main(int argc, char** argv) {
             static_cast<std::size_t>(std::stoull(value(i)));
       } else if (arg == "--shards") {
         options.threads = std::stoi(value(i));
-      } else if (arg == "--in-memory") {
-        in_memory = true;
       } else if (arg == "--replay") {
         do_replay = true;
       } else if (arg == "--out") {
@@ -156,20 +150,7 @@ int main(int argc, char** argv) {
         std::cout << "  " << measure::names::to_name(e.carrier) << " <- "
                   << e.path << '\n';
       }
-      if (in_memory) {
-        std::vector<ingest::JoinInput> inputs;
-        for (const ingest::JoinEntry& e : entries) {
-          ingest::IngestOptions per_carrier = options;
-          per_carrier.carrier = e.carrier;
-          inputs.push_back({e.carrier, e.path,
-                            ingest::load_trace(ingest::builtin_registry(),
-                                               format, e.path, per_carrier)});
-        }
-        bundle = ingest::join_traces(std::move(inputs), join,
-                                     options.resample);
-      } else {
-        bundle = ingest::ingest_join(format, entries, options, join);
-      }
+      bundle = ingest::ingest_join(format, entries, options, join);
     } else {
       // Sniff only when asked to: an explicit --format must work on files
       // the sniffer would reject.
@@ -182,14 +163,7 @@ int main(int argc, char** argv) {
       std::cout << "Ingesting " << trace_path << " as "
                 << measure::names::to_name(options.carrier) << " via the '"
                 << resolved << "' adapter.\n";
-      if (in_memory) {
-        bundle = ingest::build_bundle(
-            ingest::load_trace(ingest::builtin_registry(), resolved,
-                               trace_path, options),
-            options.carrier, options.resample);
-      } else {
-        bundle = ingest::ingest_file(resolved, trace_path, options);
-      }
+      bundle = ingest::ingest_file(resolved, trace_path, options);
     }
     print_summary(bundle);
 

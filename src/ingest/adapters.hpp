@@ -27,12 +27,14 @@ std::unique_ptr<TraceAdapter> make_monroe_adapter();
 std::unique_ptr<TraceAdapter> make_paper_tables_adapter();
 
 /// Merge a paired Mahimahi uplink trace (already windowed by the mahimahi
-/// adapter on the same tick grid) into the downlink stream: a PointSink
+/// adapter at the same `tick`) into the downlink stream: a PointSink
 /// wrapper that replaces each point's cap_ul by the uplink trace's windowed
 /// rate and forwards the result to `inner`; the shorter side holds its last
-/// windowed rate to the longer side's end. The uplink trace is held in
-/// memory — O(duration / tick), not O(file bytes).
+/// windowed rate to the longer side's end, and an uplink tail continues the
+/// downlink's tick grid. The uplink trace is held in memory —
+/// O(duration / tick), not O(file bytes).
 std::unique_ptr<PointSink> make_mahimahi_uplink_merge(CanonicalTrace up,
+                                                      SimMillis tick,
                                                       PointSink& inner);
 
 /// Overlay recorded RTT samples (a paper rtts.csv table) onto the point

@@ -72,7 +72,7 @@ class MahimahiAdapter final : public TraceAdapter {
       throw std::runtime_error{"mahimahi: default rtt must be > 0"};
     }
 
-    RunEmitter out{sink};
+    std::size_t pushed = 0;
     const auto emit_window = [&](SimMillis window, std::size_t count) {
       TracePoint p;
       p.t = window * tick;
@@ -81,7 +81,8 @@ class MahimahiAdapter final : public TraceAdapter {
       p.cap_ul_mbps = p.cap_dl_mbps * options.mahimahi_ul_share;
       p.rtt_ms = options.default_rtt_ms;
       p.tech = options.default_tech;
-      out.push(p);
+      sink.push(p);
+      ++pushed;
     };
 
     LineRef line;
@@ -111,59 +112,52 @@ class MahimahiAdapter final : public TraceAdapter {
       trace_fail(lines.line_number(), "trace has no data rows");
     }
     emit_window(window, count);
-    out.finish();
+    finish_stream(sink, pushed);
   }
 };
 
 /// Streaming positional merge of a paired (windowed) uplink trace: downlink
 /// point i takes up[min(i, last)]'s downlink rate as its uplink capacity,
 /// and when the uplink trace outlasts the downlink one the tail extends by
-/// holding the downlink's final windowed rate. The uplink side is already
-/// reduced to one point per covered window, so holding it is O(recording
-/// duration / tick), not O(file bytes).
+/// holding the downlink's final windowed rate, one tick per extra uplink
+/// window on the downlink's grid (each file is windowed from its own first
+/// timestamp, so the uplink's own stamps may lie on another grid). The
+/// uplink side is already reduced to one point per covered window, so
+/// holding it is O(recording duration / tick), not O(file bytes).
 class MahimahiUplinkMerge final : public PointSink {
  public:
-  MahimahiUplinkMerge(CanonicalTrace up, PointSink& inner)
-      : up_(std::move(up)), inner_(inner) {
+  MahimahiUplinkMerge(CanonicalTrace up, SimMillis tick, PointSink& inner)
+      : up_(std::move(up)), tick_(tick), inner_(inner) {
     if (up_.points.empty()) {
       throw std::runtime_error{"mahimahi merge: empty trace"};
     }
   }
 
-  void on_run(std::span<const TracePoint> run) override {
-    scratch_.assign(run.begin(), run.end());
-    for (TracePoint& p : scratch_) {
-      const std::size_t j = std::min(index_, up_.points.size() - 1);
-      p.cap_ul_mbps = up_.points[j].cap_dl_mbps;
-      ++index_;
-    }
-    if (!scratch_.empty()) last_ = scratch_.back();
-    inner_.on_run(std::span<const TracePoint>{scratch_.data(),
-                                              scratch_.size()});
+  void push(const TracePoint& p) override {
+    last_ = p;
+    last_.cap_ul_mbps =
+        up_.points[std::min(index_, up_.points.size() - 1)].cap_dl_mbps;
+    ++index_;
+    inner_.push(last_);
   }
 
   void finish() override {
     if (index_ == 0) {
       throw std::runtime_error{"mahimahi merge: empty trace"};
     }
-    if (index_ < up_.points.size()) {
-      std::vector<TracePoint> tail;
-      tail.reserve(up_.points.size() - index_);
-      for (std::size_t j = index_; j < up_.points.size(); ++j) {
-        TracePoint p = last_;
-        p.t = up_.points[j].t;
-        p.cap_ul_mbps = up_.points[j].cap_dl_mbps;
-        tail.push_back(p);
-      }
-      inner_.on_run(std::span<const TracePoint>{tail.data(), tail.size()});
+    TracePoint p = last_;
+    for (std::size_t j = index_; j < up_.points.size(); ++j) {
+      p.t += tick_;
+      p.cap_ul_mbps = up_.points[j].cap_dl_mbps;
+      inner_.push(p);
     }
     inner_.finish();
   }
 
  private:
   CanonicalTrace up_;
+  SimMillis tick_;
   PointSink& inner_;
-  std::vector<TracePoint> scratch_;
   TracePoint last_{};
   std::size_t index_ = 0;
 };
@@ -175,8 +169,9 @@ std::unique_ptr<TraceAdapter> make_mahimahi_adapter() {
 }
 
 std::unique_ptr<PointSink> make_mahimahi_uplink_merge(CanonicalTrace up,
+                                                      SimMillis tick,
                                                       PointSink& inner) {
-  return std::make_unique<MahimahiUplinkMerge>(std::move(up), inner);
+  return std::make_unique<MahimahiUplinkMerge>(std::move(up), tick, inner);
 }
 
 }  // namespace wheels::ingest

@@ -28,12 +28,8 @@ namespace wheels::ingest {
 
 namespace {
 
-// Mirrors measure/csv_export.cpp's kKpiHeader; the full-bundle reader over
-// there and this partial-release parser must accept the same table.
-constexpr std::string_view kKpiHeader =
-    "test_id,t,carrier,tech,cell_id,rsrp,mcs,bler,ca,throughput,speed,km,"
-    "map_km,tz,region,handovers,server,direction,is_static";
-constexpr std::size_t kKpiColumns = 19;
+using measure::kKpiColumns;
+using measure::kKpiHeader;
 
 bool starts_with(const std::string& s, std::string_view prefix) {
   return s.size() >= prefix.size() &&
@@ -143,7 +139,6 @@ class PaperTablesAdapter final : public TraceAdapter {
           std::string{measure::names::to_name(options.carrier)}};
     }
 
-    RunEmitter out{sink};
     for (const auto& [t, acc] : by_t) {
       TracePoint p;
       p.t = t;
@@ -155,9 +150,9 @@ class PaperTablesAdapter final : public TraceAdapter {
                           : 0.0;
       p.rtt_ms = options.default_rtt_ms;
       p.tech = acc.tech;
-      out.push(p);
+      sink.push(p);
     }
-    out.finish();
+    finish_stream(sink, by_t.size());
   }
 };
 
@@ -173,27 +168,19 @@ std::map<SimMillis, double> load_rtt_map(std::istream& rtts,
   return by_t;
 }
 
-void overlay_rtt(const std::map<SimMillis, double>& by_t, TracePoint& p) {
-  auto it = by_t.upper_bound(p.t);
-  if (it == by_t.begin()) return;  // before the first sample: keep fill
-  p.rtt_ms = std::prev(it)->second;
-}
-
 class PaperRttOverlay final : public PointSink {
  public:
   PaperRttOverlay(std::istream& rtts, radio::Carrier carrier,
                   PointSink& inner)
       : by_t_(load_rtt_map(rtts, carrier)), inner_(inner) {}
 
-  void on_run(std::span<const TracePoint> run) override {
-    if (by_t_.empty()) {
-      inner_.on_run(run);
-      return;
-    }
-    scratch_.assign(run.begin(), run.end());
-    for (TracePoint& p : scratch_) overlay_rtt(by_t_, p);
-    inner_.on_run(std::span<const TracePoint>{scratch_.data(),
-                                              scratch_.size()});
+  void push(const TracePoint& p) override {
+    TracePoint q = p;
+    // The latest recorded RTT at or before q.t; before the first sample
+    // the fill value stays.
+    const auto it = by_t_.upper_bound(q.t);
+    if (it != by_t_.begin()) q.rtt_ms = std::prev(it)->second;
+    inner_.push(q);
   }
 
   void finish() override { inner_.finish(); }
@@ -201,7 +188,6 @@ class PaperRttOverlay final : public PointSink {
  private:
   std::map<SimMillis, double> by_t_;
   PointSink& inner_;
-  std::vector<TracePoint> scratch_;
 };
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "ingest/column_map.hpp"
 
 #include <cmath>
-#include <istream>
 #include <stdexcept>
 
 #include "ingest/line_source.hpp"
@@ -96,10 +95,9 @@ void parse_with_map(LineSource& lines, const ColumnMap& map,
     }
   }
 
-  RunEmitter out{sink};
   std::optional<double> time_base;
   SimMillis prev_t = 0;
-  bool have_prev = false;
+  std::size_t pushed = 0;
   while (lines.next(line)) {
     const std::size_t line_no = line.number;
     split_trace_row(line.text, cells);
@@ -144,28 +142,20 @@ void parse_with_map(LineSource& lines, const ColumnMap& map,
     p.tech = tech_idx == kMissing ? default_tech
                                   : parse_tech(map, cells[tech_idx], line_no);
 
-    if (have_prev && p.t < prev_t) {
+    if (pushed > 0 && p.t < prev_t) {
       trace_fail(line_no, "time going backwards");
     }
-    if (have_prev && p.t == prev_t) {
+    if (pushed > 0 && p.t == prev_t) {
       trace_fail(line_no, "duplicate time " + std::to_string(p.t));
     }
     prev_t = p.t;
-    have_prev = true;
-    out.push(p);
+    sink.push(p);
+    ++pushed;
   }
-  if (!have_prev) {
+  if (pushed == 0) {
     trace_fail(lines.line_number(), "trace has no data rows");
   }
-  out.finish();
-}
-
-CanonicalTrace parse_with_map(std::istream& is, const ColumnMap& map,
-                              radio::Technology default_tech) {
-  LineSource lines{is, ChunkSpec{}};
-  CollectSink sink;
-  parse_with_map(lines, map, default_tech, sink);
-  return sink.take();
+  finish_stream(sink, pushed);
 }
 
 }  // namespace wheels::ingest

@@ -7,15 +7,12 @@
 // format as *data*: source column -> canonical field, a unit scale, and a
 // constant fill for columns the format lacks. parse_with_map() is the single
 // strict parser behind the minimal/ERRANT/MONROE adapters, so adding a
-// format of this family means writing a ColumnMap, not a parser.
-//
-// The streaming overload is the real parser: it pulls payload lines one at
-// a time from a LineSource and emits points into a PointSink, holding only
-// the header binding and the previous timestamp — O(1) state however large
-// the input. The istream overload is the whole-file wrapper over it.
+// format of this family means writing a ColumnMap, not a parser. It pulls
+// payload lines one at a time from a LineSource and pushes points into a
+// PointSink, holding only the header binding and the previous timestamp —
+// O(1) state however large the input.
 #pragma once
 
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -87,9 +84,5 @@ struct ColumnMap {
 /// std::runtime_error "line N: ..." on the first violation.
 void parse_with_map(LineSource& lines, const ColumnMap& map,
                     radio::Technology default_tech, PointSink& sink);
-
-/// Whole-stream wrapper over the streaming parser; identical semantics.
-CanonicalTrace parse_with_map(std::istream& is, const ColumnMap& map,
-                              radio::Technology default_tech);
 
 }  // namespace wheels::ingest

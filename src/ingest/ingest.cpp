@@ -77,7 +77,8 @@ void stream_trace(const AdapterRegistry& registry, const std::string& format,
     // not O(file bytes) — then merged positionally into the downlink stream.
     CollectSink up;
     parse_path(adapter, options.mahimahi_uplink_path, options, up);
-    companion = make_mahimahi_uplink_merge(up.take(), sink);
+    companion =
+        make_mahimahi_uplink_merge(up.take(), options.resample.tick_ms, sink);
     target = companion.get();
   } else if (adapter.name() == "paper") {
     const std::string rtts_path = resolve_paper_rtts(path, options);

@@ -89,9 +89,9 @@ class EmptyGuard final : public PointSink {
   EmptyGuard(std::string msg, PointSink& inner)
       : msg_(std::move(msg)), inner_(inner) {}
 
-  void on_run(std::span<const TracePoint> run) override {
-    if (!run.empty()) seen_ = true;
-    inner_.on_run(run);
+  void push(const TracePoint& p) override {
+    seen_ = true;
+    inner_.push(p);
   }
 
   void finish() override {
@@ -111,23 +111,20 @@ class RebaseSink final : public PointSink {
  public:
   explicit RebaseSink(PointSink& inner) : inner_(inner) {}
 
-  void on_run(std::span<const TracePoint> run) override {
-    if (run.empty()) return;
+  void push(const TracePoint& p) override {
     if (!have_base_) {
-      base_ = run.front().t;
+      base_ = p.t;
       have_base_ = true;
     }
-    scratch_.assign(run.begin(), run.end());
-    for (TracePoint& p : scratch_) p.t -= base_;
-    inner_.on_run(std::span<const TracePoint>{scratch_.data(),
-                                              scratch_.size()});
+    TracePoint q = p;
+    q.t -= base_;
+    inner_.push(q);
   }
 
   void finish() override { inner_.finish(); }
 
  private:
   PointSink& inner_;
-  std::vector<TracePoint> scratch_;
   SimMillis base_ = 0;
   bool have_base_ = false;
 };
@@ -139,14 +136,8 @@ class TrimSink final : public PointSink {
   TrimSink(SimMillis lo, SimMillis hi, PointSink& inner)
       : lo_(lo), hi_(hi), inner_(inner) {}
 
-  void on_run(std::span<const TracePoint> run) override {
-    scratch_.clear();
-    for (const TracePoint& p : run) {
-      if (p.t >= lo_ && p.t <= hi_) scratch_.push_back(p);
-    }
-    if (scratch_.empty()) return;
-    inner_.on_run(std::span<const TracePoint>{scratch_.data(),
-                                              scratch_.size()});
+  void push(const TracePoint& p) override {
+    if (p.t >= lo_ && p.t <= hi_) inner_.push(p);
   }
 
   void finish() override { inner_.finish(); }
@@ -155,23 +146,19 @@ class TrimSink final : public PointSink {
   SimMillis lo_;
   SimMillis hi_;
   PointSink& inner_;
-  std::vector<TracePoint> scratch_;
 };
 
 /// Bounds pre-pass for overlap trimming: records the (aligned) first and
 /// last timestamp of the stream.
 class SpanSink final : public PointSink {
  public:
-  void on_run(std::span<const TracePoint> run) override {
-    if (run.empty()) return;
+  void push(const TracePoint& p) override {
     if (!seen_) {
-      first = run.front().t;
+      first = p.t;
       seen_ = true;
     }
-    last = run.back().t;
+    last = p.t;
   }
-
-  bool seen() const { return seen_; }
 
   SimMillis first = 0;
   SimMillis last = 0;
@@ -298,36 +285,6 @@ replay::ReplayBundle join_streams(std::vector<StreamSource> sources,
 
   measure::validate_or_throw(db);
   return bundle;
-}
-
-replay::ReplayBundle join_traces(std::vector<JoinInput> inputs,
-                                 const JoinOptions& join,
-                                 const ResampleSpec& resample_spec) {
-  std::vector<StreamSource> sources;
-  sources.reserve(inputs.size());
-  for (JoinInput& input : inputs) {
-    StreamSource source;
-    source.carrier = input.carrier;
-    source.name = std::move(input.name);
-    // Shared: the trim pre-pass replays the producer.
-    auto trace = std::make_shared<CanonicalTrace>(std::move(input.trace));
-    source.produce = [trace](PointSink& sink) {
-      sink.on_run(std::span<const TracePoint>{trace->points.data(),
-                                              trace->points.size()});
-      sink.finish();
-    };
-    sources.push_back(std::move(source));
-  }
-  return join_streams(std::move(sources), join, resample_spec, 1);
-}
-
-replay::ReplayBundle build_bundle(CanonicalTrace trace, radio::Carrier carrier,
-                                  const ResampleSpec& resample_spec) {
-  std::vector<JoinInput> inputs(1);
-  inputs[0].carrier = carrier;
-  inputs[0].name = "trace";
-  inputs[0].trace = std::move(trace);
-  return join_traces(std::move(inputs), JoinOptions{}, resample_spec);
 }
 
 }  // namespace wheels::ingest

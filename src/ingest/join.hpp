@@ -8,15 +8,13 @@
 // per-carrier test sets live on one timeline — ready for ReplayCampaign and
 // ReplayFleet, which fan out per carrier.
 //
-// join_streams() is the core: each input is a *producer* that pushes its
-// point stream through the align/trim/resample sink chain, so a source
-// backed by a file's LineSource joins without its raw trace ever being
-// materialized. Sources fan out through core::run_indexed, one job per
-// input file at every thread count; the bundle is always assembled serially
-// in canonical carrier order, so the output — manifest digest and
-// deterministic metrics included — is byte-identical at any thread count.
-// join_traces() is the in-memory
-// wrapper over the same core.
+// Each input of join_streams() is a *producer* that pushes its point stream
+// through the align/trim/resample sink chain, so a source backed by a
+// file's LineSource joins without its raw trace ever being materialized.
+// Sources fan out through core::run_indexed, one job per input file at
+// every thread count; the bundle is always assembled serially in canonical
+// carrier order, so the output — manifest digest and deterministic metrics
+// included — is byte-identical at any thread count.
 #pragma once
 
 #include <functional>
@@ -30,13 +28,6 @@
 
 namespace wheels::ingest {
 
-struct JoinInput {
-  radio::Carrier carrier = radio::Carrier::Verizon;
-  /// Diagnostics label (usually the source path).
-  std::string name;
-  CanonicalTrace trace;
-};
-
 /// One input of a streaming join: `produce` pushes the source's whole point
 /// stream into the sink it is given (finishing it exactly once) and must be
 /// repeatable — overlap trimming runs a bounds pre-pass over every source
@@ -44,6 +35,7 @@ struct JoinInput {
 /// producer must not touch shared mutable state.
 struct StreamSource {
   radio::Carrier carrier = radio::Carrier::Verizon;
+  /// Diagnostics label (usually the source path).
   std::string name;
   std::function<void(PointSink&)> produce;
 };
@@ -71,14 +63,5 @@ replay::ReplayBundle join_streams(std::vector<StreamSource> sources,
                                   const JoinOptions& join,
                                   const ResampleSpec& resample,
                                   int threads = 1);
-
-/// In-memory convenience over join_streams: identical output and errors.
-replay::ReplayBundle join_traces(std::vector<JoinInput> inputs,
-                                 const JoinOptions& join,
-                                 const ResampleSpec& resample);
-
-/// Single-trace convenience: a join of one.
-replay::ReplayBundle build_bundle(CanonicalTrace trace, radio::Carrier carrier,
-                                  const ResampleSpec& resample);
 
 }  // namespace wheels::ingest

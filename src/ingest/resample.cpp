@@ -23,11 +23,7 @@ StreamingResampler::StreamingResampler(const ResampleSpec& spec,
   }
 }
 
-void StreamingResampler::on_run(std::span<const TracePoint> run) {
-  for (const TracePoint& p : run) accept(p);
-}
-
-void StreamingResampler::accept(const TracePoint& p) {
+void StreamingResampler::push(const TracePoint& p) {
   ++index_;
   if (!have_prev_) {
     prev_ = p;
@@ -90,19 +86,6 @@ void StreamingResampler::finish() {
     throw std::runtime_error{"resample: empty trace"};
   }
   close_segment();
-}
-
-std::vector<TraceSegment> resample(const CanonicalTrace& trace,
-                                   const ResampleSpec& spec) {
-  std::vector<TraceSegment> segments;
-  StreamingResampler resampler{
-      spec, [&segments](TraceSegment&& seg) {
-        segments.push_back(std::move(seg));
-      }};
-  resampler.on_run(std::span<const TracePoint>{trace.points.data(),
-                                               trace.points.size()});
-  resampler.finish();
-  return segments;
 }
 
 }  // namespace wheels::ingest

@@ -10,7 +10,6 @@
 // stream: source timestamps must be strictly increasing (a duplicate would
 // divide by zero under GapFill::Interpolate, a backwards step would corrupt
 // the tick loop), and violations throw with the 1-based point index.
-// resample() is the whole-trace convenience wrapper over the same core.
 #pragma once
 
 #include <functional>
@@ -52,11 +51,10 @@ class StreamingResampler final : public PointSink {
 
   StreamingResampler(const ResampleSpec& spec, SegmentFn emit);
 
-  void on_run(std::span<const TracePoint> run) override;
+  void push(const TracePoint& p) override;
   void finish() override;
 
  private:
-  void accept(const TracePoint& p);
   void close_segment();
 
   ResampleSpec spec_;
@@ -68,10 +66,5 @@ class StreamingResampler final : public PointSink {
   std::size_t index_ = 0;  // 1-based count of points consumed, diagnostics
   bool finished_ = false;
 };
-
-/// Resample a whole trace onto `spec`'s grid: the in-memory wrapper over
-/// StreamingResampler, with identical semantics and errors.
-std::vector<TraceSegment> resample(const CanonicalTrace& trace,
-                                   const ResampleSpec& spec);
 
 }  // namespace wheels::ingest

@@ -4,24 +4,10 @@
 
 namespace wheels::ingest {
 
-RunEmitter::RunEmitter(PointSink& sink, std::size_t run_points)
-    : sink_(sink), capacity_(run_points == 0 ? 1 : run_points) {
-  arena_.reserve(capacity_);
-  static const core::obs::Counter arena_bytes{"ingest.arena_bytes"};
-  arena_bytes.add(capacity_ * sizeof(TracePoint));
-}
-
-void RunEmitter::flush() {
-  if (arena_.empty()) return;
+void finish_stream(PointSink& sink, std::size_t pushed) {
   static const core::obs::Counter rows{"ingest.rows_emitted"};
-  rows.add(arena_.size());
-  sink_.on_run(std::span<const TracePoint>{arena_.data(), arena_.size()});
-  arena_.clear();
-}
-
-void RunEmitter::finish() {
-  flush();
-  sink_.finish();
+  rows.add(pushed);
+  sink.finish();
 }
 
 }  // namespace wheels::ingest

@@ -1,73 +1,40 @@
-// TracePoint run plumbing for the streaming ingest pipeline.
+// Point plumbing for the streaming ingest pipeline.
 //
-// Incremental adapters do not build one giant point vector; they push points
-// through a RunEmitter, which packs them into a fixed-capacity arena block
-// and hands the consumer bounded *runs* (spans into the recycled block).
-// Consumers are PointSinks — the streaming resampler, the join layer's
-// rebase/trim wrappers, the Mahimahi uplink merger — chained so a point
-// flows reader -> adapter -> arena -> resample/join without the full trace
-// ever existing in memory. CollectSink terminates a chain with an in-memory
-// CanonicalTrace; it is what keeps the whole-file convenience entry points
-// thin wrappers over the same streaming core.
+// Incremental adapters do not build one giant point vector; they push each
+// canonical point, one at a time, into a PointSink. Consumers — the
+// streaming resampler, the join layer's rebase/trim wrappers, the Mahimahi
+// uplink merger — are chained so a point flows reader -> adapter ->
+// resample/join without the full trace ever existing in memory.
+// CollectSink terminates a chain by collecting it into a CanonicalTrace.
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <utility>
-#include <vector>
 
 #include "ingest/column_map.hpp"
 
 namespace wheels::ingest {
 
-/// Consumer of a point stream. Points arrive in runs; across the whole
-/// stream their timestamps follow the producing adapter's ordering contract
-/// (strictly increasing for every built-in format). Runs die when on_run
-/// returns — a sink that keeps points must copy them.
+/// Consumer of a point stream. Across the whole stream the pushed
+/// timestamps follow the producing adapter's ordering contract (strictly
+/// increasing for every built-in format).
 class PointSink {
  public:
   virtual ~PointSink() = default;
-  virtual void on_run(std::span<const TracePoint> run) = 0;
+  virtual void push(const TracePoint& p) = 0;
   /// End of stream. A producer finishes its sink exactly once; wrapper
   /// sinks forward the call down the chain.
   virtual void finish() {}
 };
 
-/// Push-side helper over a PointSink: buffers points in one arena block of
-/// `run_points` capacity and flushes it as a run each time it fills (and
-/// once more on finish). The block is recycled, so an emitter's memory is
-/// O(run_points) for the life of the stream. Counts rows and arena bytes
-/// into the core::obs registry ("ingest.rows_emitted", "ingest.arena_bytes").
-class RunEmitter {
- public:
-  static constexpr std::size_t kDefaultRunPoints = 4096;
+/// A producer's end of stream: adds the `pushed` points to the core::obs
+/// counter "ingest.rows_emitted", then finishes `sink`.
+void finish_stream(PointSink& sink, std::size_t pushed);
 
-  explicit RunEmitter(PointSink& sink,
-                      std::size_t run_points = kDefaultRunPoints);
-
-  void push(const TracePoint& p) {
-    arena_.push_back(p);
-    if (arena_.size() >= capacity_) flush();
-  }
-
-  /// Flush the partial run and finish the sink. Call exactly once.
-  void finish();
-
- private:
-  void flush();
-
-  PointSink& sink_;
-  std::size_t capacity_;
-  std::vector<TracePoint> arena_;
-};
-
-/// Terminal sink that materializes the stream — the bridge back to the
-/// in-memory CanonicalTrace API.
+/// Terminal sink that materializes the stream as a CanonicalTrace.
 class CollectSink final : public PointSink {
  public:
-  void on_run(std::span<const TracePoint> run) override {
-    trace.points.insert(trace.points.end(), run.begin(), run.end());
-  }
+  void push(const TracePoint& p) override { trace.points.push_back(p); }
 
   CanonicalTrace take() { return std::move(trace); }
 

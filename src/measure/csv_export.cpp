@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -47,10 +48,6 @@ char* put_double(char* p, double v) {
 constexpr char kTestHeader[] =
     "id,type,carrier,is_static,start,end,start_km,end_km,tz,server,"
     "direction,cycle";
-
-constexpr char kKpiHeader[] =
-    "test_id,t,carrier,tech,cell_id,rsrp,mcs,bler,ca,throughput,speed,km,"
-    "map_km,tz,region,handovers,server,direction,is_static";
 
 constexpr char kRttHeader[] =
     "test_id,t,carrier,tech,rtt,speed,tz,server,is_static";
@@ -418,7 +415,7 @@ std::vector<TestRecord> read_tests_csv(std::istream& is) {
 }
 
 std::vector<KpiRecord> read_kpis_csv(std::istream& is) {
-  CsvTable table{is, kKpiHeader, 19};
+  CsvTable table{is, kKpiHeader, kKpiColumns};
   std::vector<KpiRecord> out;
   while (table.next()) {
     KpiRecord k;
@@ -581,9 +578,16 @@ std::vector<CellLoadRecord> read_cell_load_csv(std::istream& is) {
 
 void read_summary_csv(std::istream& is, ConsolidatedDb& db) {
   CsvTable table{is, kSummaryHeader, 3};
+  // Each (key, carrier) row is read exactly once: a repeat would overwrite
+  // the earlier row, and a missing row would leave its field at zero.
+  std::set<std::pair<std::string, std::string>> seen;
   while (table.next()) {
     const std::string_view key = table.cell(0);
     const bool global = table.cell(1).empty();
+    if (!seen.emplace(key, table.cell(1)).second) {
+      table.fail("repeated summary row '" + std::string{key} + "," +
+                 std::string{table.cell(1)} + "'");
+    }
     if (key == "driven_km" || key == "rx_bytes" || key == "tx_bytes") {
       if (!global) {
         table.fail("key '" + std::string{key} + "' takes no carrier");
@@ -611,6 +615,21 @@ void read_summary_csv(std::istream& is, ConsolidatedDb& db) {
       db.passive[ci].pings = table.as_i64(2);
     } else {
       table.fail("unknown summary key '" + std::string{key} + "'");
+    }
+  }
+  const auto require = [&](std::string_view key, std::string_view carrier) {
+    if (seen.contains({std::string{key}, std::string{carrier}})) return;
+    throw std::runtime_error{
+        "csv: missing summary key '" + std::string{key} + "'" +
+        (carrier.empty() ? "" : " for carrier " + std::string{carrier})};
+  };
+  for (const std::string_view key : {"driven_km", "rx_bytes", "tx_bytes"}) {
+    require(key, "");
+  }
+  for (radio::Carrier c : radio::kAllCarriers) {
+    for (const std::string_view key :
+         {"experiment_runtime", "passive_handovers", "passive_pings"}) {
+      require(key, names::to_name(c));
     }
   }
 }

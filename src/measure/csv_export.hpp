@@ -26,8 +26,10 @@
 //    <path>"), so a truncated bundle is never reported written.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/obs/manifest.hpp"
@@ -40,6 +42,13 @@ namespace wheels::measure {
 /// aggregates, golden expectations) that must diff cleanly against files
 /// this module wrote.
 std::string csv_double(double v);
+
+/// Header row of kpis.csv and its column count. The ingest paper adapter
+/// parses a lone kpis.csv against the same header the bundle reader uses.
+inline constexpr std::string_view kKpiHeader =
+    "test_id,t,carrier,tech,cell_id,rsrp,mcs,bler,ca,throughput,speed,km,"
+    "map_km,tz,region,handovers,server,direction,is_static";
+inline constexpr std::size_t kKpiColumns = 19;
 
 void write_tests_csv(std::ostream& os, const ConsolidatedDb& db);
 void write_kpis_csv(std::ostream& os, const ConsolidatedDb& db);
@@ -77,6 +86,9 @@ std::vector<CoverageSegment> read_coverage_csv(std::istream& is,
                                                radio::Carrier expected_carrier,
                                                bool expected_passive);
 /// Fill `db`'s scalar fields / cell sets from the two auxiliary tables.
+/// read_summary_csv requires every row write_summary_csv writes exactly
+/// once: a repeated (key, carrier) row fails on its line, a missing one
+/// names its key.
 void read_summary_csv(std::istream& is, ConsolidatedDb& db);
 void read_cells_csv(std::istream& is, ConsolidatedDb& db);
 

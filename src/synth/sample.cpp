@@ -286,7 +286,6 @@ void sample_stream(const SynthProfile& profile, const ScenarioSpec& spec,
     int rtt_regime = -1;
   };
 
-  ingest::RunEmitter out{sink};
   std::uint64_t emitted = 0;
   for (int j = 0; j < cycles; ++j) {
     const std::int64_t cycle = first_cycle + j;
@@ -355,11 +354,11 @@ void sample_stream(const SynthProfile& profile, const ScenarioSpec& spec,
           emit(model->rtt.emissions[static_cast<std::size_t>(ts.rtt_regime)],
                draws.at(k, kChRttEmit)) *
               rtt_mult);
-      out.push(p);
+      sink.push(p);
       ++emitted;
     }
   }
-  out.finish();
+  ingest::finish_stream(sink, emitted);
   points_sampled.add(emitted);
 }
 

@@ -375,6 +375,50 @@ TEST(CsvExport, MalformedBoolRejected) {
   EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
 }
 
+/// The tiny campaign's summary.csv: a header and 12 rows.
+std::string tiny_summary_text() {
+  std::stringstream ss;
+  write_summary_csv(ss, tiny_campaign_db());
+  return ss.str();
+}
+
+std::string summary_error(const std::string& text) {
+  return error_of(text, [](std::istream& is) {
+    ConsolidatedDb db;
+    read_summary_csv(is, db);
+  });
+}
+
+TEST(CsvExport, SummaryRejectsRepeatedRow) {
+  const std::string text = tiny_summary_text();
+  ASSERT_EQ(summary_error(text), "");
+  std::string msg = summary_error(text + "driven_km,,1\n");
+  EXPECT_NE(msg.find("line 14: repeated summary row 'driven_km,'"),
+            std::string::npos)
+      << msg;
+  msg = summary_error(text + "passive_pings,AT&T,3\n");
+  EXPECT_NE(msg.find("line 14: repeated summary row 'passive_pings,AT&T'"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(CsvExport, SummaryRejectsMissingRow) {
+  const std::string text = tiny_summary_text();
+  const auto without = [&](const std::string& prefix) {
+    const std::size_t at = text.find("\n" + prefix) + 1;
+    EXPECT_NE(at, 0u) << prefix;
+    return text.substr(0, at) + text.substr(text.find('\n', at) + 1);
+  };
+  std::string msg = summary_error(without("rx_bytes,"));
+  EXPECT_NE(msg.find("missing summary key 'rx_bytes'"), std::string::npos)
+      << msg;
+  msg = summary_error(without("experiment_runtime,T-Mobile,"));
+  EXPECT_NE(msg.find("missing summary key 'experiment_runtime' for carrier "
+                     "T-Mobile"),
+            std::string::npos)
+      << msg;
+}
+
 // --- reader edge cases -----------------------------------------------------
 
 /// One rtts.csv row with the given t and rtt fields.

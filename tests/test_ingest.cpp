@@ -11,6 +11,7 @@
 
 #include "ingest/adapters.hpp"
 #include "ingest/ingest.hpp"
+#include "ingest_helpers.hpp"
 #include "measure/validate.hpp"
 #include "replay/fleet.hpp"
 #include "replay/replay_campaign.hpp"
@@ -123,9 +124,8 @@ TEST(IngestTest, ColumnMapFillCoversMissingColumn) {
   map.rules = {{"dl", Field::CapDl, 1.0, {}},
                {"ul", Field::CapUl, 1.0, 2.5},
                {"rtt", Field::Rtt, 1.0, 40.0}};
-  std::istringstream is{"t,dl\n0,10\n500,20\n"};
   const CanonicalTrace trace =
-      parse_with_map(is, map, radio::Technology::Lte);
+      helpers::parse_text("t,dl\n0,10\n500,20\n", map, radio::Technology::Lte);
   ASSERT_EQ(trace.points.size(), 2u);
   EXPECT_DOUBLE_EQ(trace.points[0].cap_ul_mbps, 2.5);
   EXPECT_DOUBLE_EQ(trace.points[1].rtt_ms, 40.0);
@@ -133,9 +133,9 @@ TEST(IngestTest, ColumnMapFillCoversMissingColumn) {
 
   // Without the fill, the same missing column is a header-line error.
   map.rules[1].fill.reset();
-  std::istringstream again{"t,dl\n0,10\n"};
-  const std::string err = error_of(
-      [&] { (void)parse_with_map(again, map, radio::Technology::Lte); });
+  const std::string err = error_of([&] {
+    (void)helpers::parse_text("t,dl\n0,10\n", map, radio::Technology::Lte);
+  });
   EXPECT_NE(err.find("missing column 'ul'"), std::string::npos);
   EXPECT_NE(err.find("line 1"), std::string::npos);
 }
@@ -146,14 +146,15 @@ TEST(IngestTest, ColumnMapRejectsUnmappedColumnsUnlessAllowed) {
   map.rules = {{"dl", Field::CapDl, 1.0, {}},
                {"ul", Field::CapUl, 1.0, 0.0},
                {"rtt", Field::Rtt, 1.0, 40.0}};
-  std::istringstream is{"t,dl,surprise\n0,10,1\n"};
+  const std::string text = "t,dl,surprise\n0,10,1\n";
   const std::string err = error_of(
-      [&] { (void)parse_with_map(is, map, radio::Technology::Lte); });
+      [&] { (void)helpers::parse_text(text, map, radio::Technology::Lte); });
   EXPECT_NE(err.find("unmapped column 'surprise'"), std::string::npos);
 
   map.allow_extra_columns = true;
-  std::istringstream ok{"t,dl,surprise\n0,10,1\n"};
-  EXPECT_EQ(parse_with_map(ok, map, radio::Technology::Lte).points.size(), 1u);
+  const CanonicalTrace trace =
+      helpers::parse_text(text, map, radio::Technology::Lte);
+  EXPECT_EQ(trace.points.size(), 1u);
 }
 
 // --- per-format round trips -------------------------------------------------
@@ -204,6 +205,38 @@ TEST(IngestTest, MahimahiWindowsDeliveryOpportunitiesIntoMbps) {
   const measure::ConsolidatedDb replayed =
       replay::ReplayCampaign{bundle, {}}.run();
   EXPECT_FALSE(replayed.kpis.empty());
+}
+
+TEST(IngestTest, MahimahiUplinkTailStaysOnTheDownlinkGrid) {
+  // Each file is windowed from its own first timestamp: the downlink from
+  // 10,000 ms (5 windows), the uplink from 0 ms (8 windows), and, in the
+  // second pair, from 40,000 ms. The 3 extra uplink windows extend the
+  // downlink's grid instead of keeping the uplink's own stamps, which went
+  // backwards in the first pair and split off a second cycle in the other.
+  const std::string late_up =
+      (std::filesystem::path{::testing::TempDir()} / "late_offset.up")
+          .string();
+  {
+    std::ifstream in{fixture("mahimahi_offset.up")};
+    std::ofstream out{late_up};
+    for (SimMillis t = 0; in >> t;) out << t + 40'000 << '\n';
+  }
+  for (const std::string& up : {fixture("mahimahi_offset.up"), late_up}) {
+    IngestOptions options;
+    options.mahimahi_uplink_path = up;
+    const replay::ReplayBundle bundle =
+        ingest_file("mahimahi", fixture("mahimahi_offset.down"), options);
+    ASSERT_EQ(bundle.db.tests.size(), 3u) << up;  // one cycle
+    ASSERT_EQ(bundle.db.rtts.size(), 8u) << up;
+    const std::vector<double> dl{3, 1, 2, 1, 2, 2, 2, 2};
+    const std::vector<double> ul{2, 1, 1, 1, 1, 1, 1, 1};
+    for (std::size_t i = 0; i < dl.size(); ++i) {
+      EXPECT_EQ(bundle.db.rtts[i].t, static_cast<SimMillis>(i) * 500) << up;
+      EXPECT_DOUBLE_EQ(bundle.db.kpis[2 * i].throughput, dl[i] * 0.024) << i;
+      EXPECT_DOUBLE_EQ(bundle.db.kpis[2 * i + 1].throughput, ul[i] * 0.024)
+          << i;
+    }
+  }
 }
 
 TEST(IngestTest, ErrantFixtureReplaysEndToEnd) {
@@ -460,7 +493,8 @@ TEST(IngestTest, ResamplePreservesOrderingAndDuration) {
   for (const GapFill fill : {GapFill::Hold, GapFill::Interpolate}) {
     ResampleSpec spec;
     spec.fill = fill;
-    const std::vector<TraceSegment> segments = resample(trace, spec);
+    const std::vector<TraceSegment> segments =
+        helpers::resample_all(trace, spec);
     ASSERT_EQ(segments.size(), 2u);  // split at the long pause
 
     SimMillis prev = -1;
@@ -503,13 +537,13 @@ TEST(IngestTest, HoldAndInterpolateFillBetweenSamples) {
     trace.points.push_back(p);
   }
   ResampleSpec spec;  // tick 500
-  const std::vector<TraceSegment> hold = resample(trace, spec);
+  const std::vector<TraceSegment> hold = helpers::resample_all(trace, spec);
   ASSERT_EQ(hold.size(), 1u);
   ASSERT_EQ(hold[0].ticks.size(), 3u);
   EXPECT_DOUBLE_EQ(hold[0].ticks[1].cap_dl_mbps, 10.0);
 
   spec.fill = GapFill::Interpolate;
-  const std::vector<TraceSegment> lerp = resample(trace, spec);
+  const std::vector<TraceSegment> lerp = helpers::resample_all(trace, spec);
   ASSERT_EQ(lerp[0].ticks.size(), 3u);
   EXPECT_DOUBLE_EQ(lerp[0].ticks[1].cap_dl_mbps, 15.0);
   EXPECT_DOUBLE_EQ(lerp[0].ticks[1].cap_ul_mbps, 1.5);
@@ -521,11 +555,11 @@ TEST(IngestTest, MaxGapZeroKeepsOneSegment) {
   const CanonicalTrace trace = irregular_trace();
   ResampleSpec spec;
   spec.max_gap_ms = 0;
-  const std::vector<TraceSegment> segments = resample(trace, spec);
-  EXPECT_EQ(segments.size(), 1u);
+  EXPECT_EQ(helpers::resample_all(trace, spec).size(), 1u);
 
   spec.max_gap_ms = 250;  // < tick_ms
-  EXPECT_THROW((void)resample(trace, spec), std::invalid_argument);
+  EXPECT_THROW((void)helpers::resample_all(trace, spec),
+               std::invalid_argument);
 }
 
 // --- multi-carrier joins ----------------------------------------------------
@@ -576,14 +610,18 @@ TEST(IngestTest, JoinTrimsToTheOverlapWindow) {
     }
     return t;
   };
-  std::vector<JoinInput> inputs(2);
-  inputs[0] = {radio::Carrier::Verizon, "a", flat_trace(0, 5000)};
-  inputs[1] = {radio::Carrier::TMobile, "b", flat_trace(2000, 8000)};
-  JoinOptions join;
-  join.align_clocks = false;
-  join.trim_to_overlap = true;
-  const replay::ReplayBundle bundle =
-      join_traces(inputs, join, ResampleSpec{});
+  const auto join_with_b = [&](SimMillis from, SimMillis to) {
+    std::vector<StreamSource> sources;
+    sources.push_back({radio::Carrier::Verizon, "a",
+                       helpers::produce_points(flat_trace(0, 5000))});
+    sources.push_back({radio::Carrier::TMobile, "b",
+                       helpers::produce_points(flat_trace(from, to))});
+    JoinOptions join;
+    join.align_clocks = false;
+    join.trim_to_overlap = true;
+    return join_streams(std::move(sources), join, ResampleSpec{});
+  };
+  const replay::ReplayBundle bundle = join_with_b(2000, 8000);
   // Overlap is [2000, 5000]: both carriers' windows agree after trimming.
   for (const measure::TestRecord& t : bundle.db.tests) {
     EXPECT_EQ(t.start, 2000);
@@ -591,9 +629,7 @@ TEST(IngestTest, JoinTrimsToTheOverlapWindow) {
   }
 
   // Disjoint traces cannot be trimmed onto a shared window.
-  inputs[1].trace = flat_trace(9000, 12000);
-  EXPECT_THROW((void)join_traces(inputs, join, ResampleSpec{}),
-               std::runtime_error);
+  EXPECT_THROW((void)join_with_b(9000, 12000), std::runtime_error);
 }
 
 TEST(IngestTest, JoinRejectsDuplicateCarriers) {
@@ -647,7 +683,7 @@ TEST(IngestTest, GapSplitTracesBecomeMultiCycleBundles) {
     trace.points.push_back(p);
   }
   const replay::ReplayBundle bundle =
-      build_bundle(trace, radio::Carrier::Att, ResampleSpec{});
+      helpers::bundle_of(trace, radio::Carrier::Att, ResampleSpec{});
   EXPECT_TRUE(measure::validate(bundle.db).empty());
   // Two segments -> two test triples, cycle tagging the segment index.
   ASSERT_EQ(bundle.db.tests.size(), 6u);

@@ -1,10 +1,10 @@
 // The streamed ingest path: block reading, incremental adapters, and the
-// byte-equivalence contract against the whole-file path.
+// invariance contract of the pipeline.
 //
 // The hard compatibility contract under test: for every fixture, every
 // block size and every shard count, the streaming pipeline produces a
-// bundle byte-identical (manifest digest and every table) to the in-memory
-// load_trace + join_traces path.
+// bundle byte-identical (manifest digest and every table) to the same
+// ingest at the default block size and one shard.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -21,6 +21,7 @@
 #include "ingest/adapters.hpp"
 #include "ingest/ingest.hpp"
 #include "ingest/line_source.hpp"
+#include "ingest_helpers.hpp"
 #include "measure/csv_export.hpp"
 
 namespace wheels::ingest {
@@ -171,22 +172,19 @@ TEST(LineSourceTest, ObsCountersTrackBytesAndChunks) {
   EXPECT_EQ(chunks, (size + 15) / 16);
 }
 
-// --- streaming == whole-file ------------------------------------------------
+// --- chunk-size and shard-count invariance ---------------------------------
 
-TEST(IngestStreamTest, StreamingBundleMatchesInMemoryForEveryFixture) {
+TEST(IngestStreamTest, StreamingBundleIsChunkSizeInvariantForEveryFixture) {
   const std::vector<std::pair<std::string, std::string>> cases{
       {"minimal.csv", "minimal"},   {"mahimahi.down", "mahimahi"},
       {"errant.csv", "errant"},     {"monroe.csv", "monroe"},
       {"paper/kpis.csv", "paper"},  {"mahimahi_late.down", "mahimahi"},
       {"minimal_reordered.csv", "minimal"}};
   for (const auto& [file, format] : cases) {
-    IngestOptions options;
-    const replay::ReplayBundle reference = build_bundle(
-        load_trace(builtin_registry(), format, fixture(file), options),
-        options.carrier, options.resample);
-    const std::string expected = bundle_fingerprint(reference);
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{17},
-                                    std::size_t{1} << 20}) {
+    const IngestOptions options;
+    const std::string expected =
+        bundle_fingerprint(ingest_file(format, fixture(file), options));
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{17}}) {
       IngestOptions streamed = options;
       streamed.chunk.chunk_bytes = chunk;
       const replay::ReplayBundle bundle =
@@ -197,13 +195,11 @@ TEST(IngestStreamTest, StreamingBundleMatchesInMemoryForEveryFixture) {
   }
 }
 
-TEST(IngestStreamTest, MahimahiUplinkMergeMatchesInMemory) {
+TEST(IngestStreamTest, MahimahiUplinkMergeIsChunkSizeInvariant) {
   IngestOptions options;
   options.mahimahi_uplink_path = fixture("mahimahi.up");
-  const replay::ReplayBundle reference = build_bundle(
-      load_trace(builtin_registry(), "mahimahi", fixture("mahimahi.down"),
-                 options),
-      options.carrier, options.resample);
+  const replay::ReplayBundle reference =
+      ingest_file("mahimahi", fixture("mahimahi.down"), options);
   IngestOptions streamed = options;
   streamed.chunk.chunk_bytes = 5;
   const replay::ReplayBundle bundle =
@@ -212,43 +208,26 @@ TEST(IngestStreamTest, MahimahiUplinkMergeMatchesInMemory) {
 }
 
 TEST(IngestStreamTest, ThreeCarrierJoinByteIdenticalAcrossShardsAndPaths) {
+  // Both join paths (plain and trimmed) at odd chunks and 1 or 4 shards
+  // against the same join at the default chunk and one shard.
   const std::vector<JoinEntry> entries{
       {radio::Carrier::Verizon, fixture("minimal.csv")},
       {radio::Carrier::TMobile, fixture("monroe.csv")},
       {radio::Carrier::Att, fixture("errant.csv")},
   };
-  IngestOptions options;
-  std::vector<JoinInput> inputs;
-  for (const JoinEntry& e : entries) {
-    IngestOptions per_carrier = options;
-    per_carrier.carrier = e.carrier;
-    inputs.push_back({e.carrier, e.path,
-                      load_trace(builtin_registry(), "auto", e.path,
-                                 per_carrier)});
-  }
-  const std::string expected = bundle_fingerprint(
-      join_traces(std::move(inputs), JoinOptions{}, options.resample));
-
-  for (const int threads : {1, 4}) {
-    for (const bool trim : {false, true}) {
-      IngestOptions streamed = options;
+  for (const bool trim : {false, true}) {
+    JoinOptions join;
+    join.trim_to_overlap = trim;
+    const std::string expected =
+        bundle_fingerprint(ingest_join("auto", entries, IngestOptions{}, join));
+    for (const int threads : {1, 4}) {
+      IngestOptions streamed;
       streamed.threads = threads;
       streamed.chunk.chunk_bytes = 11;
-      JoinOptions join;
-      join.trim_to_overlap = trim;
       const replay::ReplayBundle bundle =
           ingest_join("auto", entries, streamed, join);
-      if (!trim) {
-        EXPECT_EQ(bundle_fingerprint(bundle), expected)
-            << "threads=" << threads;
-      } else {
-        // Trimmed joins are compared across shard counts below.
-        IngestOptions one = streamed;
-        one.threads = 1;
-        EXPECT_EQ(bundle_fingerprint(bundle),
-                  bundle_fingerprint(ingest_join("auto", entries, one, join)))
-            << "trimmed, threads=" << threads;
-      }
+      EXPECT_EQ(bundle_fingerprint(bundle), expected)
+          << "trim=" << trim << " threads=" << threads;
     }
   }
 }
@@ -266,17 +245,58 @@ TEST(IngestStreamTest, RandomMinimalTracesRoundTripAtOddChunkSizes) {
   }
   const std::string path = write_temp("random_minimal.csv", os.str());
 
-  IngestOptions options;
-  const replay::ReplayBundle reference = build_bundle(
-      load_trace(builtin_registry(), "minimal", path, options),
-      options.carrier, options.resample);
+  const IngestOptions options;
+  const std::string expected =
+      bundle_fingerprint(ingest_file("minimal", path, options));
   for (const std::size_t chunk : {std::size_t{13}, std::size_t{257}}) {
     IngestOptions streamed = options;
     streamed.chunk.chunk_bytes = chunk;
     EXPECT_EQ(bundle_fingerprint(ingest_file("minimal", path, streamed)),
-              bundle_fingerprint(reference))
+              expected)
         << "chunk=" << chunk;
   }
+}
+
+// --- counters ---------------------------------------------------------------
+
+std::uint64_t rows_emitted() {
+  for (const auto& [name, value] :
+       core::obs::MetricsRegistry::global().snapshot().counters) {
+    if (name == "ingest.rows_emitted") return value;
+  }
+  return 0;
+}
+
+TEST(IngestStreamTest, RowsEmittedCountsEveryProducedPoint) {
+  const std::vector<JoinEntry> entries{
+      {radio::Carrier::Verizon, fixture("minimal.csv")},
+      {radio::Carrier::TMobile, fixture("monroe.csv")},
+      {radio::Carrier::Att, fixture("errant.csv")},
+  };
+  const auto delta = [](const std::function<void()>& ingest) {
+    const std::uint64_t before = rows_emitted();
+    ingest();
+    return rows_emitted() - before;
+  };
+  // 4 + 3 + 3 parsed points.
+  EXPECT_EQ(delta([&] {
+              (void)ingest_join("auto", entries, IngestOptions{}, {});
+            }),
+            10u);
+  // The trim bounds pre-pass produces every source a second time.
+  JoinOptions trim;
+  trim.trim_to_overlap = true;
+  EXPECT_EQ(delta([&] {
+              (void)ingest_join("auto", entries, IngestOptions{}, trim);
+            }),
+            20u);
+  // 3 downlink windows, plus the 2 uplink windows read before them.
+  IngestOptions pair;
+  pair.mahimahi_uplink_path = fixture("mahimahi.up");
+  EXPECT_EQ(delta([&] {
+              (void)ingest_file("mahimahi", fixture("mahimahi.down"), pair);
+            }),
+            5u);
 }
 
 // --- the adapter bugs that blocked multi-GB traces --------------------------
@@ -349,62 +369,14 @@ TEST(IngestStreamTest, ResampleRejectsNonMonotonicInput) {
     spec.fill = fill;
     // Pre-fix, equal adjacent timestamps divided by zero under Interpolate
     // instead of failing loudly.
-    const std::string dup =
-        error_of([&] { (void)resample(trace_of({0, 500, 500}), spec); });
+    const std::string dup = error_of(
+        [&] { (void)helpers::resample_all(trace_of({0, 500, 500}), spec); });
     EXPECT_NE(dup.find("resample: point 3: duplicate time 500"),
               std::string::npos);
-    const std::string back =
-        error_of([&] { (void)resample(trace_of({0, 500, 250}), spec); });
+    const std::string back = error_of(
+        [&] { (void)helpers::resample_all(trace_of({0, 500, 250}), spec); });
     EXPECT_NE(back.find("resample: point 3: time going backwards"),
               std::string::npos);
-  }
-}
-
-TEST(IngestStreamTest, StreamingResamplerMatchesBatchOnIrregularInput) {
-  std::mt19937 rng{7};
-  CanonicalTrace trace;
-  SimMillis t = 0;
-  for (int i = 0; i < 300; ++i) {
-    t += 1 + static_cast<SimMillis>(rng() % 2000);
-    TracePoint p;
-    p.t = t;
-    p.cap_dl_mbps = static_cast<double>(rng() % 1000) / 7.0;
-    p.cap_ul_mbps = static_cast<double>(rng() % 500) / 7.0;
-    p.rtt_ms = 1.0 + static_cast<double>(rng() % 200);
-    trace.points.push_back(p);
-  }
-  for (const GapFill fill : {GapFill::Hold, GapFill::Interpolate}) {
-    ResampleSpec spec;
-    spec.fill = fill;
-    spec.max_gap_ms = 1500;
-    const std::vector<TraceSegment> batch = resample(trace, spec);
-
-    std::vector<TraceSegment> streamed;
-    StreamingResampler resampler{spec, [&](TraceSegment&& seg) {
-                                   streamed.push_back(std::move(seg));
-                                 }};
-    // Feed in awkward run sizes to exercise run boundaries.
-    std::size_t i = 0;
-    while (i < trace.points.size()) {
-      const std::size_t n = std::min<std::size_t>(
-          1 + (i % 5), trace.points.size() - i);
-      resampler.on_run(
-          std::span<const TracePoint>{trace.points.data() + i, n});
-      i += n;
-    }
-    resampler.finish();
-
-    ASSERT_EQ(streamed.size(), batch.size());
-    for (std::size_t s = 0; s < batch.size(); ++s) {
-      ASSERT_EQ(streamed[s].ticks.size(), batch[s].ticks.size());
-      for (std::size_t k = 0; k < batch[s].ticks.size(); ++k) {
-        EXPECT_EQ(streamed[s].ticks[k].t, batch[s].ticks[k].t);
-        EXPECT_DOUBLE_EQ(streamed[s].ticks[k].cap_dl_mbps,
-                         batch[s].ticks[k].cap_dl_mbps);
-        EXPECT_DOUBLE_EQ(streamed[s].ticks[k].rtt_ms,
-                         batch[s].ticks[k].rtt_ms);
-      }
-    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include "campaign/campaign.hpp"
 #include "ingest/adapter.hpp"
 #include "ingest/ingest.hpp"
+#include "ingest_helpers.hpp"
 #include "measure/csv_export.hpp"
 #include "measure/enum_names.hpp"
 #include "replay/fleet.hpp"
@@ -120,7 +121,7 @@ std::string external_trace_text(int variant) {
 ReplayBundle external_bundle(int variant, radio::Carrier carrier) {
   std::istringstream is{external_trace_text(variant)};
   const ingest::IngestOptions options;
-  return ingest::build_bundle(
+  return ingest::helpers::bundle_of(
       ingest::builtin_registry().find("minimal")->parse(is, options), carrier,
       options.resample);
 }
