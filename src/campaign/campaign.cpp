@@ -63,16 +63,14 @@ CampaignConfig config_from_env(double default_scale) {
     if (*v > 0.0 && *v <= 1.0) {
       cfg.scale = *v;
     } else {
-      std::fprintf(stderr,
-                   "[wheels] ignoring WHEELS_SCALE=%g: expected (0, 1]\n", *v);
+      core::ignore_env("WHEELS_SCALE", "(0, 1]");
     }
   }
   if (const auto v = core::env_int("WHEELS_SEED")) {
     if (*v >= 0) {
       cfg.seed = static_cast<std::uint64_t>(*v);
     } else {
-      std::fprintf(stderr,
-                   "[wheels] ignoring WHEELS_SEED=%lld: expected >= 0\n", *v);
+      core::ignore_env("WHEELS_SEED", ">= 0");
     }
   }
   // resolve_threads re-reads WHEELS_THREADS when cfg.threads stays 0; going
@@ -82,17 +80,14 @@ CampaignConfig config_from_env(double default_scale) {
     if (*v >= 0 && *v <= std::numeric_limits<int>::max()) {
       cfg.population = static_cast<int>(*v);
     } else {
-      std::fprintf(stderr,
-                   "[wheels] ignoring WHEELS_UES=%lld: expected >= 0\n", *v);
+      core::ignore_env("WHEELS_UES", "0..2147483647");
     }
   }
   if (const char* v = std::getenv("WHEELS_SCHEDULER")) {
     if (const auto kind = ran::parse_scheduler_kind(v)) {
       cfg.scheduler = *kind;
     } else {
-      std::fprintf(stderr,
-                   "[wheels] ignoring WHEELS_SCHEDULER=%s: expected pf|rr\n",
-                   v);
+      core::ignore_env("WHEELS_SCHEDULER", "pf|rr");
     }
   }
   return cfg;

@@ -76,8 +76,8 @@ struct CampaignConfig {
 /// Reads WHEELS_SCALE / WHEELS_SEED / WHEELS_THREADS / WHEELS_UES /
 /// WHEELS_SCHEDULER from the environment (used by the bench binaries so one
 /// knob tunes the whole suite). Falls back to the defaults; malformed values
-/// warn on stderr (core::env_int / core::env_double) instead of silently
-/// parsing as 0.
+/// go through core::ignore_env (a stderr warning and the config.ignored
+/// counter) instead of silently parsing as 0.
 CampaignConfig config_from_env(double default_scale = 0.08);
 
 /// The provenance manifest of a campaign about to run with `cfg`: seed,

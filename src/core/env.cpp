@@ -4,32 +4,40 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/obs/metrics.hpp"
+
 namespace wheels::core {
 
 namespace {
 
-void warn(const char* name, const char* value, const char* why) {
-  std::fprintf(stderr, "[wheels] ignoring %s='%s': %s\n", name, value, why);
+obs::MetricId ignored_id() {
+  static const obs::MetricId id =
+      obs::MetricsRegistry::global().counter_id("config.ignored");
+  return id;
 }
 
+// Registered when the program starts, so a run that dropped no knob still
+// reports config.ignored as 0.
+[[maybe_unused]] const obs::MetricId kRegisterIgnored = ignored_id();
+
 }  // namespace
+
+void ignore_env(const char* name, std::string_view expected) {
+  const char* value = std::getenv(name);
+  std::fprintf(stderr, "[wheels] ignoring %s=%s: expected %.*s\n", name,
+               value != nullptr ? value : "",
+               static_cast<int>(expected.size()), expected.data());
+  obs::MetricsRegistry::global().add(ignored_id());
+}
 
 std::optional<long long> env_int(const char* name) {
   const char* s = std::getenv(name);
   if (s == nullptr) return std::nullopt;
-  if (*s == '\0') {
-    warn(name, s, "empty value");
-    return std::nullopt;
-  }
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0') {
-    warn(name, s, "not an integer");
-    return std::nullopt;
-  }
-  if (errno == ERANGE) {
-    warn(name, s, "out of range");
+  if (*s == '\0' || end == s || *end != '\0' || errno == ERANGE) {
+    ignore_env(name, "a 64-bit integer");
     return std::nullopt;
   }
   return v;
@@ -38,19 +46,11 @@ std::optional<long long> env_int(const char* name) {
 std::optional<double> env_double(const char* name) {
   const char* s = std::getenv(name);
   if (s == nullptr) return std::nullopt;
-  if (*s == '\0') {
-    warn(name, s, "empty value");
-    return std::nullopt;
-  }
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') {
-    warn(name, s, "not a number");
-    return std::nullopt;
-  }
-  if (errno == ERANGE) {
-    warn(name, s, "out of range");
+  if (*s == '\0' || end == s || *end != '\0' || errno == ERANGE) {
+    ignore_env(name, "a number");
     return std::nullopt;
   }
   return v;

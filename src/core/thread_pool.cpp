@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <utility>
 
 #include "core/env.hpp"
@@ -39,10 +38,7 @@ int resolve_threads(int requested) {
   if (requested > 0) return requested;
   if (const auto v = env_int("WHEELS_THREADS")) {
     if (*v >= 1 && *v <= 4096) return static_cast<int>(*v);
-    std::fprintf(stderr,
-                 "[wheels] ignoring WHEELS_THREADS=%lld: expected 1..4096, "
-                 "using auto\n",
-                 *v);
+    ignore_env("WHEELS_THREADS", "1..4096");
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -5,13 +5,13 @@
 // replay::read_dataset; this adapter covers the partial-release case — a
 // lone kpis.csv table — by pivoting its per-direction throughput rows into
 // the canonical capacity series: per timestamp, the mean downlink and mean
-// uplink app-layer throughput across that carrier's rows. Rows stream
-// through an incremental parser that keeps only the per-timestamp
-// accumulators (the pivot's inherent state, O(unique ticks), independent of
-// the row count). RTTs live in a separate rtts.csv table;
+// uplink app-layer throughput across that carrier's rows. Each row decodes
+// through measure::parse_kpi_row, the bundle reader's own parser, so every
+// field meets the bundle's rules; only the per-timestamp accumulators are
+// kept (the pivot's inherent state, O(unique ticks), independent of the row
+// count). RTTs live in a separate rtts.csv table;
 // make_paper_rtt_overlay() overlays one when available, otherwise the
 // configured fill applies.
-#include <charconv>
 #include <istream>
 #include <map>
 #include <stdexcept>
@@ -22,45 +22,13 @@
 #include "measure/enum_names.hpp"
 
 #include "ingest/adapters.hpp"
-#include "ingest/trace_text.hpp"
 
 namespace wheels::ingest {
 
 namespace {
 
-using measure::kKpiColumns;
-using measure::kKpiHeader;
-
-bool starts_with(const std::string& s, std::string_view prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
-}
-
-[[noreturn]] void csv_fail(std::size_t line, const std::string& msg) {
+[[noreturn]] void header_fail(std::size_t line, const std::string& msg) {
   throw std::runtime_error{"csv: line " + std::to_string(line) + ": " + msg};
-}
-
-SimMillis csv_i64(std::string_view cell, std::size_t line) {
-  if (cell.empty()) csv_fail(line, "empty integer field");
-  SimMillis v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(cell.data(), cell.data() + cell.size(), v);
-  if (ec == std::errc::result_out_of_range) {
-    csv_fail(line, "integer out of range '" + std::string{cell} + "'");
-  }
-  if (ec != std::errc{} || ptr != cell.data() + cell.size()) {
-    csv_fail(line, "malformed integer '" + std::string{cell} + "'");
-  }
-  return v;
-}
-
-template <typename Parser>
-auto csv_enum(std::string_view cell, std::size_t line, Parser parser) {
-  try {
-    return parser(cell);
-  } catch (const std::runtime_error& e) {
-    csv_fail(line, e.what());
-  }
 }
 
 class PaperTablesAdapter final : public TraceAdapter {
@@ -74,9 +42,7 @@ class PaperTablesAdapter final : public TraceAdapter {
 
   int sniff(const SniffInput& input) const override {
     if (input.head.empty()) return 0;
-    return starts_with(input.head.front(), "test_id,t,carrier,tech,cell_id")
-               ? 95
-               : 0;
+    return input.head.front() == measure::kpi_header() ? 95 : 0;
   }
 
   void parse_stream(LineSource& lines, const IngestOptions& options,
@@ -85,15 +51,15 @@ class PaperTablesAdapter final : public TraceAdapter {
       throw std::runtime_error{"paper tables: default rtt must be > 0"};
     }
 
+    // The header and every row follow the bundle reader's kpis.csv rules.
+    const std::string header{measure::kpi_header()};
     LineRef line;
     if (!lines.next(line)) {
-      csv_fail(1, "missing header, expected '" + std::string{kKpiHeader} +
-                      "'");
+      header_fail(1, "missing header, expected '" + header + "'");
     }
-    if (line.text != kKpiHeader) {
-      csv_fail(line.number, "unexpected header '" + std::string{line.text} +
-                                "', expected '" + std::string{kKpiHeader} +
-                                "'");
+    if (line.text != header) {
+      header_fail(line.number, "unexpected header '" + std::string{line.text} +
+                                   "', expected '" + header + "'");
     }
 
     struct Accumulator {
@@ -105,33 +71,20 @@ class PaperTablesAdapter final : public TraceAdapter {
     };
     std::map<SimMillis, Accumulator> by_t;
     std::size_t rows = 0;
-    std::vector<std::string_view> cells;
     while (lines.next(line)) {
-      const std::size_t line_no = line.number;
-      if (line.text == kKpiHeader) csv_fail(line_no, "duplicated header");
-      split_trace_row(line.text, cells);
-      if (cells.size() != kKpiColumns) {
-        csv_fail(line_no, "expected " + std::to_string(kKpiColumns) +
-                              " fields, got " +
-                              std::to_string(cells.size()));
-      }
-      const auto carrier =
-          csv_enum(cells[2], line_no, measure::names::parse_carrier);
-      if (carrier != options.carrier) continue;
+      const measure::KpiRecord k =
+          measure::parse_kpi_row(line.text, line.number);
+      if (k.carrier != options.carrier) continue;
       ++rows;
-      Accumulator& acc = by_t[csv_i64(cells[1], line_no)];
-      const auto direction =
-          csv_enum(cells[17], line_no, measure::names::parse_direction);
-      const double throughput = parse_trace_double(cells[9], line_no);
-      if (direction == radio::Direction::Downlink) {
-        acc.dl_sum += throughput;
+      Accumulator& acc = by_t[k.t];
+      if (k.direction == radio::Direction::Downlink) {
+        acc.dl_sum += k.throughput;
         ++acc.dl_n;
       } else {
-        acc.ul_sum += throughput;
+        acc.ul_sum += k.throughput;
         ++acc.ul_n;
       }
-      acc.tech = csv_enum(cells[3], line_no,
-                          measure::names::parse_technology);
+      acc.tech = k.tech;
     }
     if (rows == 0) {
       throw std::runtime_error{

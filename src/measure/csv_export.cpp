@@ -1,6 +1,7 @@
 #include "measure/csv_export.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <filesystem>
@@ -14,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 
@@ -26,6 +28,8 @@
 namespace wheels::measure {
 
 namespace {
+
+namespace fs = std::filesystem;
 
 // The writers hand their rows to the stream, and the readers pull it, in
 // blocks of this size. write_dataset writes several tables at a time, one
@@ -45,35 +49,176 @@ char* put_double(char* p, double v) {
       .ptr;
 }
 
-constexpr char kTestHeader[] =
-    "id,type,carrier,is_static,start,end,start_km,end_km,tz,server,"
-    "direction,cycle";
+// --- the record tables -----------------------------------------------------
 
-constexpr char kRttHeader[] =
-    "test_id,t,carrier,tech,rtt,speed,tz,server,is_static";
+/// One column of a record table: its header name and the record field it
+/// holds.
+template <typename Record, typename Field>
+struct Column {
+  std::string_view name;
+  Field Record::*field;
 
-constexpr char kHandoverHeader[] =
-    "test_id,carrier,direction,t,duration,from_tech,to_tech,from_cell,"
-    "to_cell,type";
+  template <typename Row>
+  auto& of(Row& row) const {
+    return row.*field;
+  }
+};
 
-constexpr char kAppRunHeader[] =
-    "test_id,app,carrier,is_static,server,high_speed_5g_fraction,"
-    "handovers,compressed,median_e2e,offload_fps,map_percent,qoe,"
-    "rebuffer_fraction,avg_bitrate,gaming_bitrate,gaming_latency,"
-    "gaming_frame_drop,gaming_max_frame_drop";
+/// A column whose field sits in a member struct (HandoverRecord::event).
+template <typename Record, typename Inner, typename Field>
+struct NestedColumn {
+  std::string_view name;
+  Inner Record::*inner;
+  Field Inner::*field;
 
-constexpr char kLinkTickHeader[] =
-    "test_id,t,carrier,tech,cap_dl,cap_ul,rtt,interruption,handovers";
+  template <typename Row>
+  auto& of(Row& row) const {
+    return (row.*inner).*field;
+  }
+};
 
-constexpr char kCellLoadHeader[] =
-    "carrier,cell_id,tech,ticks,avg_attached,avg_active,avg_demand,"
-    "avg_allocated,avg_capacity,utilization,fairness";
+template <typename Record, typename Field>
+constexpr Column<Record, Field> col(std::string_view name,
+                                    Field Record::*field) {
+  return {name, field};
+}
 
+template <typename Record, typename Inner, typename Field>
+constexpr NestedColumn<Record, Inner, Field> col(std::string_view name,
+                                                 Inner Record::*inner,
+                                                 Field Inner::*field) {
+  return {name, inner, field};
+}
+
+/// One record table: its bundle file, the database vector it holds and its
+/// columns in file order.
+template <typename Row, typename... Columns>
+struct RecordTable {
+  using Record = Row;
+  static constexpr std::size_t kColumns = sizeof...(Columns);
+
+  std::string_view file;
+  std::vector<Record> ConsolidatedDb::*rows;
+  std::tuple<Columns...> columns;
+};
+
+template <typename Record, typename... Columns>
+constexpr RecordTable<Record, Columns...> record_table(
+    std::string_view file, std::vector<Record> ConsolidatedDb::*rows,
+    Columns... columns) {
+  return {file, rows, std::tuple<Columns...>{columns...}};
+}
+
+constexpr auto kTests = record_table(
+    "tests.csv", &ConsolidatedDb::tests, col("id", &TestRecord::id),
+    col("type", &TestRecord::type), col("carrier", &TestRecord::carrier),
+    col("is_static", &TestRecord::is_static),
+    col("start", &TestRecord::start), col("end", &TestRecord::end),
+    col("start_km", &TestRecord::start_km),
+    col("end_km", &TestRecord::end_km), col("tz", &TestRecord::tz),
+    col("server", &TestRecord::server),
+    col("direction", &TestRecord::direction),
+    col("cycle", &TestRecord::cycle));
+
+constexpr auto kKpis = record_table(
+    "kpis.csv", &ConsolidatedDb::kpis, col("test_id", &KpiRecord::test_id),
+    col("t", &KpiRecord::t), col("carrier", &KpiRecord::carrier),
+    col("tech", &KpiRecord::tech), col("cell_id", &KpiRecord::cell_id),
+    col("rsrp", &KpiRecord::rsrp), col("mcs", &KpiRecord::mcs),
+    col("bler", &KpiRecord::bler), col("ca", &KpiRecord::ca),
+    col("throughput", &KpiRecord::throughput),
+    col("speed", &KpiRecord::speed), col("km", &KpiRecord::km),
+    col("map_km", &KpiRecord::map_km), col("tz", &KpiRecord::tz),
+    col("region", &KpiRecord::region),
+    col("handovers", &KpiRecord::handovers),
+    col("server", &KpiRecord::server),
+    col("direction", &KpiRecord::direction),
+    col("is_static", &KpiRecord::is_static));
+
+constexpr auto kRtts = record_table(
+    "rtts.csv", &ConsolidatedDb::rtts, col("test_id", &RttRecord::test_id),
+    col("t", &RttRecord::t), col("carrier", &RttRecord::carrier),
+    col("tech", &RttRecord::tech), col("rtt", &RttRecord::rtt),
+    col("speed", &RttRecord::speed), col("tz", &RttRecord::tz),
+    col("server", &RttRecord::server),
+    col("is_static", &RttRecord::is_static));
+
+constexpr auto kHandovers = record_table(
+    "handovers.csv", &ConsolidatedDb::handovers,
+    col("test_id", &HandoverRecord::test_id),
+    col("carrier", &HandoverRecord::carrier),
+    col("direction", &HandoverRecord::direction),
+    col("t", &HandoverRecord::event, &ran::HandoverEvent::t),
+    col("duration", &HandoverRecord::event, &ran::HandoverEvent::duration),
+    col("from_tech", &HandoverRecord::event, &ran::HandoverEvent::from),
+    col("to_tech", &HandoverRecord::event, &ran::HandoverEvent::to),
+    col("from_cell", &HandoverRecord::event, &ran::HandoverEvent::from_cell),
+    col("to_cell", &HandoverRecord::event, &ran::HandoverEvent::to_cell),
+    col("type", &HandoverRecord::event, &ran::HandoverEvent::type));
+
+constexpr auto kAppRuns = record_table(
+    "app_runs.csv", &ConsolidatedDb::app_runs,
+    col("test_id", &AppRunRecord::test_id), col("app", &AppRunRecord::app),
+    col("carrier", &AppRunRecord::carrier),
+    col("is_static", &AppRunRecord::is_static),
+    col("server", &AppRunRecord::server),
+    col("high_speed_5g_fraction", &AppRunRecord::high_speed_5g_fraction),
+    col("handovers", &AppRunRecord::handovers),
+    col("compressed", &AppRunRecord::compressed),
+    col("median_e2e", &AppRunRecord::median_e2e),
+    col("offload_fps", &AppRunRecord::offload_fps),
+    col("map_percent", &AppRunRecord::map_percent),
+    col("qoe", &AppRunRecord::qoe),
+    col("rebuffer_fraction", &AppRunRecord::rebuffer_fraction),
+    col("avg_bitrate", &AppRunRecord::avg_bitrate),
+    col("gaming_bitrate", &AppRunRecord::gaming_bitrate),
+    col("gaming_latency", &AppRunRecord::gaming_latency),
+    col("gaming_frame_drop", &AppRunRecord::gaming_frame_drop),
+    col("gaming_max_frame_drop", &AppRunRecord::gaming_max_frame_drop));
+
+constexpr auto kLinkTicks = record_table(
+    "link_ticks.csv", &ConsolidatedDb::link_ticks,
+    col("test_id", &LinkTickRecord::test_id), col("t", &LinkTickRecord::t),
+    col("carrier", &LinkTickRecord::carrier),
+    col("tech", &apps::LinkTick::tech), col("cap_dl", &apps::LinkTick::cap_dl),
+    col("cap_ul", &apps::LinkTick::cap_ul), col("rtt", &apps::LinkTick::rtt),
+    col("interruption", &apps::LinkTick::interruption),
+    col("handovers", &apps::LinkTick::handovers));
+
+constexpr auto kCellLoad = record_table(
+    "cell_load.csv", &ConsolidatedDb::cell_load,
+    col("carrier", &CellLoadRecord::carrier),
+    col("cell_id", &CellLoadRecord::cell_id),
+    col("tech", &CellLoadRecord::tech), col("ticks", &CellLoadRecord::ticks),
+    col("avg_attached", &CellLoadRecord::avg_attached),
+    col("avg_active", &CellLoadRecord::avg_active),
+    col("avg_demand", &CellLoadRecord::avg_demand),
+    col("avg_allocated", &CellLoadRecord::avg_allocated),
+    col("avg_capacity", &CellLoadRecord::avg_capacity),
+    col("utilization", &CellLoadRecord::utilization),
+    col("fairness", &CellLoadRecord::fairness));
+
+/// The header row: the column names joined by commas.
+template <typename Table>
+std::string header_of(const Table& table) {
+  return std::apply(
+      [](const auto&... column) {
+        std::string header;
+        ((header += column.name, header += ','), ...);
+        header.pop_back();
+        return header;
+      },
+      table.columns);
+}
+
+// The keyed tables: their rows are read by key, not as records.
 constexpr char kCoverageHeader[] = "carrier,view,map_km_start,map_km_end,tech";
 
 constexpr char kSummaryHeader[] = "key,carrier,value";
 
 constexpr char kCellsHeader[] = "carrier,view,cell_id";
+
+// --- writing ---------------------------------------------------------------
 
 /// Renders CSV rows into a reused buffer and hands it to the stream with
 /// os.write once it is full. Doubles print through put_double, integers in
@@ -145,137 +290,255 @@ class RowWriter {
   char* end_;
 };
 
-// Strict row cursor over one CSV table. Pulls the stream in blocks through
-// core::LineReader, verifies the header on construction, enforces the
-// column count per row, rejects a repeated header line, and parses each
-// field with full-string validation. Fields are views into the block, valid
-// until the next call to next(); no row allocates. Every failure throws
-// std::runtime_error citing the 1-based line number of the offending line.
-class CsvTable {
+// The record-table helpers take their table as a template argument, so its
+// member pointers are constants and every field access compiles to a fixed
+// offset, as a hand-written row would.
+template <const auto& table>
+void write_records(std::ostream& os, const ConsolidatedDb& db) {
+  RowWriter out{os, header_of(table)};
+  for (const auto& row : db.*table.rows) {
+    std::apply([&](const auto&... column) { out.row(column.of(row)...); },
+               table.columns);
+  }
+  out.flush();
+}
+
+// --- reading ---------------------------------------------------------------
+
+[[noreturn]] void fail(std::size_t line, const std::string& msg) {
+  throw std::runtime_error{"csv: line " + std::to_string(line) + ": " + msg};
+}
+
+double parse_double(std::string_view cell, std::size_t line) {
+  if (cell.empty()) fail(line, "empty numeric field");
+  double v = 0.0;
+  const char* end = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), end, v);
+  if (ec == std::errc::invalid_argument || ptr != end) {
+    fail(line, "malformed number '" + std::string{cell} + "'");
+  }
+  if (ec == std::errc::result_out_of_range) {
+    fail(line, "number out of range '" + std::string{cell} + "'");
+  }
+  if (!std::isfinite(v)) {
+    fail(line, "non-finite number '" + std::string{cell} + "'");
+  }
+  return v;
+}
+
+std::int64_t parse_i64(std::string_view cell, std::size_t line) {
+  if (cell.empty()) fail(line, "empty integer field");
+  std::int64_t v = 0;
+  const char* end = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), end, v);
+  if (ec == std::errc::invalid_argument || ptr != end) {
+    fail(line, "malformed integer '" + std::string{cell} + "'");
+  }
+  if (ec == std::errc::result_out_of_range) {
+    fail(line, "integer out of range '" + std::string{cell} + "'");
+  }
+  return v;
+}
+
+// The names::parse_* lookups, found by the enum they return.
+constexpr std::tuple kNameParsers{
+    &names::parse_test_type,   &names::parse_app_kind,
+    &names::parse_carrier,     &names::parse_technology,
+    &names::parse_region,      &names::parse_timezone,
+    &names::parse_server_kind, &names::parse_direction,
+    &names::parse_handover_type};
+
+/// Parses `cell` into `out` by the field's type. Every number parses with
+/// std::from_chars over the whole cell; an id is a uint32 ("id out of
+/// range" past it), and an unknown enum name keeps the lookup's message.
+template <typename T>
+void parse_field(std::string_view cell, std::size_t line, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (cell != "0" && cell != "1") {
+      fail(line,
+           "malformed bool '" + std::string{cell} + "' (expected 0 or 1)");
+    }
+    out = cell == "1";
+  } else if constexpr (std::is_enum_v<T>) {
+    try {
+      out = std::get<T (*)(std::string_view)>(kNameParsers)(cell);
+    } catch (const std::runtime_error& e) {
+      fail(line, e.what());
+    }
+  } else if constexpr (std::is_floating_point_v<T>) {
+    out = parse_double(cell, line);
+  } else {
+    const std::int64_t v = parse_i64(cell, line);
+    if (!std::in_range<T>(v)) {
+      fail(line, std::string{std::is_signed_v<T> ? "integer" : "id"} +
+                     " out of range '" + std::string{cell} + "'");
+    }
+    out = static_cast<T>(v);
+  }
+}
+
+template <typename T>
+T parse_as(std::string_view cell, std::size_t line) {
+  T v{};
+  parse_field(cell, line, v);
+  return v;
+}
+
+/// Splits `line` into its N fields, views into `line`; fails unless it has
+/// exactly N.
+template <std::size_t N>
+std::array<std::string_view, N> split_row(std::string_view line,
+                                          std::size_t number) {
+  std::array<std::string_view, N> cells;
+  std::size_t n = 0;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = line.find(',', start);
+    if (n < N) cells[n] = line.substr(start, comma - start);
+    ++n;
+    if (comma == std::string_view::npos) break;
+    start = comma + 1;
+  }
+  if (n != N) {
+    fail(number, "expected " + std::to_string(N) + " fields, got " +
+                     std::to_string(n));
+  }
+  return cells;
+}
+
+/// One data line of `table` as a record, its fields parsed in file order.
+template <const auto& table>
+auto decode_row(std::string_view line, std::size_t number) {
+  using Table = std::remove_cvref_t<decltype(table)>;
+  const auto cells = split_row<Table::kColumns>(line, number);
+  typename Table::Record row;
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (parse_field(cells[I], number, std::get<I>(table.columns).of(row)), ...);
+  }(std::make_index_sequence<Table::kColumns>{});
+  return row;
+}
+
+/// Strict line cursor over one CSV table. Pulls the stream in blocks
+/// through core::LineReader, verifies the header on construction, skips
+/// blank lines (the writers never emit them mid-table) and rejects a
+/// repeated header line. Lines are views into the block, valid until the
+/// next call to next(); no line allocates. Every failure throws
+/// std::runtime_error citing the 1-based line number of the offending line.
+class CsvLines {
  public:
-  CsvTable(std::istream& is, std::string_view header, std::size_t columns)
-      : lines_(is, kBlockBytes), header_(header), fields_(columns) {
+  CsvLines(std::istream& is, std::string_view header)
+      : lines_(is, kBlockBytes), header_(header) {
     std::string_view line;
     if (!lines_.next(line)) {
-      throw std::runtime_error{"csv: line 1: missing header, expected '" +
-                               std::string{header_} + "'"};
+      fail(1, "missing header, expected '" + std::string{header_} + "'");
     }
     if (line != header_) {
-      throw std::runtime_error{"csv: line 1: unexpected header '" +
-                               std::string{line} + "', expected '" +
-                               std::string{header_} + "'"};
+      fail(1, "unexpected header '" + std::string{line} + "', expected '" +
+                  std::string{header_} + "'");
     }
   }
 
-  /// Advances to the next data row; false at end of input. Blank lines are
-  /// skipped (the writers never emit them mid-table).
-  bool next() {
-    std::string_view line;
+  /// The next data line; false at end of input.
+  bool next(std::string_view& line) {
     while (lines_.next(line)) {
       if (line.empty()) continue;
-      if (line == header_) fail("duplicated header");
-      split(line);
+      if (line == header_) fail(number(), "duplicated header");
       return true;
     }
     return false;
   }
 
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw std::runtime_error{"csv: line " +
-                             std::to_string(lines_.line_number()) + ": " + msg};
-  }
-
-  std::string_view cell(std::size_t i) const { return fields_[i]; }
-
-  double as_double(std::size_t i) const {
-    const std::string_view cell = fields_[i];
-    if (cell.empty()) fail("empty numeric field");
-    double v = 0.0;
-    const char* end = cell.data() + cell.size();
-    const auto [ptr, ec] = std::from_chars(cell.data(), end, v);
-    if (ec == std::errc::invalid_argument || ptr != end) {
-      fail("malformed number '" + std::string{cell} + "'");
-    }
-    if (ec == std::errc::result_out_of_range) {
-      fail("number out of range '" + std::string{cell} + "'");
-    }
-    if (!std::isfinite(v)) {
-      fail("non-finite number '" + std::string{cell} + "'");
-    }
-    return v;
-  }
-
-  std::int64_t as_i64(std::size_t i) const {
-    const std::string_view cell = fields_[i];
-    if (cell.empty()) fail("empty integer field");
-    std::int64_t v = 0;
-    const char* end = cell.data() + cell.size();
-    const auto [ptr, ec] = std::from_chars(cell.data(), end, v);
-    if (ec == std::errc::invalid_argument || ptr != end) {
-      fail("malformed integer '" + std::string{cell} + "'");
-    }
-    if (ec == std::errc::result_out_of_range) {
-      fail("integer out of range '" + std::string{cell} + "'");
-    }
-    return v;
-  }
-
-  int as_int(std::size_t i) const {
-    const std::int64_t v = as_i64(i);
-    if (v < std::numeric_limits<int>::min() ||
-        v > std::numeric_limits<int>::max()) {
-      fail("integer out of range '" + std::string{fields_[i]} + "'");
-    }
-    return static_cast<int>(v);
-  }
-
-  std::uint32_t as_u32(std::size_t i) const {
-    const std::int64_t v = as_i64(i);
-    if (v < 0 || v > std::numeric_limits<std::uint32_t>::max()) {
-      fail("id out of range '" + std::string{fields_[i]} + "'");
-    }
-    return static_cast<std::uint32_t>(v);
-  }
-
-  bool as_bool(std::size_t i) const {
-    if (fields_[i] == "0") return false;
-    if (fields_[i] == "1") return true;
-    fail("malformed bool '" + std::string{fields_[i]} + "' (expected 0 or 1)");
-  }
-
-  /// Runs one of the names::parse_* lookups, re-raising its "unknown ...
-  /// name" error with this row's line number attached.
-  template <typename Parser>
-  auto as_enum(std::size_t i, Parser parser) const {
-    try {
-      return parser(fields_[i]);
-    } catch (const std::runtime_error& e) {
-      fail(e.what());
-    }
-  }
+  /// 1-based number of the line next() returned last.
+  std::size_t number() const { return lines_.line_number(); }
 
  private:
-  /// Splits `line` into fields_, failing unless it has exactly as many.
-  void split(std::string_view line) {
-    std::size_t n = 0;
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t comma = line.find(',', start);
-      if (n < fields_.size()) fields_[n] = line.substr(start, comma - start);
-      ++n;
-      if (comma == std::string_view::npos) break;
-      start = comma + 1;
-    }
-    if (n != fields_.size()) {
-      fail("expected " + std::to_string(fields_.size()) + " fields, got " +
-           std::to_string(n));
-    }
-  }
-
   core::LineReader lines_;
   std::string_view header_;
-  std::vector<std::string_view> fields_;
 };
+
+template <const auto& table>
+auto read_records(std::istream& is) {
+  const std::string header = header_of(table);
+  CsvLines lines{is, header};
+  std::vector<typename std::remove_cvref_t<decltype(table)>::Record> out;
+  std::string_view line;
+  while (lines.next(line)) {
+    out.push_back(decode_row<table>(line, lines.number()));
+  }
+  return out;
+}
+
+// --- the bundle's files ----------------------------------------------------
+
+/// One file of a bundle: how write_dataset writes it and read_dataset_tables
+/// reads it back. `present` is set for an optional table only.
+struct BundleFile {
+  std::string name;
+  std::function<bool(const ConsolidatedDb&)> present;
+  std::function<void(std::ostream&, const ConsolidatedDb&)> write;
+  std::function<void(std::istream&, ConsolidatedDb&)> read;
+};
+
+template <const auto& table>
+BundleFile record_file(bool optional) {
+  BundleFile file{std::string{table.file}, nullptr,
+                  [](std::ostream& os, const ConsolidatedDb& db) {
+                    write_records<table>(os, db);
+                  },
+                  [](std::istream& is, ConsolidatedDb& db) {
+                    db.*table.rows = read_records<table>(is);
+                  }};
+  if (optional) {
+    file.present = [](const ConsolidatedDb& db) {
+      return !(db.*table.rows).empty();
+    };
+  }
+  return file;
+}
+
+/// Every file of a bundle, in file order.
+const std::vector<BundleFile>& bundle_files() {
+  static const std::vector<BundleFile> files = [] {
+    std::vector<BundleFile> out;
+    out.push_back(record_file<kTests>(false));
+    out.push_back(record_file<kKpis>(false));
+    out.push_back(record_file<kRtts>(false));
+    out.push_back(record_file<kHandovers>(false));
+    out.push_back(record_file<kAppRuns>(false));
+    // Only campaigns that ran app sessions record link ticks, and only
+    // population campaigns (WHEELS_UES > 0) record cell load. Writing these
+    // tables empty would change the bytes of the golden bundle and of every
+    // seed bundle; older bundles predate both.
+    out.push_back(record_file<kLinkTicks>(true));
+    out.push_back(record_file<kCellLoad>(true));
+    for (radio::Carrier c : radio::kAllCarriers) {
+      const std::size_t ci = carrier_index(c);
+      const std::string base{radio::carrier_name(c)};
+      out.push_back(
+          {"coverage_passive_" + base + ".csv", nullptr,
+           [c, ci](std::ostream& os, const ConsolidatedDb& db) {
+             write_coverage_csv(os, db.passive[ci].segments, c, true);
+           },
+           [c, ci](std::istream& is, ConsolidatedDb& db) {
+             db.passive[ci].carrier = c;
+             db.passive[ci].segments = read_coverage_csv(is, c, true);
+           }});
+      out.push_back({"coverage_active_" + base + ".csv", nullptr,
+                     [c, ci](std::ostream& os, const ConsolidatedDb& db) {
+                       write_coverage_csv(os, db.active_coverage[ci], c,
+                                          false);
+                     },
+                     [c, ci](std::istream& is, ConsolidatedDb& db) {
+                       db.active_coverage[ci] = read_coverage_csv(is, c, false);
+                     }});
+    }
+    out.push_back({"summary.csv", nullptr, write_summary_csv,
+                   read_summary_csv});
+    out.push_back({"cells.csv", nullptr, write_cells_csv, read_cells_csv});
+    return out;
+  }();
+  return files;
+}
 
 }  // namespace
 
@@ -285,72 +548,31 @@ std::string csv_double(double v) {
 }
 
 void write_tests_csv(std::ostream& os, const ConsolidatedDb& db) {
-  RowWriter out{os, kTestHeader};
-  for (const auto& t : db.tests) {
-    out.row(t.id, t.type, t.carrier, t.is_static, t.start, t.end, t.start_km,
-            t.end_km, t.tz, t.server, t.direction, t.cycle);
-  }
-  out.flush();
+  write_records<kTests>(os, db);
 }
 
 void write_kpis_csv(std::ostream& os, const ConsolidatedDb& db) {
-  RowWriter out{os, kKpiHeader};
-  for (const auto& k : db.kpis) {
-    out.row(k.test_id, k.t, k.carrier, k.tech, k.cell_id, k.rsrp, k.mcs,
-            k.bler, k.ca, k.throughput, k.speed, k.km, k.map_km, k.tz,
-            k.region, k.handovers, k.server, k.direction, k.is_static);
-  }
-  out.flush();
+  write_records<kKpis>(os, db);
 }
 
 void write_rtts_csv(std::ostream& os, const ConsolidatedDb& db) {
-  RowWriter out{os, kRttHeader};
-  for (const auto& r : db.rtts) {
-    out.row(r.test_id, r.t, r.carrier, r.tech, r.rtt, r.speed, r.tz, r.server,
-            r.is_static);
-  }
-  out.flush();
+  write_records<kRtts>(os, db);
 }
 
 void write_handovers_csv(std::ostream& os, const ConsolidatedDb& db) {
-  RowWriter out{os, kHandoverHeader};
-  for (const auto& h : db.handovers) {
-    out.row(h.test_id, h.carrier, h.direction, h.event.t, h.event.duration,
-            h.event.from, h.event.to, h.event.from_cell, h.event.to_cell,
-            h.event.type);
-  }
-  out.flush();
+  write_records<kHandovers>(os, db);
 }
 
 void write_app_runs_csv(std::ostream& os, const ConsolidatedDb& db) {
-  RowWriter out{os, kAppRunHeader};
-  for (const auto& r : db.app_runs) {
-    out.row(r.test_id, r.app, r.carrier, r.is_static, r.server,
-            r.high_speed_5g_fraction, r.handovers, r.compressed, r.median_e2e,
-            r.offload_fps, r.map_percent, r.qoe, r.rebuffer_fraction,
-            r.avg_bitrate, r.gaming_bitrate, r.gaming_latency,
-            r.gaming_frame_drop, r.gaming_max_frame_drop);
-  }
-  out.flush();
+  write_records<kAppRuns>(os, db);
 }
 
 void write_link_ticks_csv(std::ostream& os, const ConsolidatedDb& db) {
-  RowWriter out{os, kLinkTickHeader};
-  for (const auto& l : db.link_ticks) {
-    out.row(l.test_id, l.t, l.carrier, l.tech, l.cap_dl, l.cap_ul, l.rtt,
-            l.interruption, l.handovers);
-  }
-  out.flush();
+  write_records<kLinkTicks>(os, db);
 }
 
 void write_cell_load_csv(std::ostream& os, const ConsolidatedDb& db) {
-  RowWriter out{os, kCellLoadHeader};
-  for (const auto& c : db.cell_load) {
-    out.row(c.carrier, c.cell_id, c.tech, c.ticks, c.avg_attached,
-            c.avg_active, c.avg_demand, c.avg_allocated, c.avg_capacity,
-            c.utilization, c.fairness);
-  }
-  out.flush();
+  write_records<kCellLoad>(os, db);
 }
 
 void write_coverage_csv(std::ostream& os,
@@ -393,206 +615,88 @@ void write_cells_csv(std::ostream& os, const ConsolidatedDb& db) {
 }
 
 std::vector<TestRecord> read_tests_csv(std::istream& is) {
-  CsvTable table{is, kTestHeader, 12};
-  std::vector<TestRecord> out;
-  while (table.next()) {
-    TestRecord t;
-    t.id = table.as_u32(0);
-    t.type = table.as_enum(1, names::parse_test_type);
-    t.carrier = table.as_enum(2, names::parse_carrier);
-    t.is_static = table.as_bool(3);
-    t.start = table.as_i64(4);
-    t.end = table.as_i64(5);
-    t.start_km = table.as_double(6);
-    t.end_km = table.as_double(7);
-    t.tz = table.as_enum(8, names::parse_timezone);
-    t.server = table.as_enum(9, names::parse_server_kind);
-    t.direction = table.as_enum(10, names::parse_direction);
-    t.cycle = table.as_int(11);
-    out.push_back(t);
-  }
-  return out;
+  return read_records<kTests>(is);
 }
 
 std::vector<KpiRecord> read_kpis_csv(std::istream& is) {
-  CsvTable table{is, kKpiHeader, kKpiColumns};
-  std::vector<KpiRecord> out;
-  while (table.next()) {
-    KpiRecord k;
-    k.test_id = table.as_u32(0);
-    k.t = table.as_i64(1);
-    k.carrier = table.as_enum(2, names::parse_carrier);
-    k.tech = table.as_enum(3, names::parse_technology);
-    k.cell_id = table.as_u32(4);
-    k.rsrp = table.as_double(5);
-    k.mcs = table.as_int(6);
-    k.bler = table.as_double(7);
-    k.ca = table.as_int(8);
-    k.throughput = table.as_double(9);
-    k.speed = table.as_double(10);
-    k.km = table.as_double(11);
-    k.map_km = table.as_double(12);
-    k.tz = table.as_enum(13, names::parse_timezone);
-    k.region = table.as_enum(14, names::parse_region);
-    k.handovers = table.as_int(15);
-    k.server = table.as_enum(16, names::parse_server_kind);
-    k.direction = table.as_enum(17, names::parse_direction);
-    k.is_static = table.as_bool(18);
-    out.push_back(k);
-  }
-  return out;
+  return read_records<kKpis>(is);
 }
 
 std::vector<RttRecord> read_rtts_csv(std::istream& is) {
-  CsvTable table{is, kRttHeader, 9};
-  std::vector<RttRecord> out;
-  while (table.next()) {
-    RttRecord r;
-    r.test_id = table.as_u32(0);
-    r.t = table.as_i64(1);
-    r.carrier = table.as_enum(2, names::parse_carrier);
-    r.tech = table.as_enum(3, names::parse_technology);
-    r.rtt = table.as_double(4);
-    r.speed = table.as_double(5);
-    r.tz = table.as_enum(6, names::parse_timezone);
-    r.server = table.as_enum(7, names::parse_server_kind);
-    r.is_static = table.as_bool(8);
-    out.push_back(r);
-  }
-  return out;
+  return read_records<kRtts>(is);
 }
 
 std::vector<HandoverRecord> read_handovers_csv(std::istream& is) {
-  CsvTable table{is, kHandoverHeader, 10};
-  std::vector<HandoverRecord> out;
-  while (table.next()) {
-    HandoverRecord h;
-    h.test_id = table.as_u32(0);
-    h.carrier = table.as_enum(1, names::parse_carrier);
-    h.direction = table.as_enum(2, names::parse_direction);
-    h.event.t = table.as_i64(3);
-    h.event.duration = table.as_double(4);
-    h.event.from = table.as_enum(5, names::parse_technology);
-    h.event.to = table.as_enum(6, names::parse_technology);
-    h.event.from_cell = table.as_u32(7);
-    h.event.to_cell = table.as_u32(8);
-    h.event.type = table.as_enum(9, names::parse_handover_type);
-    out.push_back(h);
-  }
-  return out;
+  return read_records<kHandovers>(is);
 }
 
 std::vector<AppRunRecord> read_app_runs_csv(std::istream& is) {
-  CsvTable table{is, kAppRunHeader, 18};
-  std::vector<AppRunRecord> out;
-  while (table.next()) {
-    AppRunRecord r;
-    r.test_id = table.as_u32(0);
-    r.app = table.as_enum(1, names::parse_app_kind);
-    r.carrier = table.as_enum(2, names::parse_carrier);
-    r.is_static = table.as_bool(3);
-    r.server = table.as_enum(4, names::parse_server_kind);
-    r.high_speed_5g_fraction = table.as_double(5);
-    r.handovers = table.as_int(6);
-    r.compressed = table.as_bool(7);
-    r.median_e2e = table.as_double(8);
-    r.offload_fps = table.as_double(9);
-    r.map_percent = table.as_double(10);
-    r.qoe = table.as_double(11);
-    r.rebuffer_fraction = table.as_double(12);
-    r.avg_bitrate = table.as_double(13);
-    r.gaming_bitrate = table.as_double(14);
-    r.gaming_latency = table.as_double(15);
-    r.gaming_frame_drop = table.as_double(16);
-    r.gaming_max_frame_drop = table.as_double(17);
-    out.push_back(r);
-  }
-  return out;
+  return read_records<kAppRuns>(is);
+}
+
+std::vector<LinkTickRecord> read_link_ticks_csv(std::istream& is) {
+  return read_records<kLinkTicks>(is);
+}
+
+std::vector<CellLoadRecord> read_cell_load_csv(std::istream& is) {
+  return read_records<kCellLoad>(is);
+}
+
+std::string_view kpi_header() {
+  static const std::string header = header_of(kKpis);
+  return header;
+}
+
+KpiRecord parse_kpi_row(std::string_view line, std::size_t line_number) {
+  if (line == kpi_header()) fail(line_number, "duplicated header");
+  return decode_row<kKpis>(line, line_number);
 }
 
 std::vector<CoverageSegment> read_coverage_csv(std::istream& is,
                                                radio::Carrier expected_carrier,
                                                bool expected_passive) {
-  CsvTable table{is, kCoverageHeader, 5};
+  CsvLines lines{is, kCoverageHeader};
   std::vector<CoverageSegment> out;
   const std::string expected_view = expected_passive ? "passive" : "active";
-  while (table.next()) {
-    const auto carrier = table.as_enum(0, names::parse_carrier);
-    if (carrier != expected_carrier) {
-      table.fail("carrier '" + std::string{table.cell(0)} +
-                 "' does not match the file's '" +
-                 std::string{names::to_name(expected_carrier)} + "'");
+  std::string_view line;
+  while (lines.next(line)) {
+    const std::size_t n = lines.number();
+    const auto cells = split_row<5>(line, n);
+    if (parse_as<radio::Carrier>(cells[0], n) != expected_carrier) {
+      fail(n, "carrier '" + std::string{cells[0]} +
+                  "' does not match the file's '" +
+                  std::string{names::to_name(expected_carrier)} + "'");
     }
-    if (table.cell(1) != expected_view) {
-      table.fail("view '" + std::string{table.cell(1)} +
-                 "' does not match the file's '" + expected_view + "'");
+    if (cells[1] != expected_view) {
+      fail(n, "view '" + std::string{cells[1]} +
+                  "' does not match the file's '" + expected_view + "'");
     }
     CoverageSegment s;
-    s.map_km_start = table.as_double(2);
-    s.map_km_end = table.as_double(3);
-    s.tech = table.as_enum(4, names::parse_technology);
+    s.map_km_start = parse_as<double>(cells[2], n);
+    s.map_km_end = parse_as<double>(cells[3], n);
+    s.tech = parse_as<radio::Technology>(cells[4], n);
     out.push_back(s);
   }
   return out;
 }
 
-std::vector<LinkTickRecord> read_link_ticks_csv(std::istream& is) {
-  CsvTable table{is, kLinkTickHeader, 9};
-  std::vector<LinkTickRecord> out;
-  while (table.next()) {
-    LinkTickRecord l;
-    l.test_id = table.as_u32(0);
-    l.t = table.as_i64(1);
-    l.carrier = table.as_enum(2, names::parse_carrier);
-    l.tech = table.as_enum(3, names::parse_technology);
-    l.cap_dl = table.as_double(4);
-    l.cap_ul = table.as_double(5);
-    l.rtt = table.as_double(6);
-    l.interruption = table.as_double(7);
-    l.handovers = table.as_int(8);
-    out.push_back(l);
-  }
-  return out;
-}
-
-std::vector<CellLoadRecord> read_cell_load_csv(std::istream& is) {
-  CsvTable table{is, kCellLoadHeader, 11};
-  std::vector<CellLoadRecord> out;
-  while (table.next()) {
-    CellLoadRecord c;
-    c.carrier = table.as_enum(0, names::parse_carrier);
-    c.cell_id = table.as_u32(1);
-    c.tech = table.as_enum(2, names::parse_technology);
-    c.ticks = table.as_i64(3);
-    c.avg_attached = table.as_double(4);
-    c.avg_active = table.as_double(5);
-    c.avg_demand = table.as_double(6);
-    c.avg_allocated = table.as_double(7);
-    c.avg_capacity = table.as_double(8);
-    c.utilization = table.as_double(9);
-    c.fairness = table.as_double(10);
-    out.push_back(c);
-  }
-  return out;
-}
-
 void read_summary_csv(std::istream& is, ConsolidatedDb& db) {
-  CsvTable table{is, kSummaryHeader, 3};
+  CsvLines lines{is, kSummaryHeader};
   // Each (key, carrier) row is read exactly once: a repeat would overwrite
   // the earlier row, and a missing row would leave its field at zero.
   std::set<std::pair<std::string, std::string>> seen;
-  while (table.next()) {
-    const std::string_view key = table.cell(0);
-    const bool global = table.cell(1).empty();
-    if (!seen.emplace(key, table.cell(1)).second) {
-      table.fail("repeated summary row '" + std::string{key} + "," +
-                 std::string{table.cell(1)} + "'");
+  std::string_view line;
+  while (lines.next(line)) {
+    const std::size_t n = lines.number();
+    const auto [key, carrier_text, value] = split_row<3>(line, n);
+    const bool global = carrier_text.empty();
+    if (!seen.emplace(key, carrier_text).second) {
+      fail(n, "repeated summary row '" + std::string{key} + "," +
+                  std::string{carrier_text} + "'");
     }
     if (key == "driven_km" || key == "rx_bytes" || key == "tx_bytes") {
-      if (!global) {
-        table.fail("key '" + std::string{key} + "' takes no carrier");
-      }
-      const double v = table.as_double(2);
+      if (!global) fail(n, "key '" + std::string{key} + "' takes no carrier");
+      const double v = parse_as<double>(value, n);
       if (key == "driven_km") {
         db.driven_km = v;
       } else if (key == "rx_bytes") {
@@ -602,19 +706,19 @@ void read_summary_csv(std::istream& is, ConsolidatedDb& db) {
       }
       continue;
     }
-    if (global) table.fail("key '" + std::string{key} + "' requires a carrier");
-    const auto carrier = table.as_enum(1, names::parse_carrier);
+    if (global) fail(n, "key '" + std::string{key} + "' requires a carrier");
+    const auto carrier = parse_as<radio::Carrier>(carrier_text, n);
     const std::size_t ci = carrier_index(carrier);
     if (key == "experiment_runtime") {
-      db.experiment_runtime[ci] = table.as_double(2);
+      db.experiment_runtime[ci] = parse_as<double>(value, n);
     } else if (key == "passive_handovers") {
       db.passive[ci].carrier = carrier;
-      db.passive[ci].handovers = table.as_i64(2);
+      db.passive[ci].handovers = parse_as<std::int64_t>(value, n);
     } else if (key == "passive_pings") {
       db.passive[ci].carrier = carrier;
-      db.passive[ci].pings = table.as_i64(2);
+      db.passive[ci].pings = parse_as<std::int64_t>(value, n);
     } else {
-      table.fail("unknown summary key '" + std::string{key} + "'");
+      fail(n, "unknown summary key '" + std::string{key} + "'");
     }
   }
   const auto require = [&](std::string_view key, std::string_view carrier) {
@@ -635,19 +739,22 @@ void read_summary_csv(std::istream& is, ConsolidatedDb& db) {
 }
 
 void read_cells_csv(std::istream& is, ConsolidatedDb& db) {
-  CsvTable table{is, kCellsHeader, 3};
-  while (table.next()) {
-    const auto carrier = table.as_enum(0, names::parse_carrier);
+  CsvLines lines{is, kCellsHeader};
+  std::string_view line;
+  while (lines.next(line)) {
+    const std::size_t n = lines.number();
+    const auto [carrier_text, view, id_text] = split_row<3>(line, n);
+    const auto carrier = parse_as<radio::Carrier>(carrier_text, n);
     const std::size_t ci = carrier_index(carrier);
-    const std::uint32_t id = table.as_u32(2);
-    if (table.cell(1) == "active") {
+    const auto id = parse_as<std::uint32_t>(id_text, n);
+    if (view == "active") {
       db.active_cells[ci].insert(id);
-    } else if (table.cell(1) == "passive") {
+    } else if (view == "passive") {
       db.passive[ci].carrier = carrier;
       db.passive[ci].cells.insert(id);
     } else {
-      table.fail("unknown view '" + std::string{table.cell(1)} +
-                 "' (expected active|passive)");
+      fail(n, "unknown view '" + std::string{view} +
+                  "' (expected active|passive)");
     }
   }
 }
@@ -655,72 +762,33 @@ void read_cells_csv(std::istream& is, ConsolidatedDb& db) {
 std::vector<std::string> write_dataset(
     const ConsolidatedDb& db, const std::string& directory,
     const core::obs::RunManifest& manifest) {
-  namespace fs = std::filesystem;
-  using Writer = std::function<void(std::ostream&)>;
   std::vector<std::string> written;
   {
     const core::obs::ScopedSpan span{"measure.write_dataset", "measure"};
     fs::create_directories(directory);
 
-    // The bundle's tables in file order.
-    std::vector<std::pair<std::string, Writer>> tables = {
-        {"tests.csv", [&](std::ostream& os) { write_tests_csv(os, db); }},
-        {"kpis.csv", [&](std::ostream& os) { write_kpis_csv(os, db); }},
-        {"rtts.csv", [&](std::ostream& os) { write_rtts_csv(os, db); }},
-        {"handovers.csv",
-         [&](std::ostream& os) { write_handovers_csv(os, db); }},
-        {"app_runs.csv",
-         [&](std::ostream& os) { write_app_runs_csv(os, db); }},
-    };
-    // link_ticks.csv exists only when app sessions recorded their per-tick
-    // link state: emitting an empty table unconditionally would change the
-    // byte content of the committed golden bundle and every appless bundle.
-    if (!db.link_ticks.empty()) {
-      tables.emplace_back("link_ticks.csv", [&](std::ostream& os) {
-        write_link_ticks_csv(os, db);
-      });
+    // An optional table without rows gets no file, and a file of its name
+    // that an earlier bundle left in the directory goes: the reader loads
+    // an optional table whenever its file exists.
+    std::vector<const BundleFile*> tables;
+    for (const BundleFile& file : bundle_files()) {
+      const fs::path path = fs::path(directory) / file.name;
+      if (file.present && !file.present(db)) {
+        fs::remove(path);
+        continue;
+      }
+      tables.push_back(&file);
+      written.push_back(path.string());
     }
-    // cell_load.csv exists only for population campaigns: emitting an empty
-    // table unconditionally would change the byte content of every seed
-    // bundle (and the replay_roundtrip / golden CI gates diff bundles
-    // recursively).
-    if (!db.cell_load.empty()) {
-      tables.emplace_back("cell_load.csv", [&](std::ostream& os) {
-        write_cell_load_csv(os, db);
-      });
-    }
-    for (radio::Carrier c : radio::kAllCarriers) {
-      const std::size_t ci = carrier_index(c);
-      const std::string base{carrier_name(c)};
-      tables.emplace_back("coverage_passive_" + base + ".csv",
-                          [&db, c, ci](std::ostream& os) {
-                            write_coverage_csv(os, db.passive[ci].segments, c,
-                                               true);
-                          });
-      tables.emplace_back("coverage_active_" + base + ".csv",
-                          [&db, c, ci](std::ostream& os) {
-                            write_coverage_csv(os, db.active_coverage[ci], c,
-                                               false);
-                          });
-    }
-    tables.emplace_back("summary.csv", [&](std::ostream& os) {
-      write_summary_csv(os, db);
-    });
-    tables.emplace_back("cells.csv",
-                        [&](std::ostream& os) { write_cells_csv(os, db); });
-
     // Each table is its own file, so the tables are written as independent
     // tasks; a failure surfaces as the first failing table in file order.
-    for (const auto& table : tables) {
-      written.push_back((fs::path(directory) / table.first).string());
-    }
     core::run_indexed(0, tables.size(), [&](std::size_t i) {
-      const core::obs::ScopedSpan table_span{"measure.write:" + tables[i].first,
+      const core::obs::ScopedSpan table_span{"measure.write:" + tables[i]->name,
                                              "measure"};
       const std::string& path = written[i];
       std::ofstream os{path};
       if (!os) throw std::runtime_error{"csv: cannot open " + path};
-      tables[i].second(os);
+      tables[i]->write(os, db);
       os.close();
       if (!os) throw std::runtime_error{"csv: cannot write " + path};
     });
@@ -733,9 +801,30 @@ std::vector<std::string> write_dataset(
   return written;
 }
 
-std::vector<std::string> write_dataset(const ConsolidatedDb& db,
-                                       const std::string& directory) {
-  return write_dataset(db, directory, core::obs::make_run_manifest());
+ConsolidatedDb read_dataset_tables(const std::string& directory) {
+  ConsolidatedDb db;
+  // The tables are read one after another. Read as parallel tasks, each
+  // table's records grow in a short-lived worker thread's malloc arena,
+  // which keeps the memory after the thread exits: a wheelsd running
+  // several jobs at once peaked at ~29% more RSS that way.
+  for (const BundleFile& file : bundle_files()) {
+    const fs::path path = fs::path(directory) / file.name;
+    if (file.present && !fs::exists(path)) continue;
+    const core::obs::ScopedSpan span{"measure.read:" + file.name, "measure"};
+    std::ifstream is{path};
+    if (!is) {
+      throw std::runtime_error{"replay: missing bundle file " + path.string()};
+    }
+    // The full path prefixes any parse error: when a fleet run ingests many
+    // bundles, the error must name which bundle was malformed, not just
+    // which table.
+    try {
+      file.read(is, db);
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error{path.string() + ": " + e.what()};
+    }
+  }
+  return db;
 }
 
 }  // namespace wheels::measure

@@ -7,6 +7,19 @@
 // and re-runs the transport/app stack over them).
 //
 // Format contracts:
+//  - each of the seven record tables (tests, kpis, rtts, handovers,
+//    app_runs, link_ticks, cell_load) is declared once in csv_export.cpp,
+//    as a list of (header name, record field) columns in file order. The
+//    header, the writer's row, the column count and the reader's field
+//    parsers all come from that list. coverage_*, summary.csv and cells.csv
+//    are keyed tables with their own readers;
+//  - the bundle's files are declared once too, in one list that
+//    write_dataset and read_dataset_tables both walk: tests, kpis, rtts,
+//    handovers, app_runs, link_ticks, cell_load, the six coverage_* files,
+//    summary, cells. link_ticks and cell_load are optional: present when
+//    the table has rows. write_dataset writes such a table only then and
+//    otherwise removes a file of its name from the directory;
+//    read_dataset_tables reads it when its file exists;
 //  - doubles are written by std::to_chars(general, 17), which is printf's
 //    "%.17g" and exactly what an ostream prints at max_digits10, so a
 //    written-then-read value is bit-identical (tests/test_csv_export.cpp
@@ -20,7 +33,8 @@
 //    offending 1-based line number. Nothing is silently skipped. Numbers
 //    parse with std::from_chars, so only what the writers emit is read: a
 //    leading '+' or whitespace, a hex float or an underflow such as 1e-400
-//    is rejected as malformed or out of range;
+//    is rejected as malformed or out of range. parse_kpi_row applies the
+//    same rules to one kpis.csv line;
 //  - write_dataset throws when a table or the manifest could not be
 //    written in full ("csv: cannot write <path>", "manifest: cannot write
 //    <path>"), so a truncated bundle is never reported written.
@@ -42,13 +56,6 @@ namespace wheels::measure {
 /// aggregates, golden expectations) that must diff cleanly against files
 /// this module wrote.
 std::string csv_double(double v);
-
-/// Header row of kpis.csv and its column count. The ingest paper adapter
-/// parses a lone kpis.csv against the same header the bundle reader uses.
-inline constexpr std::string_view kKpiHeader =
-    "test_id,t,carrier,tech,cell_id,rsrp,mcs,bler,ca,throughput,speed,km,"
-    "map_km,tz,region,handovers,server,direction,is_static";
-inline constexpr std::size_t kKpiColumns = 19;
 
 void write_tests_csv(std::ostream& os, const ConsolidatedDb& db);
 void write_kpis_csv(std::ostream& os, const ConsolidatedDb& db);
@@ -92,10 +99,18 @@ std::vector<CoverageSegment> read_coverage_csv(std::istream& is,
 void read_summary_csv(std::istream& is, ConsolidatedDb& db);
 void read_cells_csv(std::istream& is, ConsolidatedDb& db);
 
+/// The header row of kpis.csv, and the bundle reader's own parser of one of
+/// its data lines: a repeated header, a wrong field count or a bad field
+/// throws std::runtime_error "csv: line <line_number>: ...". The ingest
+/// paper adapter reads a lone kpis.csv with these two.
+std::string_view kpi_header();
+KpiRecord parse_kpi_row(std::string_view line, std::size_t line_number);
+
 /// Write the whole dataset bundle into a directory (created if needed),
 /// including a manifest.json recording the bundle's provenance, which is
 /// written last. The tables are written as independent tasks,
-/// WHEELS_THREADS wide. Returns the list of files written, in file order.
+/// WHEELS_THREADS wide; an optional table without rows leaves no file
+/// behind. Returns the list of files written, in file order.
 /// Throws std::runtime_error naming the first table (in that order) that
 /// could not be opened or written in full. Also flushes the global
 /// metrics/trace sinks when WHEELS_METRICS_OUT / WHEELS_TRACE_OUT are set.
@@ -103,9 +118,10 @@ std::vector<std::string> write_dataset(const ConsolidatedDb& db,
                                        const std::string& directory,
                                        const core::obs::RunManifest& manifest);
 
-/// As above with a default manifest (library version + start time only; use
-/// campaign::make_manifest to record seed, scale and config digest).
-std::vector<std::string> write_dataset(const ConsolidatedDb& db,
-                                       const std::string& directory);
+/// Read every table of the bundle at `directory` back, one file after
+/// another in file order (the manifest is replay::read_dataset's). Throws
+/// std::runtime_error "replay: missing bundle file <path>" for a missing
+/// required file, and "<path>: <error>" for malformed content.
+ConsolidatedDb read_dataset_tables(const std::string& directory);
 
 }  // namespace wheels::measure

@@ -1,7 +1,8 @@
 // Bundle ingestion: reassemble a ConsolidatedDb from a dataset directory.
 //
 // The inverse of measure::write_dataset. Every table the writer emits is
-// read back through the strict measure readers, the manifest is parsed, and
+// read back by measure::read_dataset_tables, which walks the writer's own
+// file list through the strict measure readers, the manifest is parsed, and
 // the assembled database passes measure::validate_or_throw before anything
 // replays over it — a hand-edited or third-party bundle fails loudly, with
 // the offending file and line.

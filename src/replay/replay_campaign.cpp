@@ -43,9 +43,7 @@ ReplayConfig replay_config_from_env() {
     if (*v >= 0) {
       cfg.seed = static_cast<std::uint64_t>(*v);
     } else {
-      std::fprintf(stderr,
-                   "[wheels] ignoring WHEELS_REPLAY_SEED=%lld: expected >= 0\n",
-                   *v);
+      core::ignore_env("WHEELS_REPLAY_SEED", ">= 0");
     }
   }
   if (const char* v = std::getenv("WHEELS_REPLAY_INTERP")) {
@@ -55,10 +53,7 @@ ReplayConfig replay_config_from_env() {
     } else if (s == "linear") {
       cfg.policy = HoldPolicy::Interpolate;
     } else {
-      std::fprintf(
-          stderr,
-          "[wheels] ignoring WHEELS_REPLAY_INTERP=%s: expected hold|linear\n",
-          v);
+      core::ignore_env("WHEELS_REPLAY_INTERP", "hold|linear");
     }
   }
   if (const char* v = std::getenv("WHEELS_REPLAY_CC")) {
@@ -68,29 +63,22 @@ ReplayConfig replay_config_from_env() {
     } else if (s == transport::cc_algo_name(transport::CcAlgo::Bbr)) {
       cfg.knobs.cc = transport::CcAlgo::Bbr;
     } else {
-      std::fprintf(stderr,
-                   "[wheels] ignoring WHEELS_REPLAY_CC=%s: expected cubic|bbr\n",
-                   v);
+      core::ignore_env("WHEELS_REPLAY_CC", "cubic|bbr");
     }
   }
   if (const char* v = std::getenv("WHEELS_REPLAY_SERVER")) {
     try {
       cfg.knobs.server = measure::names::parse_server_kind(v);
     } catch (const std::runtime_error&) {
-      std::fprintf(
-          stderr,
-          "[wheels] ignoring WHEELS_REPLAY_SERVER=%s: expected cloud|edge\n",
-          v);
+      core::ignore_env("WHEELS_REPLAY_SERVER", "cloud|edge");
     }
   }
   if (const char* v = std::getenv("WHEELS_REPLAY_MAX_TIER")) {
     try {
       cfg.knobs.max_tier = measure::names::parse_technology(v);
     } catch (const std::runtime_error&) {
-      std::fprintf(stderr,
-                   "[wheels] ignoring WHEELS_REPLAY_MAX_TIER=%s: expected a "
-                   "technology name (LTE, 5G-mid, ...)\n",
-                   v);
+      core::ignore_env("WHEELS_REPLAY_MAX_TIER",
+                       "a technology name (LTE, 5G-mid, ...)");
     }
   }
   cfg.threads = 0;

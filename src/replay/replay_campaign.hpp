@@ -59,8 +59,8 @@ struct ReplayConfig {
 
 /// Read WHEELS_REPLAY_SEED, WHEELS_REPLAY_INTERP (hold|linear),
 /// WHEELS_REPLAY_CC (cubic|bbr), WHEELS_REPLAY_SERVER (cloud|edge) and
-/// WHEELS_REPLAY_MAX_TIER (a technology name). Malformed values warn on
-/// stderr and keep the default, like campaign::config_from_env.
+/// WHEELS_REPLAY_MAX_TIER (a technology name). Malformed values go through
+/// core::ignore_env and keep the default, like campaign::config_from_env.
 ReplayConfig replay_config_from_env();
 
 /// The provenance manifest of a replay about to run: seed = the replay's

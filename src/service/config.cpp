@@ -1,7 +1,7 @@
 #include "service/config.hpp"
 
-#include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "core/env.hpp"
 
@@ -16,24 +16,17 @@ ServiceConfig service_config_from_env() {
     cfg.cache_dir = v;
   }
   if (auto v = core::env_int("WHEELS_SERVICE_QUEUE")) {
-    if (*v >= 1) {
+    if (*v >= 1 && *v <= std::numeric_limits<int>::max()) {
       cfg.queue_depth = static_cast<int>(*v);
     } else {
-      std::fprintf(stderr,
-                   "wheels: WHEELS_SERVICE_QUEUE=%lld out of range (>= 1); "
-                   "using %d\n",
-                   *v, cfg.queue_depth);
+      core::ignore_env("WHEELS_SERVICE_QUEUE", "1..2147483647");
     }
   }
   if (auto v = core::env_int("WHEELS_SERVICE_CACHE_MAX_BYTES")) {
     if (*v >= 0) {
       cfg.cache_max_bytes = static_cast<std::uint64_t>(*v);
     } else {
-      std::fprintf(stderr,
-                   "wheels: WHEELS_SERVICE_CACHE_MAX_BYTES=%lld out of range "
-                   "(>= 0); using %llu\n",
-                   *v,
-                   static_cast<unsigned long long>(cfg.cache_max_bytes));
+      core::ignore_env("WHEELS_SERVICE_CACHE_MAX_BYTES", ">= 0");
     }
   }
   return cfg;

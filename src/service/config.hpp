@@ -1,8 +1,9 @@
 // ServiceConfig: the wheelsd daemon's runtime knobs.
 //
-// Every knob follows the library's env convention (core::env_int): a
-// malformed or out-of-range value warns on stderr and keeps the default —
-// the daemon never starts with a silently misparsed limit.
+// Every knob follows the library's env convention (core::env_int,
+// core::ignore_env): a malformed or out-of-range value warns on stderr,
+// counts in config.ignored and keeps the default — the daemon never starts
+// with a silently misparsed limit.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,8 @@ struct ServiceConfig {
 
 /// Read WHEELS_SERVICE_SOCKET, WHEELS_SERVICE_CACHE_DIR,
 /// WHEELS_SERVICE_QUEUE and WHEELS_SERVICE_CACHE_MAX_BYTES over the
-/// defaults above; malformed numeric values warn on stderr and fall back.
+/// defaults above; malformed numeric values go through core::ignore_env
+/// and fall back.
 ServiceConfig service_config_from_env();
 
 }  // namespace wheels::service

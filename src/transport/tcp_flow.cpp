@@ -9,17 +9,11 @@ namespace wheels::transport {
 
 namespace {
 
-// Loss/cwnd events are driven by the seeded Rng and the deterministic fluid
+// Loss events are driven by the seeded Rng and the deterministic fluid
 // model, so these counters belong in the deterministic snapshot.
 core::obs::MetricId retransmits_id() {
   static const core::obs::MetricId id =
       core::obs::MetricsRegistry::global().counter_id("transport.retransmits");
-  return id;
-}
-
-core::obs::MetricId cwnd_resets_id() {
-  static const core::obs::MetricId id =
-      core::obs::MetricsRegistry::global().counter_id("transport.cwnd_resets");
   return id;
 }
 
@@ -132,7 +126,6 @@ double TcpBulkFlow::advance(Mbps capacity, Millis dt) {
       bbr_on_delivered(out, step);
     } else if (loss) {
       cubic_.on_loss(now_);
-      core::obs::MetricsRegistry::global().add(cwnd_resets_id());
     } else if (out > 0.0) {
       cubic_.on_ack(out / Cubic::kMssBytes, srtt_now, now_);
     }

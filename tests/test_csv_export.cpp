@@ -144,7 +144,7 @@ TEST(CsvExport, DatasetBundleWritesAllFiles) {
   const auto& db = tiny_campaign_db();
   const std::string dir = "/tmp/wheels-dataset-test";
   std::filesystem::remove_all(dir);
-  const auto files = write_dataset(db, dir);
+  const auto files = write_dataset(db, dir, core::obs::make_run_manifest());
   // 5 tables + link_ticks.csv (campaigns record app-session link traces)
   // + 2 coverage views x 3 carriers + summary.csv + cells.csv +
   // manifest.json.
@@ -552,7 +552,8 @@ TEST(CsvExport, TableWriteFailureThrows) {
   const std::string dir =
       bundle_dir_with_full_file("wheels-dataset-full-table", "kpis.csv");
   try {
-    (void)write_dataset(tiny_campaign_db(), dir);
+    (void)write_dataset(tiny_campaign_db(), dir,
+                        core::obs::make_run_manifest());
     ADD_FAILURE() << "a bundle with a lost kpis.csv was reported written";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string{e.what()}, "csv: cannot write " + dir + "/kpis.csv");
@@ -565,7 +566,8 @@ TEST(CsvExport, ManifestWriteFailureThrows) {
   const std::string dir = bundle_dir_with_full_file(
       "wheels-dataset-full-manifest", "manifest.json");
   try {
-    (void)write_dataset(tiny_campaign_db(), dir);
+    (void)write_dataset(tiny_campaign_db(), dir,
+                        core::obs::make_run_manifest());
     ADD_FAILURE() << "a bundle with a lost manifest.json was reported written";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string{e.what()},
@@ -593,7 +595,8 @@ TEST(CsvExport, BundleIoRecordsOneSpanPerTable) {
       (std::filesystem::temp_directory_path() / "wheels-dataset-span-test")
           .string();
   std::filesystem::remove_all(dir);
-  (void)write_dataset(tiny_campaign_db(), dir);
+  (void)write_dataset(tiny_campaign_db(), dir,
+                      core::obs::make_run_manifest());
   (void)replay::read_dataset(dir);
   collector.set_enabled(was_enabled);
   std::ostringstream os;
@@ -607,6 +610,152 @@ TEST(CsvExport, BundleIoRecordsOneSpanPerTable) {
   EXPECT_EQ(count_of(trace, "\"measure.read:"), 14u);
   EXPECT_EQ(count_of(trace, "\"measure.write:kpis.csv\""), 1u);
   EXPECT_EQ(count_of(trace, "\"measure.read:kpis.csv\""), 1u);
+}
+
+TEST(CsvExport, RewrittenBundleKeepsNoStaleOptionalTable) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / "wheels-dataset-stale-optional-test";
+  fs::remove_all(dir);
+  ConsolidatedDb with = tiny_campaign_db();
+  ASSERT_FALSE(with.link_ticks.empty());
+  CellLoadRecord load;
+  load.ticks = 10;
+  load.avg_attached = 2.0;
+  load.avg_active = 1.0;
+  load.avg_demand = 10.0;
+  load.avg_allocated = 5.0;
+  load.avg_capacity = 10.0;
+  load.utilization = 0.5;
+  load.fairness = 0.9;
+  with.cell_load.push_back(load);
+  (void)write_dataset(with, dir.string(), core::obs::make_run_manifest());
+  ASSERT_TRUE(fs::exists(dir / "link_ticks.csv"));
+  ASSERT_TRUE(fs::exists(dir / "cell_load.csv"));
+
+  // The same directory again, from a db with neither table.
+  ConsolidatedDb without = tiny_campaign_db();
+  without.link_ticks.clear();
+  const auto files =
+      write_dataset(without, dir.string(), core::obs::make_run_manifest());
+  EXPECT_EQ(files.size(), 14u);
+  EXPECT_FALSE(fs::exists(dir / "link_ticks.csv"));
+  EXPECT_FALSE(fs::exists(dir / "cell_load.csv"));
+  const replay::ReplayBundle back = replay::read_dataset(dir.string());
+  EXPECT_TRUE(back.db.link_ticks.empty());
+  EXPECT_TRUE(back.db.cell_load.empty());
+  fs::remove_all(dir);
+}
+
+/// One record table under test: its writer, its reader and the kind of
+/// each column in file order (u id, i integer, d double, b bool, e enum).
+struct RecordTableCase {
+  const char* name;
+  void (*write)(std::ostream&, const ConsolidatedDb&);
+  void (*read)(std::istream&);
+  std::string kinds;
+};
+
+/// A value each column kind rejects, and the message that rejects it.
+std::pair<std::string, std::string> rejected_value(char kind) {
+  switch (kind) {
+    case 'u':
+      return {"-1", "id out of range '-1'"};
+    case 'i':
+      return {"1.5", "malformed integer '1.5'"};
+    case 'd':
+      return {"x", "malformed number 'x'"};
+    case 'b':
+      return {"2", "malformed bool '2' (expected 0 or 1)"};
+    default:
+      return {"bogus", "name 'bogus'"};  // "unknown <enum> name 'bogus'"
+  }
+}
+
+std::vector<std::string> split_on_commas(const std::string& row) {
+  std::vector<std::string> cells;
+  std::stringstream ss{row};
+  std::string cell;
+  while (std::getline(ss, cell, ',')) cells.push_back(cell);
+  return cells;
+}
+
+std::string joined(const std::vector<std::string>& cells) {
+  std::string out;
+  for (const std::string& c : cells) out += (out.empty() ? "" : ",") + c;
+  return out;
+}
+
+TEST(CsvExport, EveryRecordColumnRejectsAMalformedValueWithItsLine) {
+  ConsolidatedDb db;
+  db.tests.emplace_back();
+  db.kpis.emplace_back();
+  db.rtts.emplace_back();
+  db.handovers.emplace_back();
+  db.app_runs.emplace_back();
+  db.link_ticks.emplace_back();
+  db.cell_load.emplace_back();
+  const std::vector<RecordTableCase> tables = {
+      {"tests", write_tests_csv,
+       [](std::istream& is) { (void)read_tests_csv(is); }, "ueebiiddeeei"},
+      {"kpis", write_kpis_csv,
+       [](std::istream& is) { (void)read_kpis_csv(is); },
+       "uieeudididdddeeieeb"},
+      {"rtts", write_rtts_csv,
+       [](std::istream& is) { (void)read_rtts_csv(is); }, "uieeddeeb"},
+      {"handovers", write_handovers_csv,
+       [](std::istream& is) { (void)read_handovers_csv(is); }, "ueeideeuue"},
+      {"app_runs", write_app_runs_csv,
+       [](std::istream& is) { (void)read_app_runs_csv(is); },
+       "ueebedibdddddddddd"},
+      {"link_ticks", write_link_ticks_csv,
+       [](std::istream& is) { (void)read_link_ticks_csv(is); }, "uieeddddi"},
+      {"cell_load", write_cell_load_csv,
+       [](std::istream& is) { (void)read_cell_load_csv(is); },
+       "eueiddddddd"},
+  };
+  for (const RecordTableCase& table : tables) {
+    SCOPED_TRACE(table.name);
+    std::stringstream out;
+    table.write(out, db);
+    std::string header;
+    std::string row;
+    std::getline(out, header);
+    std::getline(out, row);
+    const std::vector<std::string> cells = split_on_commas(row);
+    ASSERT_EQ(cells.size(), table.kinds.size());
+    ASSERT_EQ(split_on_commas(header).size(), table.kinds.size());
+    const auto error_for = [&](const std::vector<std::string>& row_cells) {
+      return error_of(header + "\n" + joined(row_cells) + "\n", table.read);
+    };
+    ASSERT_EQ(error_for(cells), "");
+
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const auto [bad, message] = rejected_value(table.kinds[i]);
+      std::vector<std::string> broken = cells;
+      broken[i] = bad;
+      const std::string msg = error_for(broken);
+      if (table.kinds[i] == 'e') {
+        EXPECT_EQ(msg.rfind("csv: line 2: unknown ", 0), 0u)
+            << "column " << i << ": " << msg;
+        EXPECT_TRUE(msg.ends_with(message)) << "column " << i << ": " << msg;
+      } else {
+        EXPECT_EQ(msg, "csv: line 2: " + message) << "column " << i;
+      }
+    }
+
+    const std::string n = std::to_string(cells.size());
+    std::vector<std::string> short_row = cells;
+    short_row.pop_back();
+    EXPECT_EQ(error_for(short_row), "csv: line 2: expected " + n +
+                                        " fields, got " +
+                                        std::to_string(cells.size() - 1));
+    std::vector<std::string> long_row = cells;
+    long_row.push_back("0");
+    EXPECT_EQ(error_for(long_row), "csv: line 2: expected " + n +
+                                       " fields, got " +
+                                       std::to_string(cells.size() + 1));
+  }
 }
 
 // --- enum name tables -----------------------------------------------------

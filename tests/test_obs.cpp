@@ -12,6 +12,8 @@
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
 #include "ingest/ingest.hpp"
+#include "replay/replay_campaign.hpp"
+#include "service/config.hpp"
 
 namespace wheels::core::obs {
 namespace {
@@ -85,6 +87,26 @@ TEST(MetricsRegistry_, SnapshotIsSafeAndConsistentDuringConcurrentAdds) {
   const auto final_snap = reg.snapshot();
   EXPECT_EQ(*final_snap.find_counter("concurrent.adds"),
             kThreads * kPerThread);
+}
+
+TEST(MetricsRegistry_, EveryIgnoredKnobAddsOneToConfigIgnored) {
+  const auto ignored = [] {
+    const MetricsRegistry::Snapshot snap = MetricsRegistry::global().snapshot();
+    const std::uint64_t* v = snap.find_counter("config.ignored");
+    return v != nullptr ? *v : 0;
+  };
+  // Registered at start-up, so a run that ignored nothing reports 0.
+  ASSERT_NE(MetricsRegistry::global().snapshot().find_counter("config.ignored"),
+            nullptr);
+  const std::uint64_t before = ignored();
+  ::setenv("WHEELS_REPLAY_INTERP", "sideways", 1);
+  (void)replay::replay_config_from_env();
+  ::unsetenv("WHEELS_REPLAY_INTERP");
+  EXPECT_EQ(ignored(), before + 1);
+  ::setenv("WHEELS_SERVICE_QUEUE", "0", 1);
+  (void)service::service_config_from_env();
+  ::unsetenv("WHEELS_SERVICE_QUEUE");
+  EXPECT_EQ(ignored(), before + 2);
 }
 
 TEST(MetricsRegistry_, CounterConvenienceReportsToTheGlobalRegistry) {
