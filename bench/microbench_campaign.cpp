@@ -6,7 +6,10 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/fleet_runner.hpp"
+#include "core/sim_time.hpp"
 #include "core/thread_pool.hpp"
+#include "measure/log_sync.hpp"
+#include "measure/logfile.hpp"
 
 namespace {
 
@@ -54,6 +57,32 @@ void BM_CampaignNoApps(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CampaignNoApps)->Unit(benchmark::kMillisecond);
+
+// One bulk test's challenge-C2 pipeline: Arg ticks of 500 ms logged by
+// XCAL (a .drm file opened in Central time, rows stamped in EDT) and by the
+// nuttcp app log (UTC), then joined back by LogSynchronizer. Every row and
+// line is one timestamp formatted and parsed back.
+void BM_LogSyncJoin(benchmark::State& state) {
+  const int ticks = static_cast<int>(state.range(0));
+  const UnixMillis t0 = campaign_start_unix_ms() + 123'456'789;
+  for (auto _ : state) {
+    measure::XcalLogger xcal{radio::Carrier::Verizon, t0, -300};
+    measure::AppLogger applog{"nuttcp", measure::TimestampPolicy::Utc, 0};
+    for (int i = 0; i < ticks; ++i) {
+      const UnixMillis now = t0 + 500 * static_cast<UnixMillis>(i);
+      measure::KpiRecord kpi;
+      kpi.t = sim_from_unix(now);
+      xcal.log(now, kpi);
+      applog.log(now, 100.0 + i);
+    }
+    const std::vector<measure::KpiRecord> rows =
+        measure::LogSynchronizer::join(std::move(xcal).finish(),
+                                       std::move(applog).finish());
+    benchmark::DoNotOptimize(rows.data());
+  }
+  state.SetItemsProcessed(state.iterations() * ticks);
+}
+BENCHMARK(BM_LogSyncJoin)->Arg(60);
 
 // One run_indexed of three empty jobs on a persistent pool: the fixed cost
 // of the per-segment carrier fan-out, paid 8,442 times by a full-scale

@@ -2,10 +2,16 @@
 // and serving-cell lookup dominate the per-tick cost of the campaign.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
+#include <optional>
+#include <vector>
+
+#include "geo/drive_trace.hpp"
 #include "geo/route.hpp"
 #include "geo/scaled_route.hpp"
 #include "radio/channel.hpp"
 #include "radio/deployment.hpp"
+#include "ran/session.hpp"
 
 namespace {
 
@@ -44,6 +50,35 @@ void BM_CoveringCellLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoveringCellLookup);
+
+// One phone's RadioSession ticking along the whole drive at scale 1.0, as
+// the campaign's bulk tests tick it: the coverage lookup, the tier policy,
+// handovers and the channel sample of every 500 ms tick. At the end of the
+// drive a fresh session starts over from km 0.
+void BM_SessionTickAlongDrive(benchmark::State& state) {
+  static const std::vector<geo::DriveSample> samples = [] {
+    std::vector<geo::DriveSample> out;
+    geo::DriveTraceGenerator gen{route(), geo::DriveTraceConfig{},
+                                 Rng{1}.fork("trace")};
+    while (const std::optional<geo::DriveSample> s = gen.next()) {
+      out.push_back(*s);
+    }
+    return out;
+  }();
+  const geo::ScaledRoute view{route(), 1.0};
+  const radio::Deployment dep{view, radio::Carrier::TMobile, Rng{4}};
+  std::optional<ran::RadioSession> session;
+  std::size_t i = samples.size();
+  for (auto _ : state) {
+    if (i == samples.size()) {
+      session.emplace(dep, ran::TrafficProfile::BackloggedDownlink, Rng{5});
+      i = 0;
+    }
+    benchmark::DoNotOptimize(session->tick(samples[i++], 500.0));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SessionTickAlongDrive);
 
 void BM_DeploymentGeneration(benchmark::State& state) {
   const geo::ScaledRoute view{route(), 1.0};

@@ -139,6 +139,11 @@ struct CarrierContext {
   /// cfg.population == 0 (the six-handset paper campaign).
   std::unique_ptr<ran::UePool> ue_pool;
   measure::CoverageTracker active_coverage;
+  /// The serving and anchor ids record_common inserted last into the
+  /// carrier's db_.active_cells; a tick that repeats one (nearly every
+  /// tick) skips its insert. Cell ids start at 1, so 0 means none yet.
+  std::uint32_t last_cell_id = 0;
+  std::uint32_t last_anchor_id = 0;
   Rng rng{0};
   /// Thread-private record sink; drained into the db after every fan-out.
   measure::RecordShard shard;
@@ -662,9 +667,14 @@ class CampaignRunner {
       ctx.shard.handovers.push_back({test_id, ctx.carrier, dir, ho});
     }
     ctx.active_coverage.observe(s.km / cfg_.scale, tick.tech);
-    db_.active_cells[ci].insert(tick.cell_id);
-    if (tick.anchor_cell_id != 0) {
+    if (tick.cell_id != ctx.last_cell_id) {
+      db_.active_cells[ci].insert(tick.cell_id);
+      ctx.last_cell_id = tick.cell_id;
+    }
+    if (tick.anchor_cell_id != 0 &&
+        tick.anchor_cell_id != ctx.last_anchor_id) {
       db_.active_cells[ci].insert(tick.anchor_cell_id);
+      ctx.last_anchor_id = tick.anchor_cell_id;
     }
   }
 

@@ -3,6 +3,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "core/obs/metrics.hpp"
 
@@ -24,6 +28,14 @@ obs::MetricId ignored_id() {
 
 void ignore_env(const char* name, std::string_view expected) {
   const char* value = std::getenv(name);
+  {
+    // A knob reader may run more than once per process (resolve_threads
+    // runs on every call); the same dropped value is one mistake, said once.
+    static std::mutex mu;
+    static std::set<std::pair<std::string, std::string>> reported;
+    const std::lock_guard lk{mu};
+    if (!reported.emplace(name, value != nullptr ? value : "").second) return;
+  }
   std::fprintf(stderr, "[wheels] ignoring %s=%s: expected %.*s\n", name,
                value != nullptr ? value : "",
                static_cast<int>(expected.size()), expected.data());

@@ -17,7 +17,8 @@ namespace wheels::core {
 /// Report that knob `name` is set but ignored: prints "[wheels] ignoring
 /// NAME=VALUE: expected <expected>" on stderr and adds 1 to the
 /// deterministic counter config.ignored, so WHEELS_METRICS_OUT shows that a
-/// knob was dropped.
+/// knob was dropped. Each (name, value) pair is reported once per process,
+/// however often its knob is read.
 void ignore_env(const char* name, std::string_view expected);
 
 /// Parse env var `name` as a base-10 integer. Returns nullopt when the

@@ -1,6 +1,5 @@
 #include "core/sim_time.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 namespace wheels {
@@ -9,6 +8,35 @@ namespace {
 constexpr std::int64_t kMillisPerDay = 86'400'000;
 constexpr std::int64_t kMillisPerHour = 3'600'000;
 constexpr std::int64_t kMillisPerMinute = 60'000;
+
+/// Writes `value` as exactly `width` decimal digits at `out`; throws when it
+/// does not fit, since parse_civil could not read such a field back.
+void put_digits(char* out, int value, int width) {
+  int limit = 1;
+  for (int i = 0; i < width; ++i) limit *= 10;
+  if (value < 0 || value >= limit) {
+    throw std::invalid_argument{"format_civil: field " +
+                                std::to_string(value) + " does not fit " +
+                                std::to_string(width) + " digits"};
+  }
+  for (int i = width - 1; i >= 0; --i) {
+    out[i] = static_cast<char>('0' + value % 10);
+    value /= 10;
+  }
+}
+
+/// Reads the `width` digits at `text[pos]`; false if any is not a digit.
+bool get_digits(const std::string& text, std::size_t pos, int width,
+                int& value) {
+  value = 0;
+  for (int i = 0; i < width; ++i) {
+    const char ch = text[pos + static_cast<std::size_t>(i)];
+    if (ch < '0' || ch > '9') return false;
+    value = value * 10 + (ch - '0');
+  }
+  return true;
+}
+
 }  // namespace
 
 std::int64_t days_from_civil(int y, int m, int d) {
@@ -73,10 +101,15 @@ UnixMillis unix_from_civil(const CivilDateTime& c, int utc_offset_minutes) {
 }
 
 std::string format_civil(const CivilDateTime& c) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d %02d:%02d:%02d.%03d", c.year,
-                c.month, c.day, c.hour, c.minute, c.second, c.millisecond);
-  return buf;
+  char buf[] = "YYYY-MM-DD HH:MM:SS.mmm";
+  put_digits(buf, c.year, 4);
+  put_digits(buf + 5, c.month, 2);
+  put_digits(buf + 8, c.day, 2);
+  put_digits(buf + 11, c.hour, 2);
+  put_digits(buf + 14, c.minute, 2);
+  put_digits(buf + 17, c.second, 2);
+  put_digits(buf + 20, c.millisecond, 3);
+  return std::string(buf, sizeof(buf) - 1);
 }
 
 std::string format_timestamp(UnixMillis t, int utc_offset_minutes) {
@@ -85,18 +118,21 @@ std::string format_timestamp(UnixMillis t, int utc_offset_minutes) {
 
 CivilDateTime parse_civil(const std::string& text) {
   CivilDateTime c;
-  int millis = 0;
-  const int matched =
-      std::sscanf(text.c_str(), "%d-%d-%d %d:%d:%d.%d", &c.year, &c.month,
-                  &c.day, &c.hour, &c.minute, &c.second, &millis);
-  if (matched < 6) {
+  const bool shape_ok =
+      (text.size() == 19 || (text.size() == 23 && text[19] == '.')) &&
+      text[4] == '-' && text[7] == '-' && text[10] == ' ' &&
+      text[13] == ':' && text[16] == ':' &&
+      get_digits(text, 0, 4, c.year) && get_digits(text, 5, 2, c.month) &&
+      get_digits(text, 8, 2, c.day) && get_digits(text, 11, 2, c.hour) &&
+      get_digits(text, 14, 2, c.minute) &&
+      get_digits(text, 17, 2, c.second) &&
+      (text.size() == 19 || get_digits(text, 20, 3, c.millisecond));
+  if (!shape_ok) {
     throw std::invalid_argument{"parse_civil: malformed timestamp '" + text +
                                 "'"};
   }
-  c.millisecond = matched >= 7 ? millis : 0;
-  if (c.month < 1 || c.month > 12 || c.day < 1 || c.day > 31 || c.hour < 0 ||
-      c.hour > 23 || c.minute < 0 || c.minute > 59 || c.second < 0 ||
-      c.second > 60 || c.millisecond < 0 || c.millisecond > 999) {
+  if (c.month < 1 || c.month > 12 || c.day < 1 || c.day > 31 ||
+      c.hour > 23 || c.minute > 59 || c.second > 60) {
     throw std::invalid_argument{"parse_civil: out-of-range field in '" + text +
                                 "'"};
   }

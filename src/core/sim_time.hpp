@@ -51,12 +51,18 @@ CivilDateTime civil_from_unix(UnixMillis t, int utc_offset_minutes);
 /// Unix ms for a civil date-time recorded at the given UTC offset.
 UnixMillis unix_from_civil(const CivilDateTime& c, int utc_offset_minutes);
 
-/// "YYYY-MM-DD HH:MM:SS.mmm".
+/// "YYYY-MM-DD HH:MM:SS.mmm", every field zero-padded to its width (the
+/// bytes of printf's "%04d-%02d-%02d %02d:%02d:%02d.%03d"). Throws
+/// std::invalid_argument when a field does not fit its width (a negative
+/// value, a year past 9999), since parse_civil could not read it back.
 std::string format_civil(const CivilDateTime& c);
 /// Formats `t` as observed at the given offset.
 std::string format_timestamp(UnixMillis t, int utc_offset_minutes);
-/// Parses "YYYY-MM-DD HH:MM:SS[.mmm]". Throws std::invalid_argument on
-/// malformed input.
+/// Parses exactly "YYYY-MM-DD HH:MM:SS" (19 characters) or the same plus
+/// ".mmm" (23), every digit at its fixed position. Throws
+/// std::invalid_argument on any other shape (unpadded fields, signs, blanks,
+/// trailing text, 1-, 2- or 4-digit milliseconds) and on out-of-range
+/// fields.
 CivilDateTime parse_civil(const std::string& text);
 
 }  // namespace wheels

@@ -12,7 +12,9 @@
 // an epoch-millisecond clock must not allocate one counter per window since
 // 1970 — that dense vector is exactly the OOM this replaces), interior
 // windows with no opportunities emit zero capacity (a recorded outage, not a
-// gap), and parser state is O(1) in the trace length. A Mahimahi file covers
+// gap), and parser state is O(1) in the trace length. Since the output grows
+// with the time span, a timestamp more than 8 days after the first one (the
+// paper's whole drive) fails with its line number. A Mahimahi file covers
 // one direction; the paired up/down merge lives in the uplink-merge sink.
 #include <algorithm>
 #include <stdexcept>
@@ -27,6 +29,12 @@ namespace wheels::ingest {
 namespace {
 
 constexpr double kMtuBits = 1500.0 * 8.0;
+
+/// The longest span a trace may cover, from its first timestamp: 8 days,
+/// the length of the paper's whole drive (a full-scale campaign timeline
+/// spans 7.25). Every window in the span is emitted, silent ones as zero
+/// capacity, so a clock jump past this would emit without bound.
+constexpr SimMillis kMaxSpanMs = 8LL * 24 * 3'600'000;
 
 bool all_digits(const std::string& line) {
   if (line.empty()) return false;
@@ -86,6 +94,7 @@ class MahimahiAdapter final : public TraceAdapter {
     };
 
     LineRef line;
+    SimMillis first = 0;  // valid once have_window
     SimMillis last = -1;
     SimMillis window = 0;  // current window index, valid once have_window
     std::size_t count = 0;
@@ -98,8 +107,15 @@ class MahimahiAdapter final : public TraceAdapter {
       if (!have_window) {
         // The first timestamp anchors windowing — no counters for the
         // (possibly billions of) empty windows before the recording.
+        first = t;
         window = w;
         have_window = true;
+      } else if (t - first > kMaxSpanMs) {
+        trace_fail(line.number,
+                   "time " + std::to_string(t) + " lies more than " +
+                       std::to_string(kMaxSpanMs) +
+                       " ms (8 days) after the trace's first time " +
+                       std::to_string(first));
       }
       while (window < w) {
         emit_window(window, count);

@@ -36,7 +36,10 @@ void PassiveLogger::tick(const geo::DriveSample& s) {
 
   log_.handovers += static_cast<std::int64_t>(tick.handovers.size());
   log_.pings += (ticks_++ % 2 == 0) ? 2 : 3;  // 2.5 pings per 500 ms
-  log_.cells.insert(tick.cell_id);
+  if (tick.cell_id != last_cell_id_) {
+    log_.cells.insert(tick.cell_id);
+    last_cell_id_ = tick.cell_id;
+  }
 
   if (open_start_map_km_ < 0.0) {
     open_start_map_km_ = map_km;

@@ -30,6 +30,9 @@ class PassiveLogger {
   double scale_;
   PassiveLog log_;
   std::int64_t ticks_ = 0;
+  /// The cell id inserted last into log_.cells; a repeat skips the insert.
+  /// Cell ids start at 1, so 0 means none yet.
+  std::uint32_t last_cell_id_ = 0;
   radio::Technology open_tech_ = radio::Technology::Lte;
   Km open_start_map_km_ = -1.0;
   Km last_map_km_ = 0.0;

@@ -115,6 +115,36 @@ double profile(Carrier c, Technology t, Timezone tz, RegionType r) {
   return std::clamp(p.at(r) * m.at(tz), 0.0, 0.95);
 }
 
+/// Index of the first cell whose centre is not below `km`.
+std::size_t first_not_below(const std::vector<CellSite>& cells, Km km) {
+  return static_cast<std::size_t>(
+      std::lower_bound(
+          cells.begin(), cells.end(), km,
+          [](const CellSite& c, Km k) { return c.center_km < k; }) -
+      cells.begin());
+}
+
+/// The neighbour rule: of the two cells on each side of insertion point
+/// `idx` (the first whose centre is not below `km`), the covering one whose
+/// centre is nearest; on a tie the lower index wins. Radii never exceed a
+/// couple of spacings, so two candidates on each side suffice.
+const CellSite* nearest_covering(const std::vector<CellSite>& cells,
+                                 std::size_t idx, Km km) {
+  const CellSite* best = nullptr;
+  Km best_dist = 1e18;
+  const std::size_t lo = idx >= 2 ? idx - 2 : 0;
+  const std::size_t hi = std::min(idx + 2, cells.size());
+  for (std::size_t j = lo; j < hi; ++j) {
+    const CellSite& c = cells[j];
+    const Km d = std::abs(c.center_km - km);
+    if (c.covers(km) && d < best_dist) {
+      best = &c;
+      best_dist = d;
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 double availability_probability(Carrier carrier, Technology tech,
@@ -168,32 +198,22 @@ Deployment::Deployment(const geo::ScaledRoute& route, Carrier carrier, Rng rng,
 
 const CellSite* Deployment::covering_cell(Technology tech, Km km) const {
   const auto& cells = by_tech_[static_cast<std::size_t>(tech)];
-  if (cells.empty()) return nullptr;
-  const auto it = std::lower_bound(
-      cells.begin(), cells.end(), km,
-      [](const CellSite& c, Km k) { return c.center_km < k; });
-
-  const CellSite* best = nullptr;
-  Km best_dist = 1e18;
-  // Check the neighbours around the insertion point; radii never exceed a
-  // couple of spacings so two candidates on each side suffice.
-  const auto idx = static_cast<std::ptrdiff_t>(it - cells.begin());
-  for (std::ptrdiff_t j = idx - 2; j <= idx + 1; ++j) {
-    if (j < 0 || j >= static_cast<std::ptrdiff_t>(cells.size())) continue;
-    const CellSite& c = cells[static_cast<std::size_t>(j)];
-    const Km d = std::abs(c.center_km - km);
-    if (c.covers(km) && d < best_dist) {
-      best = &c;
-      best_dist = d;
-    }
-  }
-  return best;
+  return nearest_covering(cells, first_not_below(cells, km), km);
 }
 
-std::vector<Technology> Deployment::available(Km km) const {
-  std::vector<Technology> out;
-  for (Technology t : kAllTechnologies) {
-    if (has(t, km)) out.push_back(t);
+Coverage Deployment::coverage(Km km, CoverageCursor& cursor) const {
+  const bool backwards = km < cursor.last_km;
+  cursor.last_km = km;
+  Coverage out{};
+  for (std::size_t t = 0; t < out.size(); ++t) {
+    const auto& cells = by_tech_[t];
+    std::size_t& next = cursor.next[t];
+    if (backwards) {
+      next = first_not_below(cells, km);
+    } else {
+      while (next < cells.size() && cells[next].center_km < km) ++next;
+    }
+    out[t] = nearest_covering(cells, next, km);
   }
   return out;
 }

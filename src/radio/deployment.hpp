@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -71,6 +72,19 @@ struct DeploymentOverrides {
   }
 };
 
+/// The covering cell of each technology at one km, indexed by
+/// static_cast<std::size_t>(Technology); null where none covers.
+using Coverage = std::array<const CellSite*, kTechnologyCount>;
+
+/// Where a run of Deployment::coverage calls left off, for one Deployment:
+/// per technology, the index of the first cell whose centre is not below
+/// `last_km` (what lower_bound would return). A lookup at a km not below
+/// `last_km` walks these forward; one below it searches again.
+struct CoverageCursor {
+  std::array<std::size_t, kTechnologyCount> next{};
+  Km last_km = -std::numeric_limits<Km>::infinity();
+};
+
 class Deployment {
  public:
   /// Generate the carrier's cells along the (scaled) route, deterministically
@@ -84,8 +98,10 @@ class Deployment {
   /// The covering cell of `tech` whose centre is nearest to `km`, if any.
   const CellSite* covering_cell(Technology tech, Km km) const;
 
-  /// Technologies available at `km`, highest tier last.
-  std::vector<Technology> available(Km km) const;
+  /// covering_cell(tech, km) for every technology at once, found from
+  /// `cursor` instead of a binary search per technology: a vehicle's km
+  /// grows by metres per call, so each index moves by a cell or none.
+  Coverage coverage(Km km, CoverageCursor& cursor) const;
 
   /// True if any cell of `tech` covers `km`.
   bool has(Technology tech, Km km) const {

@@ -1,7 +1,9 @@
 #include "ran/session.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "core/obs/metrics.hpp"
@@ -27,24 +29,46 @@ void RadioSession::set_traffic(TrafficProfile traffic) {
   force_fresh_eval_ = true;   // a new traffic profile means a new grant
 }
 
-void RadioSession::evaluate_policy(Km km, geo::Timezone tz,
+namespace {
+
+/// Bit t set when technology t has a covering cell in `coverage`.
+unsigned availability_mask(const radio::Coverage& coverage) {
+  unsigned mask = 0;
+  for (std::size_t t = 0; t < coverage.size(); ++t) {
+    if (coverage[t] != nullptr) mask |= 1u << t;
+  }
+  return mask;
+}
+
+const CellSite* covering(const radio::Coverage& coverage, Technology tech) {
+  return coverage[static_cast<std::size_t>(tech)];
+}
+
+}  // namespace
+
+void RadioSession::evaluate_policy(const radio::Coverage& coverage,
+                                   geo::Timezone tz,
                                    bool availability_changed) {
-  last_available_ = deployment_->available(km);
+  last_available_ = availability_mask(coverage);
   // Grants are sticky: while the available set is unchanged, the network
   // keeps the current tier most of the time instead of re-rolling the
   // policy (otherwise idle phones would flap between layers every few
   // seconds, which the paper's passive handover counts rule out).
-  const bool still_available =
-      std::find(last_available_.begin(), last_available_.end(), desired_) !=
-      last_available_.end();
+  const bool still_available = covering(coverage, desired_) != nullptr;
   if (!force_fresh_eval_ && !availability_changed && still_available &&
       rng_.bernoulli(0.9)) {
     since_policy_eval_ = 0.0;
     return;
   }
   force_fresh_eval_ = false;
-  desired_ = select_technology(deployment_->carrier(), last_available_,
-                               traffic_, tz, rng_);
+  std::array<Technology, radio::kTechnologyCount> available{};
+  std::size_t n = 0;
+  for (Technology t : radio::kAllTechnologies) {
+    if (covering(coverage, t) != nullptr) available[n++] = t;
+  }
+  desired_ = select_technology(deployment_->carrier(),
+                               std::span{available.data(), n}, traffic_, tz,
+                               rng_);
   since_policy_eval_ = 0.0;
 }
 
@@ -90,22 +114,23 @@ RadioTick RadioSession::tick(const geo::DriveSample& s, Millis dt) {
 
   // Re-evaluate the tier grant periodically or when the available set
   // changed (entering/leaving a deployment zone).
-  const auto avail = deployment_->available(s.km);
-  const bool availability_changed = avail != last_available_;
+  const radio::Coverage coverage = deployment_->coverage(s.km, cursor_);
+  const bool availability_changed =
+      availability_mask(coverage) != last_available_;
   if (availability_changed || since_policy_eval_ >= kPolicyPeriod) {
-    evaluate_policy(s.km, s.tz, availability_changed);
+    evaluate_policy(coverage, s.tz, availability_changed);
   }
 
   // Candidate serving cell for the desired tier; if the tier lost coverage
   // mid-grant, fall back through the tiers (LTE always covers).
-  const CellSite* candidate = deployment_->covering_cell(desired_, s.km);
+  const CellSite* candidate = covering(coverage, desired_);
   if (candidate == nullptr) {
-    evaluate_policy(s.km, s.tz, true);
-    candidate = deployment_->covering_cell(desired_, s.km);
+    evaluate_policy(coverage, s.tz, true);
+    candidate = covering(coverage, desired_);
   }
   if (candidate == nullptr) {
     desired_ = Technology::Lte;
-    candidate = deployment_->covering_cell(Technology::Lte, s.km);
+    candidate = covering(coverage, Technology::Lte);
   }
   if (candidate == nullptr && serving_ == nullptr) {
     // No coverage at all at this position — a deployment must always carry
@@ -182,11 +207,8 @@ RadioTick RadioSession::tick(const geo::DriveSample& s, Millis dt) {
   // reselections are handovers too — XCAL counts them, which is part of why
   // the paper's per-mile handover counts exceed bare serving-cell changes.
   if (radio::is_5g(serving_->tech)) {
-    const CellSite* anchor =
-        deployment_->covering_cell(Technology::LteA, s.km);
-    if (anchor == nullptr) {
-      anchor = deployment_->covering_cell(Technology::Lte, s.km);
-    }
+    const CellSite* anchor = covering(coverage, Technology::LteA);
+    if (anchor == nullptr) anchor = covering(coverage, Technology::Lte);
     if (anchor != nullptr && anchor_ != nullptr &&
         anchor->id != anchor_->id) {
       HandoverEvent ho;

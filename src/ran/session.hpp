@@ -48,9 +48,11 @@ class RadioSession {
   radio::Carrier carrier() const { return deployment_->carrier(); }
 
  private:
-  void evaluate_policy(Km km, geo::Timezone tz, bool availability_changed);
+  void evaluate_policy(const radio::Coverage& coverage, geo::Timezone tz,
+                       bool availability_changed);
 
   const radio::Deployment* deployment_;
+  radio::CoverageCursor cursor_;
   TrafficProfile traffic_;
   radio::ChannelModel channel_;
   Rng rng_;
@@ -60,7 +62,9 @@ class RadioSession {
   radio::Technology desired_ = radio::Technology::Lte;
   Millis since_policy_eval_ = 1e18;  // force evaluation on first tick
   bool force_fresh_eval_ = true;     // bypass grant stickiness once
-  std::vector<radio::Technology> last_available_;
+  /// Bit t set when technology t had a covering cell at the last policy
+  /// evaluation.
+  unsigned last_available_ = 0;
   /// Hysteresis margin for same-technology reselection (km).
   static constexpr Km kReselectionMarginKm = 0.08;
   /// Intra-site sector handover rate (events per km driven). Sites have 3

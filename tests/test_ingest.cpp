@@ -239,6 +239,50 @@ TEST(IngestTest, MahimahiUplinkTailStaysOnTheDownlinkGrid) {
   }
 }
 
+/// Counts what it is fed and throws past `limit` points.
+class BoundedSink final : public PointSink {
+ public:
+  explicit BoundedSink(std::size_t limit) : limit_(limit) {}
+  void push(const TracePoint&) override {
+    if (++pushed_ > limit_) throw std::runtime_error{"sink: over the limit"};
+  }
+  std::size_t pushed() const { return pushed_; }
+
+ private:
+  std::size_t limit_;
+  std::size_t pushed_ = 0;
+};
+
+TEST(IngestTest, MahimahiRejectsASpanLongerThanTheDrive) {
+  // Lines 1-3 span 2 ms, line 4 jumps 10^12 ms. Every 500 ms window of
+  // that jump would be emitted as a zero-capacity point — two billion of
+  // them — so the sink stops at 10^6 rather than let memory run out.
+  const TraceAdapter* mahimahi = builtin_registry().find("mahimahi");
+  ASSERT_NE(mahimahi, nullptr);
+  const IngestOptions options;
+  {
+    LineSource lines{fixture("mahimahi_jump.down"), ChunkSpec{}};
+    BoundedSink sink{1'000'000};
+    const std::string err =
+        error_of([&] { mahimahi->parse_stream(lines, options, sink); });
+    EXPECT_EQ(err.rfind("line 4: ", 0), 0u) << err;
+  }
+  // The cap is 8 days (691,200,000 ms) from the first timestamp, inclusive.
+  for (const SimMillis last : {691'200'000LL, 691'200'001LL}) {
+    std::istringstream text{"100\n" + std::to_string(100 + last) + "\n"};
+    LineSource lines{text, ChunkSpec{}};
+    BoundedSink sink{2'000'000};
+    const std::string err =
+        error_of([&] { mahimahi->parse_stream(lines, options, sink); });
+    if (last == 691'200'000) {
+      EXPECT_EQ(err, "");
+      EXPECT_EQ(sink.pushed(), 1'382'401u);
+    } else {
+      EXPECT_EQ(err.rfind("line 2: ", 0), 0u) << err;
+    }
+  }
+}
+
 TEST(IngestTest, ErrantFixtureReplaysEndToEnd) {
   IngestOptions options;
   options.carrier = radio::Carrier::TMobile;

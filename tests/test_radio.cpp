@@ -219,6 +219,34 @@ TEST_F(DeploymentTest, CoveringCellIsNearest) {
   }
 }
 
+TEST_F(DeploymentTest, CoverageMatchesCoveringCellAlongADrive) {
+  // A drive that runs past both ends of the route, repeats a km, jumps
+  // back far and creeps back in small steps: the cursor must agree with a
+  // fresh binary search at every km, whichever way it moved.
+  const Km total = view_.total_physical_km();
+  std::vector<Km> kms;
+  for (Km km = -2.0; km < total + 2.0; km += 0.05) kms.push_back(km);
+  for (Km km = total / 3.0; km < total / 2.0; km += 0.04) {
+    kms.push_back(km);
+    kms.push_back(km);
+  }
+  for (int i = 0; i < 200; ++i) kms.push_back(total / 2.0 - 0.03 * i);
+  for (Km km = -1.0; km < 60.0; km += 0.02) kms.push_back(km);
+  for (Carrier c : kAllCarriers) {
+    const Deployment d{view_, c, Rng{100}};
+    CoverageCursor cursor;
+    for (const Km km : kms) {
+      const Coverage cov = d.coverage(km, cursor);
+      for (Technology tech : kAllTechnologies) {
+        ASSERT_EQ(cov[static_cast<std::size_t>(tech)],
+                  d.covering_cell(tech, km))
+            << carrier_name(c) << " " << technology_name(tech) << " @"
+            << km;
+      }
+    }
+  }
+}
+
 TEST(DeploymentProbability, PolicyShapesMatchPaper) {
   using geo::RegionType;
   using geo::Timezone;

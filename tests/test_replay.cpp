@@ -528,7 +528,9 @@ TEST(ReplayEnv, ParsesKnobsAndIgnoresGarbage) {
   EXPECT_EQ(cfg.knobs.server, net::ServerKind::Edge);
   EXPECT_EQ(cfg.knobs.max_tier, radio::Technology::NrMid);
 
-  ::setenv("WHEELS_REPLAY_INTERP", "sideways", 1);
+  // Not the value test_obs.cpp counts: ignore_env reports each (name,
+  // value) pair once per process.
+  ::setenv("WHEELS_REPLAY_INTERP", "diagonal", 1);
   ::setenv("WHEELS_REPLAY_CC", "reno", 1);
   ::setenv("WHEELS_REPLAY_SERVER", "moon", 1);
   ::setenv("WHEELS_REPLAY_MAX_TIER", "6G", 1);

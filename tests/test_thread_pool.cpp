@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/env.hpp"
+#include "core/obs/metrics.hpp"
 #include "core/thread_pool.hpp"
 
 namespace wheels::core {
@@ -60,6 +62,21 @@ TEST_F(ThreadPoolEnv, OutOfRangeEnvFallsBackToAuto) {
     setenv("WHEELS_THREADS", bad, 1);
     EXPECT_GE(resolve_threads(0), 1) << "value: '" << bad << "'";
   }
+}
+
+TEST_F(ThreadPoolEnv, MalformedValueWarnsAndCountsOncePerRun) {
+  // A run resolves its thread count more than once (export_dataset does
+  // three times); one bad value is still one dropped knob.
+  const auto ignored = [] {
+    const obs::MetricsRegistry::Snapshot snap =
+        obs::MetricsRegistry::global().snapshot();
+    const std::uint64_t* v = snap.find_counter("config.ignored");
+    return v != nullptr ? *v : 0;
+  };
+  setenv("WHEELS_THREADS", "once-per-run", 1);
+  const std::uint64_t before = ignored();
+  for (int i = 0; i < 3; ++i) EXPECT_GE(resolve_threads(0), 1);
+  EXPECT_EQ(ignored(), before + 1);
 }
 
 TEST_F(ThreadPoolEnv, EnvIntParsesFullStringOnly) {
