@@ -1,12 +1,14 @@
 // google-benchmark: streamed ingest throughput. The line source and the
 // incremental adapters are the multi-GB on-ramp; this tracks MB/s through
-// the raw line layer, the full parse→resample→bundle pipeline, and the
-// in-memory parse the export round-trip verify runs. SetBytesProcessed
-// makes the MB/s column first-class, so a reader regression shows up as a
-// rate, not a guess.
+// the raw line layer, the full parse→resample→bundle pipeline, the
+// in-memory parse the export round-trip verify runs, and the chunked
+// bundle read (replay::read_dataset) at one and four threads.
+// SetBytesProcessed makes the MB/s column first-class, so a reader
+// regression shows up as a rate, not a guess.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -14,9 +16,12 @@
 #include <string>
 #include <utility>
 
+#include "campaign/campaign.hpp"
 #include "ingest/adapters.hpp"
 #include "ingest/ingest.hpp"
 #include "ingest/line_source.hpp"
+#include "measure/csv_export.hpp"
+#include "replay/ingest.hpp"
 
 namespace {
 
@@ -123,6 +128,51 @@ void BM_IngestMinimalCsvBundle(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(size) * state.iterations());
 }
 BENCHMARK(BM_IngestMinimalCsvBundle)->Unit(benchmark::kMillisecond);
+
+/// A scale-0.2 campaign bundle (~38 MB), written once per process into the
+/// temp directory.
+const std::string& dataset_fixture() {
+  static const std::string dir = [] {
+    const std::string d = (std::filesystem::temp_directory_path() /
+                           "wheels_bench_read_dataset")
+                              .string();
+    std::filesystem::remove_all(d);
+    campaign::CampaignConfig cfg;
+    cfg.scale = 0.2;
+    (void)measure::write_dataset(campaign::DriveCampaign{cfg}.run(), d,
+                                 campaign::make_manifest(cfg));
+    return d;
+  }();
+  return dir;
+}
+
+/// replay::read_dataset of the fixture bundle with the pool
+/// WHEELS_THREADS = range(0) wide.
+void BM_ReadDataset(benchmark::State& state) {
+  const std::string& dir = dataset_fixture();
+  std::uintmax_t bytes = 0;
+  for (const auto& entry : std::filesystem::directory_iterator{dir}) {
+    bytes += entry.file_size();
+  }
+  const char* saved = std::getenv("WHEELS_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::setenv("WHEELS_THREADS", std::to_string(state.range(0)).c_str(), 1);
+  for (auto _ : state) {
+    replay::ReplayBundle bundle = replay::read_dataset(dir);
+    benchmark::DoNotOptimize(bundle);
+  }
+  if (saved != nullptr) {
+    ::setenv("WHEELS_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("WHEELS_THREADS");
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(bytes) * state.iterations());
+}
+BENCHMARK(BM_ReadDataset)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,5 +1,9 @@
 #include "measure/csv_export.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <charconv>
@@ -10,6 +14,8 @@
 #include <istream>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <numeric>
 #include <ostream>
 #include <set>
 #include <stdexcept>
@@ -35,6 +41,7 @@ namespace fs = std::filesystem;
 // blocks of this size. write_dataset writes several tables at a time, one
 // block each.
 constexpr std::size_t kBlockBytes = std::size_t{256} << 10;
+static_assert(kReadChunkBytes % kBlockBytes == 0);
 
 // Room for one number's text: "%.17g" needs at most 24 characters
 // ("-2.2250738585072014e-308"), an int64 at most 20.
@@ -406,30 +413,147 @@ std::array<std::string_view, N> split_row(std::string_view line,
   return cells;
 }
 
-/// One data line of `table` as a record, its fields parsed in file order.
-template <const auto& table>
-auto decode_row(std::string_view line, std::size_t number) {
-  using Table = std::remove_cvref_t<decltype(table)>;
-  const auto cells = split_row<Table::kColumns>(line, number);
-  typename Table::Record row;
+/// Parses the cells of one data line of `table` into `row`, in file order.
+template <const auto& table, typename Record, std::size_t N>
+void parse_cells(const std::array<std::string_view, N>& cells,
+                 std::size_t number, Record& row) {
   [&]<std::size_t... I>(std::index_sequence<I...>) {
     (parse_field(cells[I], number, std::get<I>(table.columns).of(row)), ...);
-  }(std::make_index_sequence<Table::kColumns>{});
-  return row;
+  }(std::make_index_sequence<N>{});
 }
 
-/// Strict line cursor over one CSV table. Pulls the stream in blocks
-/// through core::LineReader, verifies the header on construction, skips
-/// blank lines (the writers never emit them mid-table) and rejects a
-/// repeated header line. Lines are views into the block, valid until the
-/// next call to next(); no line allocates. Every failure throws
-/// std::runtime_error citing the 1-based line number of the offending line.
+/// The header row of `table`, built once.
+template <const auto& table>
+std::string_view header_text() {
+  static const std::string header = header_of(table);
+  return header;
+}
+
+/// The workers of one bundle read, shared by its tables: a pool
+/// WHEELS_THREADS wide and one block buffer per pool thread. The caller
+/// allocates the buffers, each with room for a block and the tail of a
+/// line of up to 4 KiB that the block before cut, so a worker allocates no
+/// memory of its own: a short-lived worker's malloc arena would keep it.
+/// Only a longer line grows a buffer.
+class ChunkWorkers {
+ public:
+  ChunkWorkers()
+      : pool_(core::resolve_threads(0)),
+        free_(static_cast<std::size_t>(pool_.threads())) {
+    for (std::vector<char>& block : free_) block.reserve(kBlockBytes + 4096);
+  }
+
+  core::ThreadPool& pool() { return pool_; }
+
+  /// A free block buffer; at most one per pool thread is out at a time.
+  std::vector<char> take() {
+    const std::lock_guard lk{mu_};
+    if (free_.empty()) return {};
+    std::vector<char> block = std::move(free_.back());
+    free_.pop_back();
+    return block;
+  }
+
+  void give(std::vector<char> block) {
+    const std::lock_guard lk{mu_};
+    free_.push_back(std::move(block));
+  }
+
+ private:
+  core::ThreadPool pool_;
+  std::mutex mu_;
+  std::vector<std::vector<char>> free_;
+};
+
+/// Strict line cursor over a CSV table, or over one chunk of a table file:
+/// the lines that start in it. Pulls its input in blocks through
+/// core::LineReader, skips blank lines (the writers never emit them
+/// mid-table) and rejects a repeated header line; the chunk at the start of
+/// the input verifies the header first. Lines are views into the block,
+/// valid until the next call to next(); no line allocates. Every failure
+/// throws std::runtime_error citing the 1-based line number of the
+/// offending line.
 class CsvLines {
  public:
+  /// All of `is`.
   CsvLines(std::istream& is, std::string_view header)
       : lines_(is, kBlockBytes), header_(header) {
+    check_header();
+  }
+
+  /// The lines of the file `fd` that start at a byte in [begin, end), the
+  /// first numbered `first_line`; end = npos reads on to the end of the
+  /// file. The block buffer is one of `workers`', handed back on
+  /// destruction.
+  CsvLines(int fd, std::size_t begin, std::size_t end, std::size_t first_line,
+           std::string_view header, ChunkWorkers& workers)
+      : lines_(fd, read_start(begin), kBlockBytes, workers.take()),
+        stop_(end == std::string_view::npos ? end : end - read_start(begin)),
+        number_(first_line - 1),
+        header_(header),
+        workers_(&workers) {
+    if (begin == 0) {
+      check_header();
+      return;
+    }
+    std::string_view rest;  // of the line the byte before `begin` is in
+    (void)lines_.next(rest);
+  }
+
+  ~CsvLines() {
+    if (workers_ != nullptr) workers_->give(std::move(lines_).take_buffer());
+  }
+
+  CsvLines(const CsvLines&) = delete;
+  CsvLines& operator=(const CsvLines&) = delete;
+
+  /// The next data line; false past the chunk's end.
+  bool next(std::string_view& line) {
+    while (next_physical(line)) {
+      if (line.empty()) continue;
+      if (line == header_) fail(number_, "duplicated header");
+      return true;
+    }
+    return false;
+  }
+
+  /// Pass 1 of a chunked read: reads to the chunk's end without parsing
+  /// and counts the lines that next() would return with `fields` fields,
+  /// the only ones that get a row slot.
+  std::size_t count_rows(std::size_t fields) {
+    std::size_t rows = 0;
     std::string_view line;
-    if (!lines_.next(line)) {
+    while (next_physical(line)) {
+      if (!line.empty() && line != header_ &&
+          static_cast<std::size_t>(std::count(line.begin(), line.end(),
+                                              ',')) == fields - 1) {
+        ++rows;
+      }
+    }
+    return rows;
+  }
+
+  /// 1-based number of the line read last.
+  std::size_t number() const { return number_; }
+
+ private:
+  /// The next physical line, blank or not; false past the chunk's end.
+  bool next_physical(std::string_view& line) {
+    if (!lines_.next(line) || lines_.line_offset() >= stop_) return false;
+    ++number_;
+    return true;
+  }
+
+  /// A chunk reads from one byte before its start, so the first line it
+  /// reads is the rest of the line before it: empty when that line ends
+  /// right before the chunk, and never a line of the chunk's own.
+  static std::size_t read_start(std::size_t begin) {
+    return begin == 0 ? 0 : begin - 1;
+  }
+
+  void check_header() {
+    std::string_view line;
+    if (!next_physical(line)) {
       fail(1, "missing header, expected '" + std::string{header_} + "'");
     }
     if (line != header_) {
@@ -438,37 +562,119 @@ class CsvLines {
     }
   }
 
-  /// The next data line; false at end of input.
-  bool next(std::string_view& line) {
-    while (lines_.next(line)) {
-      if (line.empty()) continue;
-      if (line == header_) fail(number(), "duplicated header");
-      return true;
-    }
-    return false;
-  }
-
-  /// 1-based number of the line next() returned last.
-  std::size_t number() const { return lines_.line_number(); }
-
- private:
   core::LineReader lines_;
+  std::size_t stop_ = std::string_view::npos;  // offset in lines_' input
+  std::size_t number_ = 0;
   std::string_view header_;
+  ChunkWorkers* workers_ = nullptr;  // set for a file chunk
 };
 
-template <const auto& table>
-auto read_records(std::istream& is) {
-  const std::string header = header_of(table);
-  CsvLines lines{is, header};
-  std::vector<typename std::remove_cvref_t<decltype(table)>::Record> out;
+/// The decode loop of every record-table read: each data line of `lines`
+/// is checked for `table`'s field count and then parsed into `slot()`, so
+/// only a well-formed line gets a slot.
+template <const auto& table, typename Slot>
+void decode_rows(CsvLines& lines, Slot&& slot) {
   std::string_view line;
   while (lines.next(line)) {
-    out.push_back(decode_row<table>(line, lines.number()));
+    const auto cells = split_row<table.kColumns>(line, lines.number());
+    parse_cells<table>(cells, lines.number(), slot());
   }
-  return out;
+}
+
+/// A whole stream of `table`: the one-chunk read, its rows appended.
+template <const auto& table>
+auto read_records(std::istream& is) {
+  std::vector<typename std::remove_cvref_t<decltype(table)>::Record> rows;
+  CsvLines lines{is, header_text<table>()};
+  decode_rows<table>(lines, [&]() -> auto& { return rows.emplace_back(); });
+  return rows;
+}
+
+/// A table file open for pread, and its size when it was opened.
+class TableFile {
+ public:
+  explicit TableFile(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    struct stat st {};
+    if (fd_ < 0 || ::fstat(fd_, &st) != 0) {
+      if (fd_ >= 0) ::close(fd_);
+      throw std::runtime_error{"csv: cannot open " + path};
+    }
+    size_ = static_cast<std::size_t>(st.st_size);
+  }
+  ~TableFile() { ::close(fd_); }
+
+  TableFile(const TableFile&) = delete;
+  TableFile& operator=(const TableFile&) = delete;
+
+  int fd() const { return fd_; }
+  std::size_t size() const { return size_; }
+
+ private:
+  int fd_;
+  std::size_t size_ = 0;
+};
+
+/// Pass 2 met a line or a row that pass 1 did not count.
+[[noreturn]] void changed_while_read(std::string_view file) {
+  throw std::runtime_error{"csv: " + std::string{file} +
+                           " changed while it was read"};
+}
+
+/// Reads `table`'s file at `path` in kReadChunkBytes chunks on the workers'
+/// pool: pass 1 counts each chunk's lines and rows, `rows` is sized once
+/// from the prefix sums, and pass 2 decodes each chunk straight into its
+/// own slots with its own line numbers. The pool rethrows the lowest
+/// failing chunk's error, which is the first error in file order, as the
+/// stream reader meets it.
+template <const auto& table, typename Record>
+void read_chunked(const std::string& path, std::vector<Record>& rows,
+                  ChunkWorkers& workers) {
+  const TableFile file{path};
+  const std::size_t chunks = std::max<std::size_t>(
+      1, (file.size() + kReadChunkBytes - 1) / kReadChunkBytes);
+  const auto chunk = [&](std::size_t k, std::size_t first_line) {
+    return CsvLines{file.fd(),
+                    k * kReadChunkBytes,
+                    k + 1 == chunks ? std::string_view::npos
+                                    : (k + 1) * kReadChunkBytes,
+                    first_line,
+                    header_text<table>(),
+                    workers};
+  };
+  // Pass 1 leaves chunk k's line and row counts at k + 1; the prefix sums
+  // then hold chunk k's first line number and first slot at k, and the
+  // table's end at `chunks`. A chunk's lines include blanks and the header.
+  std::vector<std::size_t> first_line(chunks + 1, 0);
+  std::vector<std::size_t> first_row(chunks + 1, 0);
+  workers.pool().run_indexed(chunks, [&](std::size_t k) {
+    CsvLines lines = chunk(k, 1);
+    first_row[k + 1] = lines.count_rows(table.kColumns);
+    first_line[k + 1] = lines.number();
+  });
+  first_line[0] = 1;
+  std::partial_sum(first_line.begin(), first_line.end(), first_line.begin());
+  std::partial_sum(first_row.begin(), first_row.end(), first_row.begin());
+  rows.resize(first_row[chunks]);
+  workers.pool().run_indexed(chunks, [&](std::size_t k) {
+    CsvLines lines = chunk(k, first_line[k]);
+    Record* next = rows.data() + first_row[k];
+    Record* const end = rows.data() + first_row[k + 1];
+    decode_rows<table>(lines, [&]() -> Record& {
+      if (next == end) changed_while_read(table.file);
+      return *next++;
+    });
+    if (next != end || lines.number() + 1 != first_line[k + 1]) {
+      changed_while_read(table.file);
+    }
+  });
 }
 
 // --- the bundle's files ----------------------------------------------------
+
+/// How read_dataset_tables reads one file of a bundle into the database.
+using TableRead = std::function<void(const std::string& path,
+                                     ConsolidatedDb&, ChunkWorkers&)>;
 
 /// One file of a bundle: how write_dataset writes it and read_dataset_tables
 /// reads it back. `present` is set for an optional table only.
@@ -476,7 +682,7 @@ struct BundleFile {
   std::string name;
   std::function<bool(const ConsolidatedDb&)> present;
   std::function<void(std::ostream&, const ConsolidatedDb&)> write;
-  std::function<void(std::istream&, ConsolidatedDb&)> read;
+  TableRead read;
 };
 
 template <const auto& table>
@@ -485,8 +691,9 @@ BundleFile record_file(bool optional) {
                   [](std::ostream& os, const ConsolidatedDb& db) {
                     write_records<table>(os, db);
                   },
-                  [](std::istream& is, ConsolidatedDb& db) {
-                    db.*table.rows = read_records<table>(is);
+                  [](const std::string& path, ConsolidatedDb& db,
+                     ChunkWorkers& workers) {
+                    read_chunked<table>(path, db.*table.rows, workers);
                   }};
   if (optional) {
     file.present = [](const ConsolidatedDb& db) {
@@ -494,6 +701,17 @@ BundleFile record_file(bool optional) {
     };
   }
   return file;
+}
+
+/// A keyed table's read: its stream reader over the whole file.
+TableRead stream_read(
+    std::function<void(std::istream&, ConsolidatedDb&)> read) {
+  return [read = std::move(read)](const std::string& path, ConsolidatedDb& db,
+                                  ChunkWorkers&) {
+    std::ifstream is{path};
+    if (!is) throw std::runtime_error{"csv: cannot open " + path};
+    read(is, db);
+  };
 }
 
 /// Every file of a bundle, in file order.
@@ -519,22 +737,23 @@ const std::vector<BundleFile>& bundle_files() {
            [c, ci](std::ostream& os, const ConsolidatedDb& db) {
              write_coverage_csv(os, db.passive[ci].segments, c, true);
            },
-           [c, ci](std::istream& is, ConsolidatedDb& db) {
+           stream_read([c, ci](std::istream& is, ConsolidatedDb& db) {
              db.passive[ci].carrier = c;
              db.passive[ci].segments = read_coverage_csv(is, c, true);
-           }});
+           })});
       out.push_back({"coverage_active_" + base + ".csv", nullptr,
                      [c, ci](std::ostream& os, const ConsolidatedDb& db) {
                        write_coverage_csv(os, db.active_coverage[ci], c,
                                           false);
                      },
-                     [c, ci](std::istream& is, ConsolidatedDb& db) {
+                     stream_read([c, ci](std::istream& is, ConsolidatedDb& db) {
                        db.active_coverage[ci] = read_coverage_csv(is, c, false);
-                     }});
+                     })});
     }
     out.push_back({"summary.csv", nullptr, write_summary_csv,
-                   read_summary_csv});
-    out.push_back({"cells.csv", nullptr, write_cells_csv, read_cells_csv});
+                   stream_read(read_summary_csv)});
+    out.push_back({"cells.csv", nullptr, write_cells_csv,
+                   stream_read(read_cells_csv)});
     return out;
   }();
   return files;
@@ -642,14 +861,14 @@ std::vector<CellLoadRecord> read_cell_load_csv(std::istream& is) {
   return read_records<kCellLoad>(is);
 }
 
-std::string_view kpi_header() {
-  static const std::string header = header_of(kKpis);
-  return header;
-}
+std::string_view kpi_header() { return header_text<kKpis>(); }
 
 KpiRecord parse_kpi_row(std::string_view line, std::size_t line_number) {
   if (line == kpi_header()) fail(line_number, "duplicated header");
-  return decode_row<kKpis>(line, line_number);
+  KpiRecord row;
+  parse_cells<kKpis>(split_row<kKpis.kColumns>(line, line_number),
+                     line_number, row);
+  return row;
 }
 
 std::vector<CoverageSegment> read_coverage_csv(std::istream& is,
@@ -803,25 +1022,21 @@ std::vector<std::string> write_dataset(
 
 ConsolidatedDb read_dataset_tables(const std::string& directory) {
   ConsolidatedDb db;
-  // The tables are read one after another. Read as parallel tasks, each
-  // table's records grow in a short-lived worker thread's malloc arena,
-  // which keeps the memory after the thread exits: a wheelsd running
-  // several jobs at once peaked at ~29% more RSS that way.
+  ChunkWorkers workers;
   for (const BundleFile& file : bundle_files()) {
-    const fs::path path = fs::path(directory) / file.name;
-    if (file.present && !fs::exists(path)) continue;
-    const core::obs::ScopedSpan span{"measure.read:" + file.name, "measure"};
-    std::ifstream is{path};
-    if (!is) {
-      throw std::runtime_error{"replay: missing bundle file " + path.string()};
+    const std::string path = (fs::path(directory) / file.name).string();
+    if (!fs::exists(path)) {
+      if (file.present) continue;
+      throw std::runtime_error{"replay: missing bundle file " + path};
     }
+    const core::obs::ScopedSpan span{"measure.read:" + file.name, "measure"};
     // The full path prefixes any parse error: when a fleet run ingests many
     // bundles, the error must name which bundle was malformed, not just
     // which table.
     try {
-      file.read(is, db);
+      file.read(path, db, workers);
     } catch (const std::runtime_error& e) {
-      throw std::runtime_error{path.string() + ": " + e.what()};
+      throw std::runtime_error{path + ": " + e.what()};
     }
   }
   return db;

@@ -35,6 +35,13 @@
 //    leading '+' or whitespace, a hex float or an underflow such as 1e-400
 //    is rejected as malformed or out of range. parse_kpi_row applies the
 //    same rules to one kpis.csv line;
+//  - read_dataset_tables reads the tables in file order, and each record
+//    table in kReadChunkBytes chunks decoded in parallel, WHEELS_THREADS
+//    wide. The stream readers are the one-chunk case of the same decode
+//    loop, so both give the same rows, line numbers and errors, and the
+//    first error in file order is the one raised. Only a line with the
+//    table's field count gets a row slot, so a table of malformed lines
+//    fails at its first line without allocating for the rest;
 //  - write_dataset throws when a table or the manifest could not be
 //    written in full ("csv: cannot write <path>", "manifest: cannot write
 //    <path>"), so a truncated bundle is never reported written.
@@ -118,10 +125,18 @@ std::vector<std::string> write_dataset(const ConsolidatedDb& db,
                                        const std::string& directory,
                                        const core::obs::RunManifest& manifest);
 
-/// Read every table of the bundle at `directory` back, one file after
-/// another in file order (the manifest is replay::read_dataset's). Throws
+/// read_dataset_tables splits each record table into chunks of this many
+/// bytes, two of the readers' 256 KiB blocks, and decodes them in parallel.
+inline constexpr std::size_t kReadChunkBytes = std::size_t{512} << 10;
+
+/// Read every table of the bundle at `directory` back (the manifest is
+/// replay::read_dataset's), in file order. Each record table is read in
+/// kReadChunkBytes chunks on one pool WHEELS_THREADS wide: pass 1 counts
+/// every chunk's lines and rows, the table's vector is sized once, and
+/// pass 2 decodes every chunk into its own slots. Throws
 /// std::runtime_error "replay: missing bundle file <path>" for a missing
-/// required file, and "<path>: <error>" for malformed content.
+/// required file, "<path>: <error>" for malformed content, and "<path>:
+/// csv: <file> changed while it was read" when the two passes disagree.
 ConsolidatedDb read_dataset_tables(const std::string& directory);
 
 }  // namespace wheels::measure

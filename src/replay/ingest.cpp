@@ -27,6 +27,7 @@ ReplayBundle read_dataset(const std::string& directory,
   const measure::ConsolidatedDb& db = bundle.db;
 
   try {
+    const core::obs::ScopedSpan validate_span{"measure.validate", "measure"};
     measure::validate_or_throw(db);
   } catch (const std::runtime_error& e) {
     throw std::runtime_error{directory + ": " + e.what()};

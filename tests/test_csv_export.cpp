@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "campaign/campaign.hpp"
 #include "core/obs/manifest.hpp"
@@ -610,6 +615,7 @@ TEST(CsvExport, BundleIoRecordsOneSpanPerTable) {
   EXPECT_EQ(count_of(trace, "\"measure.read:"), 14u);
   EXPECT_EQ(count_of(trace, "\"measure.write:kpis.csv\""), 1u);
   EXPECT_EQ(count_of(trace, "\"measure.read:kpis.csv\""), 1u);
+  EXPECT_EQ(count_of(trace, "\"measure.validate\""), 1u);
 }
 
 TEST(CsvExport, RewrittenBundleKeepsNoStaleOptionalTable) {
@@ -756,6 +762,363 @@ TEST(CsvExport, EveryRecordColumnRejectsAMalformedValueWithItsLine) {
                                        " fields, got " +
                                        std::to_string(cells.size() + 1));
   }
+}
+
+// --- chunked bundle reads --------------------------------------------------
+
+namespace fs = std::filesystem;
+
+/// A temp directory path unique to this process: ctest runs each test on
+/// its own and again inside the tsan_smoke entry, possibly at once.
+fs::path process_temp_dir(const std::string& name) {
+  return fs::temp_directory_path() /
+         (name + "-" + std::to_string(::getpid()));
+}
+
+/// Sets WHEELS_THREADS for one scope and restores what was there before.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(const char* value) {
+    if (const char* v = std::getenv("WHEELS_THREADS")) saved_ = v;
+    ::setenv("WHEELS_THREADS", value, 1);
+  }
+  ~ScopedThreads() {
+    if (saved_) {
+      ::setenv("WHEELS_THREADS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("WHEELS_THREADS");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+/// The seven record tables of `db` as the writers print them, in file
+/// order. Every record field is a column and doubles print bit-exact, so
+/// equal texts mean equal records, field by field.
+std::vector<std::string> record_texts(const ConsolidatedDb& db) {
+  std::vector<std::string> texts;
+  for (const auto write :
+       {write_tests_csv, write_kpis_csv, write_rtts_csv, write_handovers_csv,
+        write_app_runs_csv, write_link_ticks_csv, write_cell_load_csv}) {
+    std::ostringstream os;
+    write(os, db);
+    texts.push_back(os.str());
+  }
+  return texts;
+}
+
+/// The record tables of the bundle at `dir`, each through its stream reader.
+ConsolidatedDb read_record_streams(const fs::path& dir) {
+  const auto read = [&](const char* file, auto reader) {
+    std::ifstream is{dir / file};
+    return reader(is);
+  };
+  ConsolidatedDb db;
+  db.tests = read("tests.csv", read_tests_csv);
+  db.kpis = read("kpis.csv", read_kpis_csv);
+  db.rtts = read("rtts.csv", read_rtts_csv);
+  db.handovers = read("handovers.csv", read_handovers_csv);
+  db.app_runs = read("app_runs.csv", read_app_runs_csv);
+  db.link_ticks = read("link_ticks.csv", read_link_ticks_csv);
+  db.cell_load = read("cell_load.csv", read_cell_load_csv);
+  return db;
+}
+
+/// Appends copies of `rows` to itself until the table prints at least
+/// `bytes`, marking copy i through `mark`, so that no two rows are alike.
+template <typename Record, typename Mark>
+void grow_table(std::vector<Record>& rows, std::size_t bytes,
+                std::size_t row_bytes, Mark mark) {
+  const std::vector<Record> base = rows;
+  for (std::size_t copy = 1; rows.size() * row_bytes < bytes; ++copy) {
+    for (Record r : base) {
+      mark(r, copy);
+      rows.push_back(r);
+    }
+  }
+}
+
+/// The tiny campaign with every record table spanning at least 8 read
+/// chunks (cell_load is filled in, the campaign records none).
+ConsolidatedDb eight_chunk_db() {
+  ConsolidatedDb db = tiny_campaign_db();
+  for (std::uint32_t id = 0; id < 64; ++id) {
+    CellLoadRecord load;
+    load.cell_id = id;
+    load.ticks = 1000 + id;
+    load.avg_attached = 2.5 + id;
+    load.avg_active = 1.25;
+    load.avg_demand = 10.0 / (id + 1);
+    load.avg_allocated = 5.0;
+    load.avg_capacity = 10.0;
+    load.utilization = 0.5;
+    load.fairness = 0.9;
+    db.cell_load.push_back(load);
+  }
+  // Each table grows until its rows × a typical row length reach this; the
+  // test checks the file sizes it gets.
+  const std::size_t bytes = 8 * kReadChunkBytes;
+  const auto shift = [](auto field) {
+    return [field](auto& r, std::size_t copy) {
+      r.*field += static_cast<SimMillis>(copy) * 1'000'000'000;
+    };
+  };
+  grow_table(db.tests, bytes, 90, shift(&TestRecord::start));
+  grow_table(db.kpis, bytes, 170, shift(&KpiRecord::t));
+  grow_table(db.rtts, bytes, 70, shift(&RttRecord::t));
+  grow_table(db.handovers, bytes, 70,
+             [](HandoverRecord& r, std::size_t copy) {
+               r.event.t += static_cast<SimMillis>(copy) * 1'000'000'000;
+             });
+  grow_table(db.app_runs, bytes, 90, [](AppRunRecord& r, std::size_t copy) {
+    r.test_id += static_cast<std::uint32_t>(copy) * 100'000;
+  });
+  grow_table(db.link_ticks, bytes, 80, shift(&LinkTickRecord::t));
+  grow_table(db.cell_load, bytes, 50, [](CellLoadRecord& r, std::size_t copy) {
+    r.cell_id += static_cast<std::uint32_t>(copy) * 1000;
+  });
+  return db;
+}
+
+TEST(CsvExport, ChunkedReadMatchesStreamReadersAtEveryWidth) {
+  const fs::path dir = process_temp_dir("wheels-chunked-read-test");
+  fs::remove_all(dir);
+  const ConsolidatedDb db = eight_chunk_db();
+  (void)write_dataset(db, dir.string(), core::obs::make_run_manifest());
+  for (const char* file :
+       {"tests.csv", "kpis.csv", "rtts.csv", "handovers.csv", "app_runs.csv",
+        "link_ticks.csv", "cell_load.csv"}) {
+    EXPECT_GE(fs::file_size(dir / file), 8 * kReadChunkBytes) << file;
+  }
+  const std::vector<std::string> streamed =
+      record_texts(read_record_streams(dir));
+  ASSERT_TRUE(streamed == record_texts(db));
+  for (const char* threads : {"1", "4"}) {
+    const ScopedThreads width{threads};
+    const ConsolidatedDb back = read_dataset_tables(dir.string());
+    const std::vector<std::string> texts = record_texts(back);
+    ASSERT_EQ(texts.size(), streamed.size());
+    for (std::size_t t = 0; t < texts.size(); ++t) {
+      EXPECT_TRUE(texts[t] == streamed[t])
+          << "WHEELS_THREADS=" << threads << ", table " << t;
+    }
+    // Sized once from pass 1's counts, never grown.
+    EXPECT_EQ(back.kpis.capacity(), back.kpis.size());
+    EXPECT_EQ(back.link_ticks.capacity(), back.link_ticks.size());
+  }
+  fs::remove_all(dir);
+}
+
+/// A fresh bundle of the tiny campaign in a temp directory of its own.
+fs::path tiny_bundle(const std::string& name) {
+  const fs::path dir = process_temp_dir(name);
+  fs::remove_all(dir);
+  (void)write_dataset(tiny_campaign_db(), dir.string(),
+                      core::obs::make_run_manifest());
+  return dir;
+}
+
+/// Replaces `file` of the bundle at `dir` with `text`.
+void put_file(const fs::path& dir, const std::string& file,
+              const std::string& text) {
+  std::ofstream{dir / file, std::ios::binary} << text;
+}
+
+/// What read_dataset_tables makes of the bundle at `dir`: its rtts table as
+/// the writer prints it, or its error without the path prefix.
+std::string rtts_via_bundle(const fs::path& dir) {
+  try {
+    const ConsolidatedDb db = read_dataset_tables(dir.string());
+    std::ostringstream os;
+    write_rtts_csv(os, db);
+    return os.str();
+  } catch (const std::runtime_error& e) {
+    const std::string prefix = (dir / "rtts.csv").string() + ": ";
+    const std::string msg = e.what();
+    return msg.starts_with(prefix) ? msg.substr(prefix.size()) : msg;
+  }
+}
+
+/// What the stream reader makes of `text`, in the same form.
+std::string rtts_via_stream(const std::string& text) {
+  std::stringstream is{text};
+  try {
+    ConsolidatedDb db;
+    db.rtts = read_rtts_csv(is);
+    std::ostringstream os;
+    write_rtts_csv(os, db);
+    return os.str();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+}
+
+/// rtts.csv text whose line `feature` starts at byte `at`, with every line
+/// ended by `eol`: rows in front of it, the last one padded to length with
+/// leading zeros in `t`, and one row after it, itself unterminated unless
+/// `final_eol`.
+std::string rtts_with_line_at(std::size_t at, const std::string& feature,
+                              const std::string& eol, bool final_eol = true) {
+  std::string text =
+      "test_id,t,carrier,tech,rtt,speed,tz,server,is_static" + eol;
+  const auto row = [&](std::size_t t) {
+    return "1," + std::to_string(t) + ",Verizon,LTE,50.5,0,Pacific,cloud,0" +
+           eol;
+  };
+  const std::size_t bare = row(0).size() - 1;  // a row without its t
+  std::size_t t = 0;
+  while (at - text.size() > 2 * (bare + 20)) text += row(t++);
+  std::string padded = row(t++);
+  padded.insert(2, at - text.size() - padded.size(), '0');
+  text += padded;
+  text += feature + eol + row(t);
+  if (!final_eol) text.resize(text.size() - eol.size());
+  return text;
+}
+
+TEST(CsvExport, ChunkBoundariesReadAsTheStreamReaderDoes) {
+  const std::string header =
+      "test_id,t,carrier,tech,rtt,speed,tz,server,is_static";
+  const std::string good = "7,123,Verizon,NR,51.25,3,Pacific,edge,1";
+  const fs::path dir = tiny_bundle("wheels-chunk-boundary-test");
+  for (const std::size_t at :
+       {kReadChunkBytes - 1, kReadChunkBytes, kReadChunkBytes + 1,
+        3 * kReadChunkBytes}) {
+    struct Case {
+      std::string what;
+      std::string text;
+    };
+    const std::vector<Case> cases = {
+        {"crlf", rtts_with_line_at(at, good, "\r\n")},
+        {"crlf, cut between cr and lf",
+         rtts_with_line_at(at + 1, good, "\r\n")},
+        {"blank line", rtts_with_line_at(at, "", "\n")},
+        {"blank crlf line", rtts_with_line_at(at, "", "\r\n")},
+        {"repeated header", rtts_with_line_at(at, header, "\n")},
+        {"bad field",
+         rtts_with_line_at(at, "1,x,Verizon,LTE,50,0,Pacific,cloud,0", "\n")},
+        {"short row", rtts_with_line_at(at, "1,2,Verizon", "\n")},
+        {"no final newline", rtts_with_line_at(at, good, "\n", false)},
+        {"no final newline, last line on the boundary",
+         rtts_with_line_at(at, good, "\n").substr(0, at + good.size())},
+        {"file ends on the boundary",
+         rtts_with_line_at(at, good, "\n").substr(0, at)},
+    };
+    for (const Case& c : cases) {
+      const std::string expected = rtts_via_stream(c.text);
+      put_file(dir, "rtts.csv", c.text);
+      for (const char* threads : {"1", "4"}) {
+        const ScopedThreads width{threads};
+        EXPECT_EQ(rtts_via_bundle(dir), expected)
+            << c.what << " at " << at << ", WHEELS_THREADS=" << threads;
+      }
+    }
+  }
+  fs::remove_all(dir);
+  // The stream reader's verdicts the cases compare against, spelled out.
+  const std::string text = rtts_with_line_at(kReadChunkBytes, header, "\n");
+  const auto line = std::count(text.begin(),
+                               text.begin() + kReadChunkBytes, '\n') + 1;
+  EXPECT_EQ(rtts_via_stream(text),
+            "csv: line " + std::to_string(line) + ": duplicated header");
+  EXPECT_EQ(rtts_via_stream(rtts_with_line_at(kReadChunkBytes, "1,2,Verizon",
+                                              "\n")),
+            "csv: line " + std::to_string(line) +
+                ": expected 9 fields, got 3");
+}
+
+/// The tiny campaign's kpis.csv, its rows repeated until it spans at least
+/// `chunks` read chunks.
+std::string kpis_text_spanning(std::size_t chunks) {
+  std::ostringstream os;
+  write_kpis_csv(os, tiny_campaign_db());
+  const std::string one = os.str();
+  const std::string rows = one.substr(one.find('\n') + 1);
+  std::string text = one;
+  while (text.size() < chunks * kReadChunkBytes) text += rows;
+  return text;
+}
+
+/// `text` with the line that holds byte `at` replaced by `line`.
+std::string with_line_replaced(std::string text, std::size_t at,
+                               const std::string& line) {
+  const std::size_t begin = text.rfind('\n', at) + 1;
+  const std::size_t end = text.find('\n', at);
+  return text.replace(begin, end - begin, line);
+}
+
+TEST(CsvExport, FirstErrorInFileOrderWinsAcrossChunksAndTables) {
+  const std::string bad_kpi =
+      "1,x,Verizon,LTE,1,-90,5,0.1,1,10,0,0,0,Pacific,highway,0,cloud,"
+      "downlink,0";
+  std::string kpis = kpis_text_spanning(6);
+  kpis = with_line_replaced(kpis, kpis.size() - 100, bad_kpi);  // last chunk
+  std::string rtts;
+  {
+    std::ostringstream os;
+    write_rtts_csv(os, tiny_campaign_db());
+    rtts = with_line_replaced(os.str(), os.str().size() / 2,
+                              "1,0,Verizon,LTE,x,0,Pacific,cloud,0");
+  }
+  const std::string kpis_error =
+      error_of(kpis, [](std::istream& is) { (void)read_kpis_csv(is); });
+  ASSERT_EQ(kpis_error.rfind("csv: line ", 0), 0u) << kpis_error;
+  ASSERT_NE(kpis_error.find("malformed integer 'x'"), std::string::npos)
+      << kpis_error;
+
+  const fs::path dir = tiny_bundle("wheels-chunk-precedence-test");
+  put_file(dir, "kpis.csv", kpis);
+  put_file(dir, "rtts.csv", rtts);
+  const auto bundle_error = [&] {
+    try {
+      (void)read_dataset_tables(dir.string());
+    } catch (const std::runtime_error& e) {
+      return std::string{e.what()};
+    }
+    return std::string{};
+  };
+  const std::string expected = (dir / "kpis.csv").string() + ": " + kpis_error;
+  for (const char* threads : {"1", "4"}) {
+    const ScopedThreads width{threads};
+    EXPECT_EQ(bundle_error(), expected) << "WHEELS_THREADS=" << threads;
+  }
+  fs::remove(dir / "rtts.csv");
+  for (const char* threads : {"1", "4"}) {
+    const ScopedThreads width{threads};
+    EXPECT_EQ(bundle_error(), expected)
+        << "rtts.csv missing, WHEELS_THREADS=" << threads;
+  }
+  // Of two bad rows in different chunks, the earlier one is reported.
+  const std::string earlier = with_line_replaced(
+      kpis, 2 * kReadChunkBytes + 10, bad_kpi.substr(0, 40) + ",y");
+  const std::string earlier_error =
+      error_of(earlier, [](std::istream& is) { (void)read_kpis_csv(is); });
+  ASSERT_NE(earlier_error, kpis_error);
+  put_file(dir, "kpis.csv", earlier);
+  const ScopedThreads width{"4"};
+  EXPECT_EQ(bundle_error(), (dir / "kpis.csv").string() + ": " + earlier_error);
+  fs::remove_all(dir);
+}
+
+TEST(CsvExport, BlankTableReadsEmptyWithoutStorage) {
+  const std::string text =
+      "test_id,t,carrier,tech,rtt,speed,tz,server,is_static\n" +
+      std::string(3 * kReadChunkBytes, '\n');
+  std::stringstream is{text};
+  const std::vector<RttRecord> streamed = read_rtts_csv(is);
+  EXPECT_TRUE(streamed.empty());
+  EXPECT_EQ(streamed.capacity(), 0u);
+  const fs::path dir = tiny_bundle("wheels-chunk-blank-test");
+  put_file(dir, "rtts.csv", text);
+  for (const char* threads : {"1", "4"}) {
+    const ScopedThreads width{threads};
+    const ConsolidatedDb db = read_dataset_tables(dir.string());
+    EXPECT_TRUE(db.rtts.empty());
+    EXPECT_EQ(db.rtts.capacity(), 0u);
+  }
+  fs::remove_all(dir);
 }
 
 // --- enum name tables -----------------------------------------------------

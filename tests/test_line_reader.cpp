@@ -3,7 +3,12 @@
 // sees it.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstddef>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -94,6 +99,47 @@ TEST(LineReaderTest, NumbersLinesFromOneAndClampsAZeroBlock) {
   EXPECT_FALSE(reader.next(line));
   EXPECT_EQ(reader.line_number(), 3u);
   EXPECT_EQ(reader.blocks_read(), 4u);  // a zero block reads one byte
+}
+
+TEST(LineReaderTest, PreadFromAnOffsetMatchesTheStreamAndReportsOffsets) {
+  const std::string input = "t,a,b\r\n0,1,2\n\n500,3,4\r\nlast";
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "wheels-line-reader-pread.txt";
+  std::ofstream{path, std::ios::binary} << input;
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  for (const std::size_t block :
+       {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
+    for (std::size_t from = 0; from <= input.size(); ++from) {
+      std::istringstream is{input.substr(from)};
+      LineReader expected{is, block};
+      LineReader got{fd, from, block, {}};
+      std::string_view want;
+      std::string_view line;
+      while (expected.next(want)) {
+        ASSERT_TRUE(got.next(line)) << "block=" << block << " from=" << from;
+        EXPECT_EQ(line, want);
+        EXPECT_EQ(got.line_number(), expected.line_number());
+        // The offset is where the line sits in the input read.
+        EXPECT_EQ(input.compare(from + got.line_offset(), line.size(), line),
+                  0)
+            << "block=" << block << " from=" << from;
+      }
+      EXPECT_FALSE(got.next(line));
+      EXPECT_EQ(got.bytes_read(), input.size() - from);
+    }
+  }
+  // A reader keeps its lines in the buffer handed in and hands it back.
+  std::vector<char> buffer(128);
+  const char* storage = buffer.data();
+  LineReader reader{fd, 0, 64, std::move(buffer)};
+  std::string_view line;
+  while (reader.next(line)) {
+  }
+  EXPECT_EQ(line, "last");
+  EXPECT_EQ(std::move(reader).take_buffer().data(), storage);
+  ::close(fd);
+  std::filesystem::remove(path);
 }
 
 }  // namespace
