@@ -1,5 +1,6 @@
 #include "core/json.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -147,12 +148,12 @@ class Reader {
         break;
       }
     }
-    const std::string token{text_.substr(start, pos_ - start)};
-    if (token.empty()) doc_.fail(line_, "expected a value");
+    v.text = text_.substr(start, pos_ - start);
+    if (v.text.empty()) doc_.fail(line_, "expected a value");
     char* end = nullptr;
-    v.number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      doc_.fail(v.line, "malformed number '" + token + "'");
+    v.number = std::strtod(v.text.c_str(), &end);
+    if (end != v.text.c_str() + v.text.size()) {
+      doc_.fail(v.line, "malformed number '" + v.text + "'");
     }
     return v;
   }
@@ -190,6 +191,20 @@ const Value& Doc::as(const Value& v, Value::Kind kind,
                      const std::string& what) const {
   if (v.kind != kind) fail(v.line, "expected " + what);
   return v;
+}
+
+std::uint64_t Doc::u64(const Value& v, std::string_view key) const {
+  const std::string name{key};
+  const Value& n =
+      as(v, Value::Kind::Number, "an integer for \"" + name + "\"");
+  std::uint64_t out = 0;
+  const char* const last = n.text.data() + n.text.size();
+  const auto [end, ec] = std::from_chars(n.text.data(), last, out);
+  if (ec != std::errc{} || end != last) {
+    fail(n.line, "\"" + name + "\" must be an unsigned 64-bit integer in "
+                 "plain digits, got '" + n.text + "'");
+  }
+  return out;
 }
 
 double Doc::num(const Value& object, std::string_view key) const {

@@ -11,6 +11,7 @@
 // file at a time), so the message format cannot drift between callers.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -27,7 +28,7 @@ struct Value {
   int line = 0;
   bool boolean = false;
   double number = 0.0;
-  std::string text;                              // String
+  std::string text;  // String; Number: the token as written
   std::vector<Value> items;                      // Array
   std::vector<std::pair<std::string, Value>> keys;  // Object, in input order
 };
@@ -57,6 +58,11 @@ class Doc {
   /// `v` itself after checking its kind; fails "expected <what>" otherwise.
   const Value& as(const Value& v, Value::Kind kind,
                   const std::string& what) const;
+
+  /// `v` as an exact unsigned 64-bit integer, decoded from the token's
+  /// digits, not through `number`. Only plain digits in [0, 2^64 - 1] pass:
+  /// a sign, a fraction, an exponent or a larger value fails naming `key`.
+  std::uint64_t u64(const Value& v, std::string_view key) const;
 
   /// Typed key lookups: get + kind check in one step.
   double num(const Value& object, std::string_view key) const;

@@ -1,13 +1,13 @@
 #include "core/obs/manifest.hpp"
 
-#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
 
+#include "core/json.hpp"
 #include "core/sim_time.hpp"
 
 namespace wheels::core::obs {
@@ -74,66 +74,23 @@ void write_manifest(const RunManifest& manifest, const std::string& path) {
   if (!os) throw std::runtime_error{"manifest: cannot write " + path};
 }
 
-namespace {
-
-// to_json() emits a fixed flat schema, so the inverse is a keyed scan, not a
-// general JSON parser. Values never contain escaped quotes or commas.
-std::string_view raw_value(std::string_view json, const char* key) {
-  const std::string needle = std::string{"\""} + key + "\":";
-  const auto pos = json.find(needle);
-  if (pos == std::string_view::npos) {
-    throw std::runtime_error{std::string{"manifest: missing key \""} + key +
-                             "\""};
-  }
-  std::size_t start = pos + needle.size();
-  while (start < json.size() && json[start] == ' ') ++start;
-  std::size_t end = start;
-  while (end < json.size() && json[end] != ',' && json[end] != '\n' &&
-         json[end] != '}') {
-    ++end;
-  }
-  if (start == end) {
-    throw std::runtime_error{std::string{"manifest: empty value for \""} +
-                             key + "\""};
-  }
-  return json.substr(start, end - start);
-}
-
-std::string string_value(std::string_view json, const char* key) {
-  const std::string_view raw = raw_value(json, key);
-  if (raw.size() < 2 || raw.front() != '"' || raw.back() != '"') {
-    throw std::runtime_error{std::string{"manifest: key \""} + key +
-                             "\" is not a string"};
-  }
-  return std::string{raw.substr(1, raw.size() - 2)};
-}
-
-template <typename Convert>
-auto number_value(std::string_view json, const char* key, Convert convert) {
-  const std::string text{raw_value(json, key)};
-  errno = 0;
-  char* end = nullptr;
-  const auto v = convert(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || errno == ERANGE) {
-    throw std::runtime_error{std::string{"manifest: malformed value for \""} +
-                             key + "\": '" + text + "'"};
-  }
-  return v;
-}
-
-}  // namespace
-
-RunManifest parse_manifest(std::string_view json) {
+RunManifest parse_manifest(std::string_view text) {
+  const json::Doc doc{"manifest"};
+  const json::Value root = doc.parse(text);
+  doc.as(root, json::Value::Kind::Object, "a manifest object");
   RunManifest m;
-  m.seed = number_value(
-      json, "seed", [](const char* s, char** e) { return std::strtoull(s, e, 10); });
-  m.scale = number_value(
-      json, "scale", [](const char* s, char** e) { return std::strtod(s, e); });
-  m.config_digest = string_value(json, "config_digest");
-  m.threads = static_cast<int>(number_value(
-      json, "threads", [](const char* s, char** e) { return std::strtol(s, e, 10); }));
-  m.library_version = string_value(json, "library_version");
-  m.started_utc = string_value(json, "started_utc");
+  m.seed = doc.u64(doc.get(root, "seed"), "seed");
+  m.scale = doc.num(root, "scale");
+  m.config_digest = doc.str(root, "config_digest");
+  const json::Value& threads = doc.get(root, "threads");
+  const std::uint64_t n = doc.u64(threads, "threads");
+  if (n > INT_MAX) {
+    doc.fail(threads.line,
+             "\"threads\" must be at most " + std::to_string(INT_MAX));
+  }
+  m.threads = static_cast<int>(n);
+  m.library_version = doc.str(root, "library_version");
+  m.started_utc = doc.str(root, "started_utc");
   return m;
 }
 

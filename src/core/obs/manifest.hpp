@@ -61,8 +61,9 @@ void canonicalize_provenance(RunManifest& manifest);
 /// file cannot be opened or written.
 void write_manifest(const RunManifest& manifest, const std::string& path);
 
-/// Inverse of to_json() for the fixed schema above. Throws
-/// std::runtime_error naming the first missing or malformed key.
+/// Inverse of to_json() for the fixed schema above, read by core::json.
+/// Throws std::runtime_error "manifest: line N: ..." naming the first
+/// missing or malformed key.
 RunManifest parse_manifest(std::string_view json);
 
 /// Read and parse `path`. Throws std::runtime_error when the file cannot be

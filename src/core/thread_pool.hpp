@@ -2,8 +2,8 @@
 //
 // Every fan-out in the tree runs through run_indexed, among them the
 // campaign runner's per-carrier pipelines and UE blocks, the replay
-// carriers, the wheelsd scheduler's waves, campaign::FleetRunner's campaigns
-// and the bundle writer's tables. They all rely on the same contract: the
+// carriers, the wheelsd worker loops, campaign::FleetRunner's campaigns and
+// the bundle writer's tables. They all rely on the same contract: the
 // pool guarantees *completion* of a batch, never execution order. Callers
 // that need reproducible output make their jobs computationally
 // independent, have each job write only its own slot, and merge the slots

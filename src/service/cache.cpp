@@ -1,7 +1,7 @@
 #include "service/cache.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -19,18 +19,6 @@ namespace {
 
 using core::json::Doc;
 using core::json::Value;
-
-std::uint64_t u64_field(const Doc& doc, const Value& object,
-                        std::string_view key) {
-  const Value& n =
-      doc.as(doc.get(object, key), Value::Kind::Number,
-             "an integer for \"" + std::string{key} + "\"");
-  if (!(n.number >= 0.0) || n.number != std::floor(n.number)) {
-    doc.fail(n.line,
-             "\"" + std::string{key} + "\" must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(n.number);
-}
 
 std::string read_file_bytes(const fs::path& path) {
   std::ifstream in{path, std::ios::binary};
@@ -94,9 +82,9 @@ CacheEntry parse_index_line(const std::string& line, int line_no) {
   CacheEntry e;
   e.key.kind = *kind;
   e.key.config_digest = doc.str(root, "config");
-  e.key.seed = u64_field(doc, root, "seed");
+  e.key.seed = doc.u64(doc.get(root, "seed"), "seed");
   e.key.input_digest = doc.str(root, "input");
-  e.bytes = u64_field(doc, root, "bytes");
+  e.bytes = doc.u64(doc.get(root, "bytes"), "bytes");
   e.content_digest = doc.str(root, "content");
   e.dir = doc.str(root, "dir");
   return e;

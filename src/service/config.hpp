@@ -17,9 +17,11 @@ struct ServiceConfig {
   /// Root of the result cache; created on start (WHEELS_SERVICE_CACHE_DIR).
   /// Holds one subdirectory per cached bundle plus the index.txt journal.
   std::string cache_dir = "wheelsd-cache";
-  /// Max jobs admitted but not yet started (WHEELS_SERVICE_QUEUE, >= 1).
-  /// Submissions past the bound are rejected, not blocked: the client gets
-  /// "submit: queue full (depth N)" and decides whether to retry.
+  /// Max jobs admitted but not yet started (WHEELS_SERVICE_QUEUE, >= 1):
+  /// exactly the jobs that read "queued", since a job starts only when a
+  /// free worker takes it. Submissions past the bound are rejected, not
+  /// blocked: the client gets "submit: queue full (depth N)" and decides
+  /// whether to retry.
   int queue_depth = 64;
   /// Result-cache size bound in bytes (WHEELS_SERVICE_CACHE_MAX_BYTES,
   /// >= 0; 0 = unlimited). Least-recently-used bundles are evicted past it.

@@ -2,8 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 
 #include "core/json.hpp"
 #include "measure/enum_names.hpp"
@@ -15,18 +16,6 @@ namespace {
 
 using core::json::Doc;
 using core::json::Value;
-
-std::string u64_str(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string int_str(int v) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%d", v);
-  return buf;
-}
 
 std::string double_str(double v) {
   char buf[40];
@@ -41,28 +30,13 @@ std::string quoted(std::string_view s) {
   return out;
 }
 
-/// Decode a JSON number that must be an integer in [min, max].
-long long int_field(const Doc& doc, const Value& v, std::string_view key,
-                    long long min, long long max) {
-  const Value& n = doc.as(v, Value::Kind::Number,
-                          "an integer for \"" + std::string{key} + "\"");
-  const double d = n.number;
-  if (!(d >= static_cast<double>(min)) || d > static_cast<double>(max) ||
-      d != std::floor(d)) {
-    doc.fail(n.line, "\"" + std::string{key} + "\" must be an integer >= " +
-                         std::to_string(min));
+std::string quoted_list(const std::vector<std::string>& items) {
+  std::string out = "[";
+  for (const std::string& item : items) {
+    if (out.size() > 1) out += ", ";
+    out += quoted(item);
   }
-  return static_cast<long long>(d);
-}
-
-std::uint64_t u64_field(const Doc& doc, const Value& v, std::string_view key) {
-  const Value& n = doc.as(v, Value::Kind::Number,
-                          "an integer for \"" + std::string{key} + "\"");
-  if (!(n.number >= 0.0) || n.number != std::floor(n.number)) {
-    doc.fail(n.line,
-             "\"" + std::string{key} + "\" must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(n.number);
+  return out + "]";
 }
 
 std::vector<std::string> string_list(const Doc& doc, const Value& v,
@@ -81,143 +55,213 @@ std::vector<std::string> string_list(const Doc& doc, const Value& v,
   return out;
 }
 
-transport::CcAlgo parse_cc(const Doc& doc, const Value& v) {
-  if (v.text == transport::cc_algo_name(transport::CcAlgo::Cubic)) {
-    return transport::CcAlgo::Cubic;
-  }
-  if (v.text == transport::cc_algo_name(transport::CcAlgo::Bbr)) {
-    return transport::CcAlgo::Bbr;
-  }
-  doc.fail(v.line, "unknown congestion control \"" + v.text +
-                       "\" (expected cubic|bbr)");
+/// The error for a name `text` that names no `what`.
+std::runtime_error unknown(const char* what, const std::string& text,
+                           const char* expected) {
+  return std::runtime_error{std::string{"unknown "} + what + " \"" + text +
+                            "\" (expected " + expected + ")"};
 }
 
-replay::HoldPolicy parse_interp(const Doc& doc, const Value& v) {
-  if (v.text == "hold") return replay::HoldPolicy::Hold;
-  if (v.text == "linear") return replay::HoldPolicy::Interpolate;
-  doc.fail(v.line,
-           "unknown interpolation \"" + v.text + "\" (expected hold|linear)");
+// --- The job keys ---------------------------------------------------------
+//
+// Every job key is declared once, in kJobKeys; the request parser,
+// JobSpec::to_json and apply_job_arg all read it.
+
+constexpr unsigned bit(JobKind k) { return 1u << static_cast<unsigned>(k); }
+constexpr unsigned kCampaign = bit(JobKind::Campaign);
+constexpr unsigned kReplay = bit(JobKind::Replay);
+constexpr unsigned kFleet = bit(JobKind::Fleet);
+constexpr unsigned kSynth = bit(JobKind::Synth);
+
+// A bare member pointer is a field of that JSON type: an exact unsigned
+// integer (Doc::u64), a number > 0, a bool, a string or an array of strings.
+using U64 = std::uint64_t JobSpec::*;
+using Positive = double JobSpec::*;
+using Flag = bool JobSpec::*;
+using Text = std::string JobSpec::*;
+using List = std::vector<std::string> JobSpec::*;
+/// An integer in [min, max].
+struct IntIn {
+  int JobSpec::*member;
+  int min;
+  int max;
+};
+/// One string, kept as the one-element list `member` (a replay's bundle).
+struct OneOf {
+  std::vector<std::string> JobSpec::*member;
+};
+/// A value given by name. `set` throws the message for an unknown name;
+/// `get` returns "" for an unset optional knob, which to_json leaves out.
+struct Named {
+  void (*set)(JobSpec&, const std::string&);
+  std::string_view (*get)(const JobSpec&);
+};
+
+struct JobKey {
+  std::string_view name;  // in JSON and in wheelsctl's key=value
+  unsigned kinds;         // the job kinds it applies to
+  unsigned required;      // the kinds that must set it off its default
+  std::variant<U64, Positive, Flag, IntIn, Text, List, OneOf, Named> field;
+};
+
+/// In to_json's order: a kind's keys in this order are its canonical JSON.
+constexpr JobKey kJobKeys[] = {
+    {"seed", kCampaign | kReplay | kFleet | kSynth, 0, &JobSpec::seed},
+    {"scale", kCampaign, 0, &JobSpec::scale},
+    {"apps", kCampaign, 0, &JobSpec::apps},
+    {"stride", kCampaign, 0, IntIn{&JobSpec::stride, 1, 1 << 20}},
+    {"static", kCampaign, 0, &JobSpec::run_static},
+    {"idle", kCampaign, 0, IntIn{&JobSpec::idle, 0, 1 << 20}},
+    {"ues", kCampaign, 0, IntIn{&JobSpec::ues, 0, 1 << 24}},
+    {"sched", kCampaign, 0,
+     Named{[](JobSpec& s, const std::string& text) {
+             const auto k = ran::parse_scheduler_kind(text);
+             if (!k) throw unknown("scheduler", text, "pf|rr");
+             s.scheduler = *k;
+           },
+           [](const JobSpec& s) {
+             return ran::scheduler_kind_name(s.scheduler);
+           }}},
+    {"bundle", kReplay, kReplay, OneOf{&JobSpec::bundles}},
+    {"cc", kReplay, 0,
+     Named{[](JobSpec& s, const std::string& text) {
+             for (const auto cc :
+                  {transport::CcAlgo::Cubic, transport::CcAlgo::Bbr}) {
+               if (text == transport::cc_algo_name(cc)) {
+                 s.knobs.cc = cc;
+                 return;
+               }
+             }
+             throw unknown("congestion control", text, "cubic|bbr");
+           },
+           [](const JobSpec& s) -> std::string_view {
+             return s.knobs.cc ? transport::cc_algo_name(*s.knobs.cc) : "";
+           }}},
+    {"server", kReplay, 0,
+     Named{[](JobSpec& s, const std::string& text) {
+             for (const auto k : measure::names::kAllServerKinds) {
+               if (text == net::server_kind_name(k)) {
+                 s.knobs.server = k;
+                 return;
+               }
+             }
+             throw unknown("server", text, "cloud|edge");
+           },
+           [](const JobSpec& s) -> std::string_view {
+             return s.knobs.server ? net::server_kind_name(*s.knobs.server)
+                                   : "";
+           }}},
+    {"tier", kReplay, 0,
+     Named{[](JobSpec& s, const std::string& text) {
+             s.knobs.max_tier = measure::names::parse_technology(text);
+           },
+           [](const JobSpec& s) -> std::string_view {
+             return s.knobs.max_tier
+                        ? radio::technology_name(*s.knobs.max_tier)
+                        : "";
+           }}},
+    {"bundles", kFleet, kFleet, &JobSpec::bundles},
+    {"grid", kFleet, 0, &JobSpec::grid},
+    {"interp", kReplay | kFleet, 0,
+     Named{[](JobSpec& s, const std::string& text) {
+             if (text != "hold" && text != "linear") {
+               throw unknown("interpolation", text, "hold|linear");
+             }
+             s.policy = text == "hold" ? replay::HoldPolicy::Hold
+                                       : replay::HoldPolicy::Interpolate;
+           },
+           [](const JobSpec& s) -> std::string_view {
+             return s.policy == replay::HoldPolicy::Hold ? "hold" : "linear";
+           }}},
+    {"profile", kSynth, kSynth, &JobSpec::profile},
+    {"cycles", kSynth, 0, IntIn{&JobSpec::cycles, 1, 1 << 20}},
+    {"spec", kSynth, 0, &JobSpec::scenario},
+};
+
+/// The key `name` of `kind` jobs, or nullptr when it does not apply.
+const JobKey* find_key(std::string_view name, JobKind kind) {
+  for (const JobKey& key : kJobKeys) {
+    if (key.name == name && (key.kinds & bit(kind))) return &key;
+  }
+  return nullptr;
 }
 
-/// Decode one job-object key into `spec`; false = the key does not apply to
-/// this job kind.
-bool apply_job_key(const Doc& doc, JobSpec& spec, const std::string& key,
-                   const Value& val) {
-  const JobKind kind = spec.kind;
-  if (key == "seed") {
-    spec.seed = u64_field(doc, val, key);
-    return true;
-  }
-  if (kind == JobKind::Campaign) {
-    if (key == "scale") {
-      const Value& n = doc.as(val, Value::Kind::Number, "a number for "
-                                                        "\"scale\"");
-      if (!(n.number > 0.0)) doc.fail(n.line, "\"scale\" must be > 0");
-      spec.scale = n.number;
-      return true;
-    }
-    if (key == "apps") {
-      spec.apps = doc.as(val, Value::Kind::Bool, "a bool for \"apps\"").boolean;
-      return true;
-    }
-    if (key == "stride") {
-      spec.stride = static_cast<int>(int_field(doc, val, key, 1, 1 << 20));
-      return true;
-    }
-    if (key == "static") {
-      spec.run_static =
-          doc.as(val, Value::Kind::Bool, "a bool for \"static\"").boolean;
-      return true;
-    }
-    if (key == "idle") {
-      spec.idle = static_cast<int>(int_field(doc, val, key, 0, 1 << 20));
-      return true;
-    }
-    if (key == "ues") {
-      spec.ues = static_cast<int>(int_field(doc, val, key, 0, 1 << 24));
-      return true;
-    }
-    if (key == "sched") {
-      const Value& s =
-          doc.as(val, Value::Kind::String, "a string for \"sched\"");
-      auto k = ran::parse_scheduler_kind(s.text);
-      if (!k) {
-        doc.fail(s.line,
-                 "unknown scheduler \"" + s.text + "\" (expected pf|rr)");
-      }
-      spec.scheduler = *k;
-      return true;
-    }
-    return false;
-  }
-  if (kind == JobKind::Replay || kind == JobKind::Fleet) {
-    if (key == "interp") {
-      spec.policy = parse_interp(
-          doc, doc.as(val, Value::Kind::String, "a string for \"interp\""));
-      return true;
-    }
-  }
-  if (kind == JobKind::Replay) {
-    if (key == "bundle") {
-      spec.bundles = {
-          doc.as(val, Value::Kind::String, "a string for \"bundle\"").text};
-      return true;
-    }
-    if (key == "cc") {
-      spec.knobs.cc = parse_cc(
-          doc, doc.as(val, Value::Kind::String, "a string for \"cc\""));
-      return true;
-    }
-    if (key == "server") {
-      const Value& s =
-          doc.as(val, Value::Kind::String, "a string for \"server\"");
-      try {
-        spec.knobs.server = measure::names::parse_server_kind(s.text);
-      } catch (const std::runtime_error&) {
-        doc.fail(s.line,
-                 "unknown server \"" + s.text + "\" (expected cloud|edge)");
-      }
-      return true;
-    }
-    if (key == "tier") {
-      const Value& s =
-          doc.as(val, Value::Kind::String, "a string for \"tier\"");
-      try {
-        spec.knobs.max_tier = measure::names::parse_technology(s.text);
-      } catch (const std::runtime_error& e) {
-        doc.fail(s.line, e.what());
-      }
-      return true;
-    }
-    return false;
-  }
-  if (kind == JobKind::Fleet) {
-    if (key == "bundles") {
-      spec.bundles = string_list(doc, val, key);
-      return true;
-    }
-    if (key == "grid") {
-      spec.grid = string_list(doc, val, key);
-      return true;
-    }
-    return false;
-  }
-  // Synth.
-  if (key == "profile") {
-    spec.profile =
-        doc.as(val, Value::Kind::String, "a string for \"profile\"").text;
-    return true;
-  }
-  if (key == "cycles") {
-    spec.cycles = static_cast<int>(int_field(doc, val, key, 1, 1 << 20));
-    return true;
-  }
-  if (key == "spec") {
-    spec.scenario =
-        doc.as(val, Value::Kind::String, "a string for \"spec\"").text;
-    return true;
-  }
-  return false;
+/// Decode `val` into the field `key` names.
+void decode(const Doc& doc, const JobKey& key, const Value& val,
+            JobSpec& spec) {
+  const std::string name{key.name};
+  const auto text = [&]() -> const Value& {
+    return doc.as(val, Value::Kind::String, "a string for \"" + name + "\"");
+  };
+  std::visit(
+      [&](const auto& f) {
+        using F = std::decay_t<decltype(f)>;
+        if constexpr (std::is_same_v<F, U64>) {
+          spec.*f = doc.u64(val, name);
+        } else if constexpr (std::is_same_v<F, Positive>) {
+          const Value& n = doc.as(val, Value::Kind::Number,
+                                  "a number for \"" + name + "\"");
+          if (!(n.number > 0.0)) {
+            doc.fail(n.line, "\"" + name + "\" must be > 0");
+          }
+          spec.*f = n.number;
+        } else if constexpr (std::is_same_v<F, Flag>) {
+          spec.*f = doc.as(val, Value::Kind::Bool,
+                           "a bool for \"" + name + "\"")
+                        .boolean;
+        } else if constexpr (std::is_same_v<F, IntIn>) {
+          const Value& n = doc.as(val, Value::Kind::Number,
+                                  "an integer for \"" + name + "\"");
+          if (!(n.number >= f.min) || n.number > f.max ||
+              n.number != std::floor(n.number)) {
+            doc.fail(n.line, "\"" + name + "\" must be an integer >= " +
+                                 std::to_string(f.min));
+          }
+          spec.*f.member = static_cast<int>(n.number);
+        } else if constexpr (std::is_same_v<F, Text>) {
+          spec.*f = text().text;
+        } else if constexpr (std::is_same_v<F, List>) {
+          spec.*f = string_list(doc, val, name);
+        } else if constexpr (std::is_same_v<F, OneOf>) {
+          spec.*f.member = {text().text};
+        } else {
+          const Value& s = text();
+          try {
+            f.set(spec, s.text);
+          } catch (const std::runtime_error& e) {
+            doc.fail(s.line, e.what());
+          }
+        }
+      },
+      key.field);
+}
+
+/// The JSON of `key`'s field in `spec`; "" leaves the key out.
+std::string render(const JobSpec& spec, const JobKey& key) {
+  return std::visit(
+      [&](const auto& f) -> std::string {
+        using F = std::decay_t<decltype(f)>;
+        if constexpr (std::is_same_v<F, U64>) {
+          return std::to_string(spec.*f);
+        } else if constexpr (std::is_same_v<F, Positive>) {
+          return double_str(spec.*f);
+        } else if constexpr (std::is_same_v<F, Flag>) {
+          return spec.*f ? "true" : "false";
+        } else if constexpr (std::is_same_v<F, IntIn>) {
+          return std::to_string(spec.*f.member);
+        } else if constexpr (std::is_same_v<F, Text>) {
+          return quoted(spec.*f);
+        } else if constexpr (std::is_same_v<F, List>) {
+          return quoted_list(spec.*f);
+        } else if constexpr (std::is_same_v<F, OneOf>) {
+          const auto& items = spec.*f.member;
+          return quoted(items.empty() ? "" : items[0]);
+        } else {
+          const std::string_view name = f.get(spec);
+          return name.empty() ? "" : quoted(name);
+        }
+      },
+      key.field);
 }
 
 JobSpec parse_job_spec(const Doc& doc, const Value& v) {
@@ -228,23 +272,26 @@ JobSpec parse_job_spec(const Doc& doc, const Value& v) {
   if (!kind) {
     doc.fail(kindv.line, "unknown job kind \"" + kindv.text + "\"");
   }
+  const std::string kind_name{job_kind_name(*kind)};
   JobSpec spec;
   spec.kind = *kind;
-  for (const auto& [key, val] : v.keys) {
-    if (key == "kind") continue;
-    if (!apply_job_key(doc, spec, key, val)) {
-      doc.fail(val.line, "key \"" + key + "\" does not apply to " +
-                             std::string{job_kind_name(*kind)} + " jobs");
+  for (const auto& [name, val] : v.keys) {
+    if (name == "kind") continue;
+    const JobKey* key = find_key(name, *kind);
+    if (!key) {
+      doc.fail(val.line, "key \"" + name + "\" does not apply to " +
+                             kind_name + " jobs");
     }
+    decode(doc, *key, val, spec);
   }
-  if (spec.kind == JobKind::Replay && spec.bundles.empty()) {
-    doc.fail(v.line, "replay job needs \"bundle\"");
-  }
-  if (spec.kind == JobKind::Fleet && spec.bundles.empty()) {
-    doc.fail(v.line, "fleet job needs \"bundles\"");
-  }
-  if (spec.kind == JobKind::Synth && spec.profile.empty()) {
-    doc.fail(v.line, "synth job needs \"profile\"");
+  // A required key must move its field off the default: no empty bundle,
+  // bundle list or profile.
+  for (const JobKey& key : kJobKeys) {
+    if ((key.required & bit(*kind)) &&
+        render(spec, key) == render(JobSpec{}, key)) {
+      doc.fail(v.line, kind_name + " job needs \"" + std::string{key.name} +
+                           "\"");
+    }
   }
   return spec;
 }
@@ -266,7 +313,7 @@ std::vector<std::pair<std::string, std::uint64_t>> parse_counters(
   if (const Value* obs = doc.find(root, "obs")) {
     doc.as(*obs, Value::Kind::Object, "an object for \"obs\"");
     for (const auto& [name, val] : obs->keys) {
-      out.emplace_back(name, u64_field(doc, val, name));
+      out.emplace_back(name, doc.u64(val, name));
     }
   }
   return out;
@@ -277,7 +324,7 @@ std::string render_counters(
   std::string out = "{";
   for (std::size_t i = 0; i < counters.size(); ++i) {
     if (i) out += ", ";
-    out += quoted(counters[i].first) + ": " + u64_str(counters[i].second);
+    out += quoted(counters[i].first) + ": " + std::to_string(counters[i].second);
   }
   return out + "}";
 }
@@ -286,7 +333,7 @@ ResultInfo parse_result_fields(const Doc& doc, const Value& v) {
   ResultInfo info;
   info.path = doc.str(v, "path");
   info.content_digest = doc.str(v, "content_digest");
-  info.bytes = u64_field(doc, doc.get(v, "bytes"), "bytes");
+  info.bytes = doc.u64(doc.get(v, "bytes"), "bytes");
   if (const Value* files = doc.find(v, "files")) {
     info.files = string_list(doc, *files, "files");
   }
@@ -296,15 +343,8 @@ ResultInfo parse_result_fields(const Doc& doc, const Value& v) {
 std::string render_result_fields(const ResultInfo& r, bool with_files) {
   std::string out = "\"path\": " + quoted(r.path) +
                     ", \"content_digest\": " + quoted(r.content_digest) +
-                    ", \"bytes\": " + u64_str(r.bytes);
-  if (with_files) {
-    out += ", \"files\": [";
-    for (std::size_t i = 0; i < r.files.size(); ++i) {
-      if (i) out += ", ";
-      out += quoted(r.files[i]);
-    }
-    out += "]";
-  }
+                    ", \"bytes\": " + std::to_string(r.bytes);
+  if (with_files) out += ", \"files\": " + quoted_list(r.files);
   return out;
 }
 
@@ -353,51 +393,11 @@ bool is_terminal(JobState s) {
 }
 
 std::string JobSpec::to_json() const {
-  std::string out = "{\"kind\": " + quoted(job_kind_name(kind)) +
-                    ", \"seed\": " + u64_str(seed);
-  switch (kind) {
-    case JobKind::Campaign:
-      out += ", \"scale\": " + double_str(scale) +
-             ", \"apps\": " + (apps ? "true" : "false") +
-             ", \"stride\": " + int_str(stride) +
-             ", \"static\": " + (run_static ? "true" : "false") +
-             ", \"idle\": " + int_str(idle) + ", \"ues\": " + int_str(ues) +
-             ", \"sched\": " + quoted(ran::scheduler_kind_name(scheduler));
-      break;
-    case JobKind::Replay:
-      out += ", \"bundle\": " + quoted(bundles.empty() ? "" : bundles[0]);
-      if (knobs.cc) {
-        out += ", \"cc\": " + quoted(transport::cc_algo_name(*knobs.cc));
-      }
-      if (knobs.server) {
-        out += ", \"server\": " + quoted(net::server_kind_name(*knobs.server));
-      }
-      if (knobs.max_tier) {
-        out += ", \"tier\": " + quoted(radio::technology_name(*knobs.max_tier));
-      }
-      out += ", \"interp\": ";
-      out += policy == replay::HoldPolicy::Hold ? "\"hold\"" : "\"linear\"";
-      break;
-    case JobKind::Fleet: {
-      out += ", \"bundles\": [";
-      for (std::size_t i = 0; i < bundles.size(); ++i) {
-        if (i) out += ", ";
-        out += quoted(bundles[i]);
-      }
-      out += "], \"grid\": [";
-      for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (i) out += ", ";
-        out += quoted(grid[i]);
-      }
-      out += "], \"interp\": ";
-      out += policy == replay::HoldPolicy::Hold ? "\"hold\"" : "\"linear\"";
-      break;
-    }
-    case JobKind::Synth:
-      out += ", \"profile\": " + quoted(profile) +
-             ", \"cycles\": " + int_str(cycles) +
-             ", \"spec\": " + quoted(scenario);
-      break;
+  std::string out = "{\"kind\": " + quoted(job_kind_name(kind));
+  for (const JobKey& key : kJobKeys) {
+    if (!(key.kinds & bit(kind))) continue;
+    const std::string value = render(*this, key);
+    if (!value.empty()) out += ", " + quoted(key.name) + ": " + value;
   }
   return out + "}";
 }
@@ -410,25 +410,29 @@ void apply_job_arg(JobSpec& spec, const std::string& arg) {
   }
   const std::string key = arg.substr(0, eq);
   const std::string value = arg.substr(eq + 1);
-  // Re-use the strict JSON field decoding: wrap the value in the right JSON
-  // shape and run it through apply_job_key under a CLI-specific prefix.
-  const Doc doc{"job argument \"" + arg + "\""};
-  std::string json;
-  if (key == "scale" || key == "seed" || key == "stride" || key == "idle" ||
-      key == "ues" || key == "cycles") {
-    json = value;  // numeric
-  } else if (key == "apps" || key == "static") {
-    json = value == "1" ? "true" : value == "0" ? "false" : value;
-  } else if (key == "bundle" && spec.kind == JobKind::Fleet) {
-    // Fleet jobs take repeated bundle= args that accumulate.
-    spec.bundles.push_back(value);
-    return;
-  } else if (key == "grid") {
-    spec.grid.push_back(value);
-    return;
-  } else {
-    json = quoted(value);
+  // A fleet's repeated bundle= arguments accumulate into its bundles.
+  const JobKey* jk = find_key(
+      spec.kind == JobKind::Fleet && key == "bundle" ? "bundles" : key,
+      spec.kind);
+  if (!jk) {
+    throw std::runtime_error{"unknown job argument \"" + key + "\" for " +
+                             std::string{job_kind_name(spec.kind)} + " jobs"};
   }
+  if (const auto* list = std::get_if<List>(&jk->field)) {
+    (spec.**list).push_back(value);  // one item per argument
+    return;
+  }
+  // Spell the value as the JSON a request carries (numbers bare, 1/0 as
+  // booleans, the rest quoted) and decode it as the parser does.
+  std::string json = quoted(value);
+  if (std::holds_alternative<U64>(jk->field) ||
+      std::holds_alternative<Positive>(jk->field) ||
+      std::holds_alternative<IntIn>(jk->field)) {
+    json = value;
+  } else if (std::holds_alternative<Flag>(jk->field)) {
+    json = value == "1" ? "true" : value == "0" ? "false" : value;
+  }
+  const Doc doc{"job argument \"" + arg + "\""};
   Value v;
   try {
     v = doc.parse(json);
@@ -436,10 +440,7 @@ void apply_job_arg(JobSpec& spec, const std::string& arg) {
     throw std::runtime_error{"job argument \"" + arg +
                              "\": malformed value"};
   }
-  if (!apply_job_key(doc, spec, key, v)) {
-    throw std::runtime_error{"unknown job argument \"" + key + "\" for " +
-                             std::string{job_kind_name(spec.kind)} + " jobs"};
-  }
+  decode(doc, *jk, v, spec);
 }
 
 Request parse_request(const std::string& line) {
@@ -451,7 +452,7 @@ Request parse_request(const std::string& line) {
   if (ver.number != static_cast<double>(kProtocolVersion)) {
     doc.fail(ver.line, "unsupported protocol version " + double_str(ver.number) +
                            " (this daemon speaks " +
-                           int_str(kProtocolVersion) + ")");
+                           std::to_string(kProtocolVersion) + ")");
   }
   const Value& opv =
       doc.as(doc.get(root, "op"), Value::Kind::String, "an op string");
@@ -487,7 +488,7 @@ Request parse_request(const std::string& line) {
     doc.fail(val.line, "unknown key \"" + key + "\" for op \"" + opv.text +
                            "\"");
   }
-  if (takes_id) req.id = u64_field(doc, doc.get(root, "id"), "id");
+  if (takes_id) req.id = doc.u64(doc.get(root, "id"), "id");
   if (takes_job) req.job = parse_job_spec(doc, doc.get(root, "job"));
   return req;
 }
@@ -497,7 +498,7 @@ std::string render_error(const std::string& message) {
 }
 
 std::string render_status(const JobStatus& status) {
-  std::string out = "{\"ok\": true, \"id\": " + u64_str(status.id) +
+  std::string out = "{\"ok\": true, \"id\": " + std::to_string(status.id) +
                     ", \"state\": " + quoted(job_state_name(status.state)) +
                     ", \"stage\": " + quoted(status.stage) +
                     ", \"cache_hit\": " +
@@ -512,7 +513,7 @@ std::string render_status(const JobStatus& status) {
 
 std::string render_result(std::uint64_t id, bool cache_hit,
                           const ResultInfo& result) {
-  return "{\"ok\": true, \"id\": " + u64_str(id) + ", \"cache_hit\": " +
+  return "{\"ok\": true, \"id\": " + std::to_string(id) + ", \"cache_hit\": " +
          (cache_hit ? "true" : "false") + ", " +
          render_result_fields(result, true) + "}";
 }
@@ -523,17 +524,14 @@ std::string render_stats(const StatsInfo& stats) {
   for (const auto& [state, count] : stats.jobs_by_state) {
     if (!first) out += ", ";
     first = false;
-    out += quoted(state) + ": " + u64_str(count);
+    out += quoted(state) + ": " + std::to_string(count);
   }
-  out += "}, \"cache\": {\"entries\": " + u64_str(stats.cache_entries) +
-         ", \"bytes\": " + u64_str(stats.cache_bytes) +
-         ", \"max_bytes\": " + u64_str(stats.cache_max_bytes) +
-         ", \"warnings\": [";
-  for (std::size_t i = 0; i < stats.cache_warnings.size(); ++i) {
-    if (i) out += ", ";
-    out += quoted(stats.cache_warnings[i]);
-  }
-  return out + "]}, \"obs\": " + render_counters(stats.counters) + "}";
+  return out + "}, \"cache\": {\"entries\": " +
+         std::to_string(stats.cache_entries) +
+         ", \"bytes\": " + std::to_string(stats.cache_bytes) +
+         ", \"max_bytes\": " + std::to_string(stats.cache_max_bytes) +
+         ", \"warnings\": " + quoted_list(stats.cache_warnings) +
+         "}, \"obs\": " + render_counters(stats.counters) + "}";
 }
 
 std::string render_ok() { return "{\"ok\": true}"; }
@@ -542,7 +540,7 @@ JobStatus parse_status_response(const std::string& line) {
   const Doc doc{"response"};
   const Value root = parse_response(doc, line);
   JobStatus status;
-  status.id = u64_field(doc, doc.get(root, "id"), "id");
+  status.id = doc.u64(doc.get(root, "id"), "id");
   const Value& statev =
       doc.as(doc.get(root, "state"), Value::Kind::String, "a state string");
   auto state = parse_job_state(statev.text);
@@ -573,14 +571,13 @@ StatsInfo parse_stats_response(const std::string& line) {
   const Value& jobs =
       doc.as(doc.get(root, "jobs"), Value::Kind::Object, "a jobs object");
   for (const auto& [state, count] : jobs.keys) {
-    stats.jobs_by_state[state] = u64_field(doc, count, state);
+    stats.jobs_by_state[state] = doc.u64(count, state);
   }
   const Value& cache =
       doc.as(doc.get(root, "cache"), Value::Kind::Object, "a cache object");
-  stats.cache_entries = u64_field(doc, doc.get(cache, "entries"), "entries");
-  stats.cache_bytes = u64_field(doc, doc.get(cache, "bytes"), "bytes");
-  stats.cache_max_bytes =
-      u64_field(doc, doc.get(cache, "max_bytes"), "max_bytes");
+  stats.cache_entries = doc.u64(doc.get(cache, "entries"), "entries");
+  stats.cache_bytes = doc.u64(doc.get(cache, "bytes"), "bytes");
+  stats.cache_max_bytes = doc.u64(doc.get(cache, "max_bytes"), "max_bytes");
   stats.cache_warnings = string_list(doc, doc.get(cache, "warnings"),
                                      "warnings");
   stats.counters = parse_counters(doc, root);

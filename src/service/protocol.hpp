@@ -44,16 +44,19 @@ std::optional<JobState> parse_job_state(std::string_view text);
 /// Done, Failed and Cancelled are terminal: the state can no longer change.
 bool is_terminal(JobState s);
 
-/// One job request. A flat superset of the four job kinds' knobs; only the
-/// fields relevant to `kind` are rendered by to_json() and accepted by the
-/// parser (an off-kind key is a protocol error, not silently ignored).
+/// One job request. A flat superset of the four job kinds' knobs. Each JSON
+/// key is declared once, in protocol.cpp's job-key table (its name, kinds,
+/// field, type, bounds and requiredness); the parser, to_json() and
+/// apply_job_arg() all read that table, so only the fields relevant to
+/// `kind` are rendered and accepted (an off-kind key is a protocol error,
+/// not silently ignored).
 struct JobSpec {
   JobKind kind = JobKind::Campaign;
-  /// Seed of the job's own stochastic layers — part of the cache key.
+  /// Seed of the job's own stochastic layers — part of the cache key. The
+  /// wire carries it exactly, as plain digits (core::json::Doc::u64).
   std::uint64_t seed = 1;
 
-  // --- campaign ("scale", "apps", "stride", "static", "idle", "ues",
-  //     "sched") ---
+  // --- campaign ---
   double scale = 0.02;
   bool apps = true;
   int stride = 4;
@@ -62,20 +65,20 @@ struct JobSpec {
   int ues = 0;
   ran::SchedulerKind scheduler = ran::SchedulerKind::ProportionalFair;
 
-  // --- replay ("bundle", "cc", "server", "tier", "interp") /
-  //     fleet ("bundles", "grid", "interp") ---
-  /// replay: exactly one source bundle dir; fleet: one or more fleet path
-  /// specs (bundle dirs, trace CSVs, dirs of bundles — replay/fleet.hpp).
+  // --- replay / fleet ---
+  /// replay ("bundle"): exactly one source bundle dir; fleet ("bundles"):
+  /// one or more fleet path specs (bundle dirs, trace CSVs, dirs of bundles
+  /// — replay/fleet.hpp).
   std::vector<std::string> bundles;
   replay::ReplayKnobs knobs;
   replay::HoldPolicy policy = replay::HoldPolicy::Hold;
   /// Fleet knob-grid axes, apply_grid_axis grammar ("cc=cubic,bbr", ...).
   std::vector<std::string> grid;
 
-  // --- synth ("profile", "cycles", "spec") ---
+  // --- synth ---
   std::string profile;
   int cycles = 1;
-  /// parse_scenario_spec grammar ("duration_s=60,load=1.5,...").
+  /// "spec": parse_scenario_spec grammar ("duration_s=60,load=1.5,...").
   std::string scenario;
 
   /// The "job" object of a submit request; parse_job_spec inverts it.
@@ -83,8 +86,11 @@ struct JobSpec {
 };
 
 /// Apply one wheelsctl-style "key=value" argument to `spec` ("seed=7",
-/// "scale=0.05", "cc=bbr", ...); the key set equals the JSON key set above.
-/// Throws std::runtime_error naming an unknown key or malformed value.
+/// "scale=0.05", "cc=bbr", ...): the JSON keys of spec.kind, read from the
+/// same table and decoded as the parser decodes them. A list key ("grid",
+/// "bundles", and a fleet's "bundle") appends one item per argument.
+/// Throws std::runtime_error naming an unknown key or malformed value, e.g.
+/// `unknown job argument "grid" for campaign jobs`.
 void apply_job_arg(JobSpec& spec, const std::string& arg);
 
 struct Request {

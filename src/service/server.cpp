@@ -111,7 +111,12 @@ void Server::start() {
     throw std::runtime_error{"wheelsd: cannot listen on " + path};
   }
   accept_thread_ = std::thread{[this] { accept_loop(); }};
-  scheduler_thread_ = std::thread{[this] { scheduler_loop(); }};
+  // One worker loop per pool thread, all one batch for the server's life;
+  // jobs never touch the pool.
+  scheduler_thread_ = std::thread{[this] {
+    pool_.run_indexed(static_cast<std::size_t>(pool_.threads()),
+                      [this](std::size_t) { worker_loop(); });
+  }};
 }
 
 void Server::stop() {
@@ -379,32 +384,27 @@ bool Server::handle_line(const std::string& line, int fd) {
   return false;
 }
 
-void Server::scheduler_loop() {
+void Server::worker_loop() {
   for (;;) {
-    std::vector<JobPtr> wave;
+    JobPtr job;
     {
       std::unique_lock lk{mu_};
       cv_.wait(lk, [this] {
         return stop_ || (!paused_ && !pending_.empty());
       });
       if (stop_) return;
-      wave.assign(pending_.begin(), pending_.end());
-      pending_.clear();
-      for (const JobPtr& job : wave) {
-        job->state = JobState::Running;
-        job->stage = "cache lookup";
-      }
+      job = std::move(pending_.front());
+      pending_.pop_front();
+      job->state = JobState::Running;
+      job->stage = "cache lookup";
     }
-    // The pool runs one batch at a time and this loop is its only caller;
-    // jobs themselves never touch this pool.
-    pool_.run_indexed(wave.size(),
-                      [&](std::size_t i) { execute_job(*wave[i]); });
+    execute_job(*job);
   }
 }
 
 void Server::execute_job(Job& job) {
-  // run_indexed rethrows a job's exception on the scheduler thread, where
-  // it would end the process — every failure must land in job.error instead.
+  // run_indexed rethrows a worker loop's exception on the scheduler thread,
+  // where it would end the process — every failure must land in job.error.
   const auto finish = [this, &job](JobState state) {
     std::lock_guard lk{mu_};
     job.state = state;

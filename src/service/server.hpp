@@ -1,16 +1,17 @@
 // Server: the wheelsd daemon core — an AF_UNIX line-protocol front end over
 // the job scheduler and the result cache.
 //
-// Threading model: one accept thread, one connection thread per client, one
-// scheduler thread. The scheduler drains admitted jobs in waves, one
-// core::ThreadPool::run_indexed batch per wave (the pool's
-// one-batch-at-a-time contract makes the scheduler its sole caller). Each
-// job runs its library entry point with threads = 1 (the ReplayFleet
-// discipline); only measure::write_dataset still writes a bundle's tables
-// WHEELS_THREADS wide, on its own one-shot pool, and no byte depends on that
-// width. Every output byte is therefore independent of how many jobs ran
-// beside it — concurrent submission is byte-identical to serial, at every
-// WHEELS_THREADS.
+// Threading model: one accept thread, one connection thread per client, and
+// ServiceConfig::threads workers. The scheduler thread runs one worker loop
+// per pool thread, all as one core::ThreadPool::run_indexed batch that lasts
+// until stop(). A free worker takes the oldest admitted job, so a job reads
+// Running only once a worker holds it, and every job not yet taken reads
+// Queued and counts against the queue bound. Each job runs its library
+// entry point with threads = 1 (the ReplayFleet discipline); only
+// measure::write_dataset still writes a bundle's tables WHEELS_THREADS wide,
+// on its own one-shot pool, and no byte depends on that width. Every output
+// byte is therefore independent of how many jobs ran beside it — concurrent
+// submission is byte-identical to serial, at every WHEELS_THREADS.
 //
 // Job lifecycle: submit → cache lookup (hit: Done instantly, the cached
 // bundle is the result) → bounded queue admission (full: rejected with
@@ -56,8 +57,8 @@ class Server {
   /// std::runtime_error when the socket cannot be bound.
   void start();
 
-  /// Stop accepting, finish running jobs, join every thread, remove the
-  /// socket. Idempotent.
+  /// Stop accepting, finish running jobs (queued ones stay queued), join
+  /// every thread, remove the socket. Idempotent.
   void stop();
 
   /// Release a start_paused scheduler.
@@ -89,7 +90,8 @@ class Server {
   using JobPtr = std::shared_ptr<Job>;
 
   void accept_loop();
-  void scheduler_loop();
+  /// Take the oldest pending job whenever free, until stop.
+  void worker_loop();
   void handle_connection(int fd);
   /// Handle one request line; writes the response (or the watch stream) to
   /// `fd`. Returns false when the connection should close.
@@ -103,10 +105,10 @@ class Server {
   core::ThreadPool pool_;
 
   std::mutex mu_;
-  std::condition_variable cv_;        // scheduler: work or stop
+  std::condition_variable cv_;        // workers: work or stop
   std::condition_variable shutdown_cv_;
   std::map<std::uint64_t, JobPtr> jobs_;
-  std::deque<JobPtr> pending_;
+  std::deque<JobPtr> pending_;  // admitted, not yet taken; oldest first
   std::uint64_t next_id_ = 1;
   bool paused_ = false;
   bool stop_ = false;

@@ -1170,6 +1170,25 @@ TEST(Manifest, JsonRoundTripsByteIdentically) {
   m.threads = 4;
   const std::string json = m.to_json();
   EXPECT_EQ(core::obs::parse_manifest(json).to_json(), json);
+
+  // A 64-bit seed reads back exactly, not through a double.
+  m.seed = ~0ull;
+  EXPECT_EQ(core::obs::parse_manifest(m.to_json()).seed, m.seed);
+  EXPECT_EQ(core::obs::parse_manifest(m.to_json()).to_json(), m.to_json());
+
+  // A malformed manifest fails with the line of its fault.
+  const auto error = [](const std::string& text) -> std::string {
+    try {
+      (void)core::obs::parse_manifest(text);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "<no error>";
+  };
+  EXPECT_EQ(error("{\"scale\": 0.05}"),
+            "manifest: line 1: missing key \"seed\"");
+  EXPECT_EQ(error(json + "\n}"),
+            "manifest: line 9: trailing content after document");
 }
 
 }  // namespace

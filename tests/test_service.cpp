@@ -8,15 +8,19 @@
 //   ServiceCache.*        hit/miss semantics, key derivation, eviction,
 //                         restart persistence
 //   ServiceRecovery.*     torn index lines and torn objects after a kill
-//   ServiceProtocol.*     exact error strings for malformed requests
-//   ServiceQueue.*        bounded admission and cancellation (paused server)
+//   ServiceProtocol.*     exact error strings for malformed requests, exact
+//                         64-bit seeds, wheelsctl arguments = JSON keys
+//   ServiceQueue.*        bounded admission and cancellation (paused server);
+//                         the bound counts every job not yet started
 //   ServiceEnv.*          WHEELS_SERVICE_* knob validation
-//   ServiceConcurrency.*  concurrent submission byte-identical to serial
-//                         (in the tsan_smoke ctest filter)
+//   ServiceConcurrency.*  concurrent submission byte-identical to serial; a
+//                         free worker takes the next job (in the tsan_smoke
+//                         ctest filter)
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -68,6 +72,15 @@ JobSpec quick_campaign(std::uint64_t seed) {
   spec.scale = 0.02;
   spec.apps = false;
   spec.run_static = false;
+  return spec;
+}
+
+/// A campaign that takes ~1 s in Release, long enough for short jobs
+/// submitted after it to finish first whenever a worker is free.
+JobSpec slow_campaign(std::uint64_t seed) {
+  JobSpec spec = quick_campaign(seed);
+  spec.scale = 0.2;
+  spec.apps = true;
   return spec;
 }
 
@@ -605,6 +618,126 @@ TEST(ServiceProtocol, SpecJsonRoundTripsForEveryKind) {
   }
 }
 
+TEST(ServiceProtocol, SeedsRoundTripExactly) {
+  for (const std::uint64_t seed : {(1ull << 53) + 1, ~0ull}) {
+    const JobSpec spec = quick_campaign(seed);
+    const Request req = parse_request(
+        R"({"v": 1, "op": "submit", "job": )" + spec.to_json() + "}");
+    EXPECT_EQ(req.job.seed, seed);
+    EXPECT_EQ(req.job.to_json(), spec.to_json());
+    JobSpec cli;
+    apply_job_arg(cli, "seed=" + std::to_string(seed));
+    EXPECT_EQ(cli.seed, seed);
+  }
+  for (const std::string bad : {"18446744073709551616", "-1", "1.5", "1e3"}) {
+    EXPECT_EQ(thrown([&] {
+                parse_request(
+                    R"({"v": 1, "op": "submit", "job": {"kind": "campaign", )"
+                    R"("seed": )" +
+                    bad + "}}");
+              }),
+              "protocol: line 1: \"seed\" must be an unsigned 64-bit integer "
+              "in plain digits, got '" + bad + "'");
+    JobSpec cli;
+    EXPECT_EQ(thrown([&] { apply_job_arg(cli, "seed=" + bad); }),
+              "job argument \"seed=" + bad +
+                  "\": line 1: \"seed\" must be an unsigned 64-bit integer "
+                  "in plain digits, got '" + bad + "'");
+  }
+
+  // The cache index keeps the seed exactly too: an entry published under
+  // 2^64 - 1 is found again after a restart.
+  const std::string root = fresh_dir("seed-index");
+  const std::string staged = fresh_dir("seed-index-stage");
+  std::ofstream{staged + "/data.csv"} << "x\n";
+  CacheKey key;
+  key.kind = JobKind::Campaign;
+  key.config_digest = "cfg";
+  key.seed = ~0ull;
+  key.input_digest = "-";
+  ResultCache{root, 0}.publish(key, staged);
+  ResultCache reopened{root, 0};
+  EXPECT_TRUE(reopened.warnings().empty());
+  EXPECT_TRUE(reopened.lookup(key).has_value());
+}
+
+TEST(ServiceProtocol, CliArgumentsBuildTheJsonSpec) {
+  // Every key of each kind as a wheelsctl argument beside the same value in
+  // a request, applied in order (a later list value replaces the earlier
+  // one in JSON, as the CLI's repeated list arguments accumulate).
+  struct Key {
+    std::string arg;
+    std::string json;
+  };
+  struct Kind {
+    JobKind kind;
+    std::vector<Key> keys;
+    std::string canonical;  // to_json, as the table-free renderer wrote it
+  };
+  const std::vector<Kind> kinds = {
+      {JobKind::Campaign,
+       {{"seed=7", R"("seed": 7)"},
+        {"scale=0.05", R"("scale": 0.05)"},
+        {"apps=0", R"("apps": false)"},
+        {"stride=2", R"("stride": 2)"},
+        {"static=false", R"("static": false)"},
+        {"idle=3", R"("idle": 3)"},
+        {"ues=50", R"("ues": 50)"},
+        {"sched=rr", R"("sched": "rr")"}},
+       R"({"kind": "campaign", "seed": 7, "scale": 0.050000000000000003, )"
+       R"("apps": false, "stride": 2, "static": false, "idle": 3, "ues": 50, )"
+       R"("sched": "rr"})"},
+      {JobKind::Replay,
+       {{"bundle=b", R"("bundle": "b")"},
+        {"seed=8", R"("seed": 8)"},
+        {"cc=bbr", R"("cc": "bbr")"},
+        {"server=edge", R"("server": "edge")"},
+        {"tier=LTE", R"("tier": "LTE")"},
+        {"interp=linear", R"("interp": "linear")"}},
+       R"({"kind": "replay", "seed": 8, "bundle": "b", "cc": "bbr", )"
+       R"("server": "edge", "tier": "LTE", "interp": "linear"})"},
+      {JobKind::Fleet,
+       {{"bundle=a", R"("bundles": ["a"])"},
+        {"bundles=b", R"("bundles": ["a", "b"])"},
+        {"seed=9", R"("seed": 9)"},
+        {"grid=cc=cubic,bbr", R"("grid": ["cc=cubic,bbr"])"},
+        {"grid=tier=recorded,LTE",
+         R"("grid": ["cc=cubic,bbr", "tier=recorded,LTE"])"},
+        {"interp=linear", R"("interp": "linear")"}},
+       R"({"kind": "fleet", "seed": 9, "bundles": ["a", "b"], )"
+       R"("grid": ["cc=cubic,bbr", "tier=recorded,LTE"], "interp": "linear"})"},
+      {JobKind::Synth,
+       {{"profile=p.json", R"("profile": "p.json")"},
+        {"seed=10", R"("seed": 10)"},
+        {"cycles=2", R"("cycles": 2)"},
+        {"spec=duration_s=30", R"("spec": "duration_s=30")"}},
+       R"({"kind": "synth", "seed": 10, "profile": "p.json", "cycles": 2, )"
+       R"("spec": "duration_s=30"})"},
+  };
+  for (const Kind& k : kinds) {
+    const std::string kind{job_kind_name(k.kind)};
+    JobSpec cli;
+    cli.kind = k.kind;
+    std::string json = R"({"v": 1, "op": "submit", "job": {"kind": ")" + kind +
+                       "\"";
+    for (const Key& key : k.keys) {
+      apply_job_arg(cli, key.arg);
+      json += ", " + key.json;
+      EXPECT_EQ(cli.to_json(), parse_request(json + "}}").job.to_json())
+          << key.arg;
+    }
+    EXPECT_EQ(cli.to_json(), k.canonical);
+
+    // A key of another kind is refused, not dropped.
+    if (k.kind != JobKind::Fleet) {
+      JobSpec spec;
+      spec.kind = k.kind;
+      EXPECT_EQ(thrown([&] { apply_job_arg(spec, "grid=cc=bbr"); }),
+                "unknown job argument \"grid\" for " + kind + " jobs");
+    }
+  }
+}
+
 // --- ServiceQueue ---------------------------------------------------------
 
 TEST(ServiceQueue, BoundedAdmissionRejectsAndCancelFrees) {
@@ -626,6 +759,26 @@ TEST(ServiceQueue, BoundedAdmissionRejectsAndCancelFrees) {
   EXPECT_EQ(c.wait(j2.id).state, JobState::Done);
   EXPECT_EQ(c.wait(j4.id).state, JobState::Done);
   EXPECT_EQ(c.status(j1.id).state, JobState::Cancelled);  // stayed cancelled
+}
+
+TEST(ServiceQueue, BoundCountsEveryJobNotYetStarted) {
+  Daemon d{"queue-exact", 1, /*queue_depth=*/2, /*paused=*/true};
+  Client c = d.connect();
+  const JobSpec synths[] = {quick_synth(111), quick_synth(112),
+                            quick_synth(113)};
+  const JobStatus slow = c.submit(slow_campaign(110));
+  const JobStatus first = c.submit(synths[0]);
+  d.server->resume();
+  while (c.status(slow.id).state == JobState::Queued) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  }
+  // The one worker holds the campaign; the synth job has not started and
+  // still takes a queue slot.
+  ASSERT_EQ(c.status(slow.id).state, JobState::Running);
+  EXPECT_EQ(c.status(first.id).state, JobState::Queued);
+  EXPECT_EQ(c.submit(synths[1]).state, JobState::Queued);
+  EXPECT_EQ(thrown([&] { c.submit(synths[2]); }),
+            "submit: queue full (depth 2)");
 }
 
 // --- ServiceEnv -----------------------------------------------------------
@@ -700,6 +853,21 @@ TEST(ServiceConcurrency, MixedBatchByteIdenticalToSerialAtEveryWidth) {
     for (std::thread& t : clients) t.join();
     EXPECT_EQ(digests, reference) << "threads=" << threads;
   }
+}
+
+TEST(ServiceConcurrency, FreeWorkerTakesTheNextJob) {
+  Daemon d{"free-worker", 2};
+  Client c = d.connect();
+  const JobSpec synths[] = {quick_synth(102), quick_synth(103)};
+  const JobStatus slow = c.submit(slow_campaign(101));
+  // The second worker runs both synth jobs, one after the other, while the
+  // first still runs the campaign: no job waits for a job it did not follow.
+  for (const JobSpec& spec : synths) {
+    const JobStatus done = c.wait(c.submit(spec).id);
+    EXPECT_EQ(done.state, JobState::Done) << done.error;
+  }
+  EXPECT_FALSE(is_terminal(c.status(slow.id).state));
+  EXPECT_EQ(c.wait(slow.id).state, JobState::Done);
 }
 
 TEST(ServiceConcurrency, ConcurrentIdenticalSubmissionsShareOneEntry) {
