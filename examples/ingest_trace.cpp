@@ -108,15 +108,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--max-gap") {
         options.resample.max_gap_ms = std::stoll(value(i));
       } else if (arg == "--interp") {
-        const std::string mode = value(i);
-        if (mode == "hold") {
-          options.resample.fill = ingest::GapFill::Hold;
-        } else if (mode == "linear") {
-          options.resample.fill = ingest::GapFill::Interpolate;
-        } else {
-          throw std::runtime_error{"--interp expects hold|linear, got " +
-                                   mode};
-        }
+        options.resample.fill = replay::parse_hold_policy(value(i));
       } else if (arg == "--no-align") {
         join.align_clocks = false;
       } else if (arg == "--trim") {

@@ -8,17 +8,6 @@ namespace wheels::analysis {
 
 namespace {
 
-double interpolated_quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  if (sorted.size() == 1) return sorted.front();
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
 /// The two-sided 95% normal quantile behind median_ci and median_delta_ci.
 constexpr double kZ95 = 1.959963984540054;
 
@@ -40,6 +29,17 @@ double median_se(std::span<const double> sorted) {
 }
 
 }  // namespace
+
+double interpolated_quantile(std::span<const double> sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  if (sorted.size() == 1) return sorted.front();
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+}
 
 Summary summarize(std::span<const double> xs) {
   Summary s;

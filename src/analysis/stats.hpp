@@ -21,6 +21,11 @@ struct Summary {
 
 Summary summarize(std::span<const double> xs);
 
+/// Value at quantile q of an ascending series, interpolated linearly
+/// between the two bracketing ranks (q clamped to [0, 1]). SENTINEL: 0.0 on
+/// empty, with Cdf::quantile's caveat.
+double interpolated_quantile(std::span<const double> sorted, double q);
+
 /// Empirical CDF over a sample set.
 class Cdf {
  public:

@@ -1,6 +1,8 @@
 #include "core/json.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -118,14 +120,66 @@ class Reader {
       const char c = text_[pos_++];
       if (c == '"') return out;
       if (c == '\n') doc_.fail(line_, "unterminated string");
-      if (c == '\\') {
-        if (pos_ >= text_.size()) doc_.fail(line_, "unterminated escape");
-        out.push_back(text_[pos_++]);
-      } else {
+      if (c != '\\') {
         out.push_back(c);
+        continue;
+      }
+      if (pos_ >= text_.size()) doc_.fail(line_, "unterminated escape");
+      switch (const char e = text_[pos_++]) {
+        case '"':
+        case '\\':
+        case '/': out.push_back(e); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'u': put_utf8(out, code_point()); break;
+        default:
+          doc_.fail(line_, std::string{"unknown escape '\\"} + e + "'");
       }
     }
     doc_.fail(line_, "unterminated string");
+  }
+
+  /// The code point of a `\uXXXX` escape whose `\u` was just read; a
+  /// surrogate pair spans two escapes.
+  std::uint32_t code_point() {
+    const std::uint32_t hi = hex4();
+    if (hi < 0xd800 || hi > 0xdfff) return hi;
+    if (hi <= 0xdbff && text_.substr(pos_, 2) == "\\u") {
+      pos_ += 2;
+      const std::uint32_t lo = hex4();
+      if (lo >= 0xdc00 && lo <= 0xdfff) {
+        return 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+      }
+    }
+    doc_.fail(line_, "lone surrogate in \\u escape");
+  }
+
+  std::uint32_t hex4() {
+    std::uint32_t v = 0;
+    const char* first = text_.data() + pos_;
+    const char* last = first + std::min<std::size_t>(4, text_.size() - pos_);
+    const auto [end, ec] = std::from_chars(first, last, v, 16);
+    if (ec != std::errc{} || end != first + 4) {
+      doc_.fail(line_, "malformed \\u escape (expected 4 hex digits)");
+    }
+    pos_ += 4;
+    return v;
+  }
+
+  static void put_utf8(std::string& out, std::uint32_t cp) {
+    if (cp < 0x80) {
+      out.push_back(static_cast<char>(cp));
+      return;
+    }
+    const int tail = cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+    constexpr unsigned char kLead[] = {0, 0xc0, 0xe0, 0xf0};
+    out.push_back(static_cast<char>(kLead[tail] | (cp >> (6 * tail))));
+    for (int i = tail - 1; i >= 0; --i) {
+      out.push_back(static_cast<char>(0x80 | ((cp >> (6 * i)) & 0x3f)));
+    }
   }
 
   void literal(std::string_view word) {
@@ -238,9 +292,26 @@ std::vector<double> Doc::doubles(const Value& v) const {
 
 std::string escape(std::string_view s) {
   std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
   }
   return out;
 }

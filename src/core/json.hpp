@@ -77,8 +77,10 @@ class Doc {
   int first_line_ = 1;
 };
 
-/// Escape `s` for embedding in a JSON string literal (backslash and quote;
-/// the dataset's strings carry no control characters).
+/// Escape `s` for embedding in a JSON string literal: `\"`, `\\`, `\n`,
+/// `\r`, `\t`, `\b`, `\f`, and `\u00XX` for every other control character,
+/// so the literal stays on one line. Doc::parse decodes it back to `s`, byte
+/// for byte; other bytes (UTF-8 included) pass through unchanged.
 std::string escape(std::string_view s);
 
 }  // namespace wheels::core::json

@@ -1,37 +1,12 @@
 #include "core/obs/trace_export.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <ostream>
 
+#include "core/json.hpp"
+
 namespace wheels::core::obs {
-
-namespace {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::int64_t trace_now_us() {
   using namespace std::chrono;
@@ -85,8 +60,8 @@ void TraceCollector::write_chrome_trace(std::ostream& os) const {
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const TraceEvent& e = events_[i];
     if (i > 0) os << ',';
-    os << "\n  {\"name\": \"" << json_escape(e.name) << "\", \"cat\": \""
-       << json_escape(e.category) << "\", \"ph\": \"X\", \"ts\": " << e.ts_us
+    os << "\n  {\"name\": \"" << json::escape(e.name) << "\", \"cat\": \""
+       << json::escape(e.category) << "\", \"ph\": \"X\", \"ts\": " << e.ts_us
        << ", \"dur\": " << e.dur_us << ", \"pid\": 1, \"tid\": " << e.tid
        << "}";
   }

@@ -5,19 +5,6 @@
 
 namespace wheels {
 
-namespace {
-
-// splitmix64 finaliser: decorrelates sequential / low-entropy seeds before
-// they reach the mt19937_64 state.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 std::uint64_t stable_hash(std::string_view text, std::uint64_t basis) {
   std::uint64_t h = basis ^ 0xcbf29ce484222325ULL;
   for (unsigned char c : text) {
@@ -27,14 +14,15 @@ std::uint64_t stable_hash(std::string_view text, std::uint64_t basis) {
   return h;
 }
 
-Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(mix(seed)) {}
+Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(mix64(seed)) {}
 
 Rng Rng::fork(std::string_view label) const {
   return Rng{stable_hash(label, seed_)};
 }
 
 Rng Rng::fork(std::string_view label, std::uint64_t index) const {
-  return Rng{mix(stable_hash(label, seed_) + 0x9e3779b97f4a7c15ULL * (index + 1))};
+  return Rng{mix64(stable_hash(label, seed_) +
+                   0x9e3779b97f4a7c15ULL * (index + 1))};
 }
 
 std::uint64_t Rng::next_u64() { return engine_(); }

@@ -14,6 +14,22 @@
 
 namespace wheels {
 
+/// splitmix64 finaliser. Rng runs seeds through it before they reach the
+/// mt19937_64 state, and it is the counter-based draw of ran::UePool and
+/// synth sampling: mixing a seed with a slot counter gives an independent
+/// draw per slot, with no generator state to share across threads.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Uniform double in [0, 1) from the top 53 bits of a hash.
+inline double u01(std::uint64_t h) {
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed);

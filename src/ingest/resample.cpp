@@ -52,7 +52,7 @@ void StreamingResampler::push(const TracePoint& p) {
   while (t_next_ < p.t) {
     TracePoint out = prev_;
     out.t = t_next_;
-    if (spec_.fill == GapFill::Interpolate && t_next_ > prev_.t) {
+    if (spec_.fill == replay::HoldPolicy::Interpolate && t_next_ > prev_.t) {
       const double f = static_cast<double>(t_next_ - prev_.t) /
                        static_cast<double>(p.t - prev_.t);
       out.cap_dl_mbps = lerp(prev_.cap_dl_mbps, p.cap_dl_mbps, f);

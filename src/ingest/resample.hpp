@@ -8,7 +8,7 @@
 // gap split compares adjacent points — so resampling a multi-GB trace holds
 // one pending point plus the segment being built. It also validates the
 // stream: source timestamps must be strictly increasing (a duplicate would
-// divide by zero under GapFill::Interpolate, a backwards step would corrupt
+// divide by zero under HoldPolicy::Interpolate, a backwards step would corrupt
 // the tick loop), and violations throw with the 1-based point index.
 #pragma once
 
@@ -17,14 +17,14 @@
 
 #include "ingest/column_map.hpp"
 #include "ingest/stream.hpp"
+#include "replay/trace_channel.hpp"
 
 namespace wheels::ingest {
 
-enum class GapFill { Hold, Interpolate };
-
 struct ResampleSpec {
   SimMillis tick_ms = 500;
-  GapFill fill = GapFill::Hold;
+  /// Between two source samples: hold the earlier one, or interpolate.
+  replay::HoldPolicy fill = replay::HoldPolicy::Hold;
   /// A step between consecutive source samples strictly larger than this
   /// starts a new segment; 0 disables splitting. Must be 0 or >= tick_ms.
   SimMillis max_gap_ms = 10'000;

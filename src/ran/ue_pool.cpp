@@ -50,19 +50,6 @@ constexpr double kCellEfficiency = 0.7;
 /// enough that the fan-out still parallelises a 3-carrier deployment).
 constexpr std::uint32_t kCellBlock = 16;
 
-/// splitmix64 finaliser: the counter-based per-(UE, tick) randomness. Mixing
-/// a per-UE seed with a tick or epoch counter yields an independent draw per
-/// slot with no generator state to share across threads.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Uniform double in [0, 1) from a hash.
-double u01(std::uint64_t h) { return static_cast<double>(h >> 11) * 0x1.0p-53; }
-
 double bytes_per_mbps_tick(Millis tick) {
   return tick / kMillisPerSecond * 1e6 / kBitsPerByte;
 }

@@ -64,17 +64,6 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-transport::CcAlgo parse_cc(const std::string& text) {
-  if (text == transport::cc_algo_name(transport::CcAlgo::Cubic)) {
-    return transport::CcAlgo::Cubic;
-  }
-  if (text == transport::cc_algo_name(transport::CcAlgo::Bbr)) {
-    return transport::CcAlgo::Bbr;
-  }
-  throw std::runtime_error{"unknown cc algorithm '" + text +
-                           "' (expected cubic|bbr)"};
-}
-
 /// One axis's value list: "recorded" keeps the knob unset, anything else
 /// goes through `parse`. Rejects empty lists and repeated values.
 template <typename T, typename Parse>
@@ -107,17 +96,14 @@ void apply_grid_axis(KnobGrid& grid, const std::string& spec) {
   const std::string values = spec.substr(eq + 1);
   try {
     if (dim == "cc") {
-      grid.cc = parse_axis<transport::CcAlgo>(values, parse_cc);
+      grid.cc =
+          parse_axis<transport::CcAlgo>(values, transport::parse_cc_algo);
     } else if (dim == "server") {
       grid.server = parse_axis<net::ServerKind>(
-          values, [](const std::string& v) {
-            return measure::names::parse_server_kind(v);
-          });
+          values, measure::names::parse_server_kind);
     } else if (dim == "tier" || dim == "max_tier") {
       grid.max_tier = parse_axis<radio::Technology>(
-          values, [](const std::string& v) {
-            return measure::names::parse_technology(v);
-          });
+          values, measure::names::parse_technology);
     } else {
       throw std::runtime_error{"unknown dimension '" + dim +
                                "' (expected cc|server|tier)"};

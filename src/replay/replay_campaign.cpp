@@ -37,6 +37,24 @@ using measure::TestType;
 using radio::Carrier;
 using radio::Direction;
 
+namespace {
+
+/// Set `field` from the environment variable `name` through `parse`; a value
+/// `parse` refuses keeps the default and is reported by core::ignore_env.
+template <typename Field, typename Parse>
+void env_named(const char* name, const char* expected, Parse parse,
+               Field& field) {
+  if (const char* v = std::getenv(name)) {
+    try {
+      field = parse(v);
+    } catch (const std::runtime_error&) {
+      core::ignore_env(name, expected);
+    }
+  }
+}
+
+}  // namespace
+
 ReplayConfig replay_config_from_env() {
   ReplayConfig cfg;
   if (const auto v = core::env_int("WHEELS_REPLAY_SEED")) {
@@ -46,41 +64,14 @@ ReplayConfig replay_config_from_env() {
       core::ignore_env("WHEELS_REPLAY_SEED", ">= 0");
     }
   }
-  if (const char* v = std::getenv("WHEELS_REPLAY_INTERP")) {
-    const std::string s{v};
-    if (s == "hold") {
-      cfg.policy = HoldPolicy::Hold;
-    } else if (s == "linear") {
-      cfg.policy = HoldPolicy::Interpolate;
-    } else {
-      core::ignore_env("WHEELS_REPLAY_INTERP", "hold|linear");
-    }
-  }
-  if (const char* v = std::getenv("WHEELS_REPLAY_CC")) {
-    const std::string s{v};
-    if (s == transport::cc_algo_name(transport::CcAlgo::Cubic)) {
-      cfg.knobs.cc = transport::CcAlgo::Cubic;
-    } else if (s == transport::cc_algo_name(transport::CcAlgo::Bbr)) {
-      cfg.knobs.cc = transport::CcAlgo::Bbr;
-    } else {
-      core::ignore_env("WHEELS_REPLAY_CC", "cubic|bbr");
-    }
-  }
-  if (const char* v = std::getenv("WHEELS_REPLAY_SERVER")) {
-    try {
-      cfg.knobs.server = measure::names::parse_server_kind(v);
-    } catch (const std::runtime_error&) {
-      core::ignore_env("WHEELS_REPLAY_SERVER", "cloud|edge");
-    }
-  }
-  if (const char* v = std::getenv("WHEELS_REPLAY_MAX_TIER")) {
-    try {
-      cfg.knobs.max_tier = measure::names::parse_technology(v);
-    } catch (const std::runtime_error&) {
-      core::ignore_env("WHEELS_REPLAY_MAX_TIER",
-                       "a technology name (LTE, 5G-mid, ...)");
-    }
-  }
+  env_named("WHEELS_REPLAY_INTERP", "hold|linear", parse_hold_policy,
+            cfg.policy);
+  env_named("WHEELS_REPLAY_CC", "cubic|bbr", transport::parse_cc_algo,
+            cfg.knobs.cc);
+  env_named("WHEELS_REPLAY_SERVER", "cloud|edge",
+            measure::names::parse_server_kind, cfg.knobs.server);
+  env_named("WHEELS_REPLAY_MAX_TIER", "a technology name (LTE, 5G-mid, ...)",
+            measure::names::parse_technology, cfg.knobs.max_tier);
   cfg.threads = 0;
   return cfg;
 }
@@ -581,7 +572,7 @@ core::obs::RunManifest make_replay_manifest(
                 source.config_digest.c_str(),
                 static_cast<unsigned long long>(source.seed), source.scale,
                 cell_label(config.knobs).c_str(),
-                config.policy == HoldPolicy::Hold ? "hold" : "linear");
+                std::string{hold_policy_name(config.policy)}.c_str());
   m.config_digest = core::obs::hex64(core::obs::fnv1a64(buf));
   return m;
 }

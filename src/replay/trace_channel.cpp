@@ -1,6 +1,8 @@
 #include "replay/trace_channel.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace wheels::replay {
 
@@ -9,6 +11,18 @@ namespace {
 double lerp(double a, double b, double f) { return a + (b - a) * f; }
 
 }  // namespace
+
+std::string_view hold_policy_name(HoldPolicy p) {
+  return p == HoldPolicy::Hold ? "hold" : "linear";
+}
+
+HoldPolicy parse_hold_policy(std::string_view text) {
+  for (const HoldPolicy p : {HoldPolicy::Hold, HoldPolicy::Interpolate}) {
+    if (text == hold_policy_name(p)) return p;
+  }
+  throw std::runtime_error{"unknown interpolation '" + std::string{text} +
+                           "' (expected hold|linear)"};
+}
 
 TraceChannel::TraceChannel(std::vector<TraceSample> samples,
                            std::vector<ran::HandoverEvent> handovers,

@@ -11,6 +11,7 @@
 // recorded.
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "apps/link_trace.hpp"
@@ -24,8 +25,15 @@ namespace wheels::replay {
 /// Behaviour between two recorded 500 ms samples. XCAL rows are snapshots,
 /// so Hold (previous sample applies until the next one) is the faithful
 /// default; Interpolate linearly blends the continuous fields (capacities,
-/// rtt, position) for smoother app input. tech always holds.
+/// rtt, position) for smoother app input. tech always holds. Ingest's
+/// resampler fills between a trace's source samples the same two ways.
 enum class HoldPolicy { Hold, Interpolate };
+
+/// "hold" or "linear": the policy's name in knobs, digests and CLIs.
+std::string_view hold_policy_name(HoldPolicy p);
+/// Exact reverse of hold_policy_name. Throws std::runtime_error
+/// "unknown interpolation 'x' (expected hold|linear)" on any other text.
+HoldPolicy parse_hold_policy(std::string_view text);
 
 /// One recorded timeline point: a tick's link state at time `t` and route
 /// position `map_km`, the way measure::LinkTickRecord is a LinkTick plus its

@@ -90,7 +90,7 @@ std::string spec_identity(const std::string& spec) {
 std::string fleet_canonical(const JobSpec& spec,
                             const std::vector<replay::ReplayKnobs>& cells) {
   std::string canon = "fleet;interp=";
-  canon += spec.policy == replay::HoldPolicy::Hold ? "hold" : "linear";
+  canon += replay::hold_policy_name(spec.policy);
   canon += ";cells=";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (i) canon += ",";

@@ -55,13 +55,6 @@ std::vector<std::string> string_list(const Doc& doc, const Value& v,
   return out;
 }
 
-/// The error for a name `text` that names no `what`.
-std::runtime_error unknown(const char* what, const std::string& text,
-                           const char* expected) {
-  return std::runtime_error{std::string{"unknown "} + what + " \"" + text +
-                            "\" (expected " + expected + ")"};
-}
-
 // --- The job keys ---------------------------------------------------------
 //
 // Every job key is declared once, in kJobKeys; the request parser,
@@ -116,7 +109,10 @@ constexpr JobKey kJobKeys[] = {
     {"sched", kCampaign, 0,
      Named{[](JobSpec& s, const std::string& text) {
              const auto k = ran::parse_scheduler_kind(text);
-             if (!k) throw unknown("scheduler", text, "pf|rr");
+             if (!k) {
+               throw std::runtime_error{"unknown scheduler \"" + text +
+                                        "\" (expected pf|rr)"};
+             }
              s.scheduler = *k;
            },
            [](const JobSpec& s) {
@@ -125,27 +121,14 @@ constexpr JobKey kJobKeys[] = {
     {"bundle", kReplay, kReplay, OneOf{&JobSpec::bundles}},
     {"cc", kReplay, 0,
      Named{[](JobSpec& s, const std::string& text) {
-             for (const auto cc :
-                  {transport::CcAlgo::Cubic, transport::CcAlgo::Bbr}) {
-               if (text == transport::cc_algo_name(cc)) {
-                 s.knobs.cc = cc;
-                 return;
-               }
-             }
-             throw unknown("congestion control", text, "cubic|bbr");
+             s.knobs.cc = transport::parse_cc_algo(text);
            },
            [](const JobSpec& s) -> std::string_view {
              return s.knobs.cc ? transport::cc_algo_name(*s.knobs.cc) : "";
            }}},
     {"server", kReplay, 0,
      Named{[](JobSpec& s, const std::string& text) {
-             for (const auto k : measure::names::kAllServerKinds) {
-               if (text == net::server_kind_name(k)) {
-                 s.knobs.server = k;
-                 return;
-               }
-             }
-             throw unknown("server", text, "cloud|edge");
+             s.knobs.server = measure::names::parse_server_kind(text);
            },
            [](const JobSpec& s) -> std::string_view {
              return s.knobs.server ? net::server_kind_name(*s.knobs.server)
@@ -164,14 +147,10 @@ constexpr JobKey kJobKeys[] = {
     {"grid", kFleet, 0, &JobSpec::grid},
     {"interp", kReplay | kFleet, 0,
      Named{[](JobSpec& s, const std::string& text) {
-             if (text != "hold" && text != "linear") {
-               throw unknown("interpolation", text, "hold|linear");
-             }
-             s.policy = text == "hold" ? replay::HoldPolicy::Hold
-                                       : replay::HoldPolicy::Interpolate;
+             s.policy = replay::parse_hold_policy(text);
            },
-           [](const JobSpec& s) -> std::string_view {
-             return s.policy == replay::HoldPolicy::Hold ? "hold" : "linear";
+           [](const JobSpec& s) {
+             return replay::hold_policy_name(s.policy);
            }}},
     {"profile", kSynth, kSynth, &JobSpec::profile},
     {"cycles", kSynth, 0, IntIn{&JobSpec::cycles, 1, 1 << 20}},

@@ -5,8 +5,10 @@
 // "protocol" prefix — a truncated line, an unknown op, a version-skewed
 // client each fail with an exact, tested message instead of a guess.
 // Responses are single lines {"ok": true, ...} / {"ok": false, "error":
-// "..."}, except `watch`, which streams one status line per poll until the
-// job reaches a terminal state.
+// "..."}, except `watch`, which streams status lines: one at once, then one
+// per change of the job's state or stage, the terminal state's line last.
+// Strings are escaped (core::json::escape), so a multi-line error still
+// travels as one line.
 //
 // Ops:
 //   {"v": 1, "op": "submit", "job": {...}}   -> status (id, state, cache_hit)

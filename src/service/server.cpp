@@ -20,23 +20,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-const core::obs::Counter& submitted_counter() {
-  static const core::obs::Counter c{"service.jobs_submitted"};
-  return c;
-}
-const core::obs::Counter& completed_counter() {
-  static const core::obs::Counter c{"service.jobs_completed"};
-  return c;
-}
-const core::obs::Counter& failed_counter() {
-  static const core::obs::Counter c{"service.jobs_failed"};
-  return c;
-}
-const core::obs::Counter& cancelled_counter() {
-  static const core::obs::Counter c{"service.jobs_cancelled"};
-  return c;
-}
-
 /// The daemon's own counters, for the progress snapshot carried by every
 /// status line.
 std::vector<std::pair<std::string, std::uint64_t>> service_counters() {
@@ -125,7 +108,6 @@ void Server::stop() {
     if (stop_) return;
     stop_ = true;
     cv_.notify_all();
-    shutdown_cv_.notify_all();
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   if (scheduler_thread_.joinable()) scheduler_thread_.join();
@@ -152,14 +134,13 @@ void Server::resume() {
 
 void Server::wait_for_shutdown() {
   std::unique_lock lk{mu_};
-  shutdown_cv_.wait(lk, [this] { return shutdown_requested_ || stop_; });
+  cv_.wait(lk, [this] { return shutdown_requested_ || stop_; });
 }
 
 bool Server::wait_for_shutdown_for(int timeout_ms) {
   std::unique_lock lk{mu_};
-  return shutdown_cv_.wait_for(
-      lk, std::chrono::milliseconds{timeout_ms},
-      [this] { return shutdown_requested_ || stop_; });
+  return cv_.wait_for(lk, std::chrono::milliseconds{timeout_ms},
+                      [this] { return shutdown_requested_ || stop_; });
 }
 
 void Server::accept_loop() {
@@ -174,6 +155,15 @@ void Server::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     std::lock_guard lk{conn_mu_};
+    // A joinable thread keeps its stack until joined: join the closed ones.
+    for (const std::thread::id id : closed_conns_) {
+      const auto it = std::find_if(
+          conn_threads_.begin(), conn_threads_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      it->join();
+      conn_threads_.erase(it);
+    }
+    closed_conns_.clear();
     conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
   }
 }
@@ -206,6 +196,22 @@ void Server::handle_connection(int fd) {
     if (close_conn) break;
   }
   ::close(fd);
+  std::lock_guard lk{conn_mu_};
+  closed_conns_.push_back(std::this_thread::get_id());
+}
+
+void Server::move_locked(Job& job, JobState state, std::string_view stage) {
+  job.state = state;
+  job.stage = stage.empty() ? job_state_name(state) : stage;
+  if (is_terminal(state)) {
+    // Looked up by name, so each outcome counter registers at its first
+    // bump: a status line's counter snapshot lists it only from then on.
+    core::obs::Counter{state == JobState::Done     ? "service.jobs_completed"
+                       : state == JobState::Failed ? "service.jobs_failed"
+                                                   : "service.jobs_cancelled"}
+        .add();
+  }
+  cv_.notify_all();
 }
 
 Server::JobPtr Server::find_job(std::uint64_t id) {
@@ -239,46 +245,38 @@ bool Server::handle_line(const std::string& line, int fd) {
   }
   switch (req.op) {
     case Request::Op::Submit: {
-      submitted_counter().add();
+      static const core::obs::Counter submitted{"service.jobs_submitted"};
+      submitted.add();
       CacheKey key;
       try {
         key = cache_key(req.job);
       } catch (const std::runtime_error& e) {
         return write_line(fd, render_error(e.what()));
       }
-      JobPtr job;
+      JobStatus status;
       {
         std::lock_guard lk{mu_};
-        if (auto entry = cache_.lookup(key)) {
-          job = std::make_shared<Job>();
-          job->id = next_id_++;
-          job->spec = req.job;
-          job->key = key;
-          job->state = JobState::Done;
-          job->stage = "done";
-          job->cache_hit = true;
-          job->result = std::move(entry);
-          jobs_[job->id] = job;
-          completed_counter().add();
-        } else if (pending_.size() >=
-                   static_cast<std::size_t>(options_.config.queue_depth)) {
+        auto entry = cache_.lookup(key);
+        if (!entry && pending_.size() >= static_cast<std::size_t>(
+                                             options_.config.queue_depth)) {
           return write_line(
               fd, render_error("submit: queue full (depth " +
                                std::to_string(options_.config.queue_depth) +
                                ")"));
+        }
+        const JobPtr job = std::make_shared<Job>();
+        job->id = next_id_++;
+        job->spec = req.job;
+        job->key = key;
+        jobs_[job->id] = job;
+        if (entry) {
+          job->cache_hit = true;
+          job->result = std::move(entry);
+          move_locked(*job, JobState::Done);
         } else {
-          job = std::make_shared<Job>();
-          job->id = next_id_++;
-          job->spec = req.job;
-          job->key = key;
-          jobs_[job->id] = job;
           pending_.push_back(job);
           cv_.notify_all();
         }
-      }
-      JobStatus status;
-      {
-        std::lock_guard lk{mu_};
         status = status_of_locked(*job);
       }
       status.counters = service_counters();
@@ -287,28 +285,29 @@ bool Server::handle_line(const std::string& line, int fd) {
     case Request::Op::Status:
     case Request::Op::Watch: {
       const char* op = req.op == Request::Op::Status ? "status" : "watch";
+      std::unique_lock lk{mu_};
+      const JobPtr job = find_job(req.id);
+      if (!job) {
+        lk.unlock();
+        return write_line(fd, render_error(std::string{op} +
+                                           ": no such job " +
+                                           std::to_string(req.id)));
+      }
+      // One line now, then one per move of the job, the terminal one last.
       for (;;) {
-        JobStatus status;
-        {
-          std::lock_guard lk{mu_};
-          const JobPtr job = find_job(req.id);
-          if (!job) {
-            return write_line(
-                fd, render_error(std::string{op} + ": no such job " +
-                                 std::to_string(req.id)));
-          }
-          status = status_of_locked(*job);
-        }
+        JobStatus status = status_of_locked(*job);
+        lk.unlock();
         status.counters = service_counters();
         if (!write_line(fd, render_status(status))) return false;
         if (req.op == Request::Op::Status || is_terminal(status.state)) {
           return true;
         }
-        {
-          std::lock_guard lk{mu_};
-          if (stop_) return false;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds{20});
+        lk.lock();
+        cv_.wait(lk, [&] {
+          return stop_ || job->state != status.state ||
+                 job->stage != status.stage;
+        });
+        if (stop_) return false;
       }
     }
     case Request::Op::Result: {
@@ -346,9 +345,7 @@ bool Server::handle_line(const std::string& line, int fd) {
           pending_.erase(
               std::remove(pending_.begin(), pending_.end(), job),
               pending_.end());
-          job->state = JobState::Cancelled;
-          job->stage = "cancelled";
-          cancelled_counter().add();
+          move_locked(*job, JobState::Cancelled);
         } else if (job->state == JobState::Running) {
           job->cancel_requested.store(true, std::memory_order_relaxed);
         }
@@ -376,7 +373,7 @@ bool Server::handle_line(const std::string& line, int fd) {
       {
         std::lock_guard lk{mu_};
         shutdown_requested_ = true;
-        shutdown_cv_.notify_all();
+        cv_.notify_all();
       }
       return write_line(fd, render_ok());
     }
@@ -395,8 +392,7 @@ void Server::worker_loop() {
       if (stop_) return;
       job = std::move(pending_.front());
       pending_.pop_front();
-      job->state = JobState::Running;
-      job->stage = "cache lookup";
+      move_locked(*job, JobState::Running, "cache lookup");
     }
     execute_job(*job);
   }
@@ -405,77 +401,50 @@ void Server::worker_loop() {
 void Server::execute_job(Job& job) {
   // run_indexed rethrows a worker loop's exception on the scheduler thread,
   // where it would end the process — every failure must land in job.error.
-  const auto finish = [this, &job](JobState state) {
-    std::lock_guard lk{mu_};
-    job.state = state;
-    job.stage = job_state_name(state);
+  const auto cancelled = [&job] {
+    return job.cancel_requested.load(std::memory_order_relaxed);
   };
-  if (job.cancel_requested.load(std::memory_order_relaxed)) {
-    finish(JobState::Cancelled);
-    cancelled_counter().add();
-    return;
-  }
-  // Re-check the cache: an identical job may have published since this one
-  // was admitted.
-  if (auto entry = cache_.lookup(job.key)) {
+  JobState outcome = JobState::Done;
+  std::string error;
+  std::optional<CacheEntry> entry;
+  bool cache_hit = false;
+  if (cancelled()) {
+    outcome = JobState::Cancelled;
+  } else if ((entry = cache_.lookup(job.key))) {
+    // An identical job has published since this one was admitted.
+    cache_hit = true;
+  } else {
     {
       std::lock_guard lk{mu_};
-      job.cache_hit = true;
-      job.result = std::move(entry);
+      move_locked(job, JobState::Running, "computing");
     }
-    finish(JobState::Done);
-    completed_counter().add();
-    return;
-  }
-  {
-    std::lock_guard lk{mu_};
-    job.stage = "computing";
-  }
-  const std::string staged = cache_.stage_dir(job.id);
-  try {
-    std::error_code ec;
-    fs::remove_all(staged, ec);
-    run_job(job.spec, staged);
-  } catch (const std::exception& e) {
-    std::error_code ec;
-    fs::remove_all(staged, ec);
-    {
-      std::lock_guard lk{mu_};
-      job.error = e.what();
+    const std::string staged = cache_.stage_dir(job.id);
+    try {
+      std::error_code ec;
+      fs::remove_all(staged, ec);
+      run_job(job.spec, staged);
+      if (cancelled()) {
+        outcome = JobState::Cancelled;
+        fs::remove_all(staged, ec);
+      } else {
+        {
+          std::lock_guard lk{mu_};
+          move_locked(job, JobState::Running, "publishing");
+        }
+        entry = cache_.publish(job.key, staged);
+      }
+    } catch (const std::exception& e) {
+      std::error_code ec;
+      fs::remove_all(staged, ec);
+      outcome = JobState::Failed;
+      error = e.what();
     }
-    finish(JobState::Failed);
-    failed_counter().add();
-    return;
   }
-  if (job.cancel_requested.load(std::memory_order_relaxed)) {
-    std::error_code ec;
-    fs::remove_all(staged, ec);
-    finish(JobState::Cancelled);
-    cancelled_counter().add();
-    return;
-  }
-  {
-    std::lock_guard lk{mu_};
-    job.stage = "publishing";
-  }
-  CacheEntry entry;
-  try {
-    entry = cache_.publish(job.key, staged);
-  } catch (const std::exception& e) {
-    {
-      std::lock_guard lk{mu_};
-      job.error = e.what();
-    }
-    finish(JobState::Failed);
-    failed_counter().add();
-    return;
-  }
-  {
-    std::lock_guard lk{mu_};
-    job.result = entry;
-  }
-  finish(JobState::Done);
-  completed_counter().add();
+  std::lock_guard lk{mu_};
+  job.cache_hit = cache_hit;
+  job.error = std::move(error);
+  job.result = std::move(entry);
+  move_locked(job, outcome);
 }
 
 }  // namespace wheels::service

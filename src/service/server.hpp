@@ -1,24 +1,30 @@
 // Server: the wheelsd daemon core — an AF_UNIX line-protocol front end over
 // the job scheduler and the result cache.
 //
-// Threading model: one accept thread, one connection thread per client, and
-// ServiceConfig::threads workers. The scheduler thread runs one worker loop
-// per pool thread, all as one core::ThreadPool::run_indexed batch that lasts
-// until stop(). A free worker takes the oldest admitted job, so a job reads
-// Running only once a worker holds it, and every job not yet taken reads
-// Queued and counts against the queue bound. Each job runs its library
-// entry point with threads = 1 (the ReplayFleet discipline); only
-// measure::write_dataset still writes a bundle's tables WHEELS_THREADS wide,
-// on its own one-shot pool, and no byte depends on that width. Every output
-// byte is therefore independent of how many jobs ran beside it — concurrent
-// submission is byte-identical to serial, at every WHEELS_THREADS.
+// Threading model: one accept thread, one connection thread per open
+// client, and ServiceConfig::threads workers. The accept loop joins the
+// threads of closed connections before it starts the next one, so a closed
+// connection keeps no stack; stop() joins the rest. The scheduler thread
+// runs one worker loop per pool thread, all as one
+// core::ThreadPool::run_indexed batch that lasts until stop(). A free
+// worker takes the oldest admitted job, so a job reads Running only once a
+// worker holds it, and every job not yet taken reads Queued and counts
+// against the queue bound. Each job runs its library entry point with
+// threads = 1 (the ReplayFleet discipline); only measure::write_dataset
+// still writes a bundle's tables WHEELS_THREADS wide, on its own one-shot
+// pool, and no byte depends on that width. Every output byte is therefore
+// independent of how many jobs ran beside it — concurrent submission is
+// byte-identical to serial, at every WHEELS_THREADS.
 //
 // Job lifecycle: submit → cache lookup (hit: Done instantly, the cached
 // bundle is the result) → bounded queue admission (full: rejected with
-// "submit: queue full (depth N)") → Running (cache re-check, compute into a
-// private stage dir, publish) → Done/Failed/Cancelled. Cancellation is
+// "submit: queue full (depth N)") → Running (stages "cache lookup",
+// "computing", "publishing": a cache re-check, a compute into a private
+// stage dir, a publish) → Done/Failed/Cancelled. Cancellation is
 // cooperative: a queued job is dropped in place; a running one is abandoned
-// at the next checkpoint and never published.
+// at the next checkpoint and never published. A job's state and stage
+// change only in move_locked, which wakes every waiter on the server's one
+// condition variable.
 #pragma once
 
 #include <atomic>
@@ -97,6 +103,10 @@ class Server {
   /// `fd`. Returns false when the connection should close.
   bool handle_line(const std::string& line, int fd);
   void execute_job(Job& job);
+  /// The one place a job's state and stage change: sets them (the stage
+  /// defaults to the state's name), bumps the outcome counter of a terminal
+  /// state and wakes every waiter on cv_. Requires mu_.
+  void move_locked(Job& job, JobState state, std::string_view stage = {});
   JobStatus status_of_locked(const Job& job) const;
   JobPtr find_job(std::uint64_t id);
 
@@ -105,8 +115,9 @@ class Server {
   core::ThreadPool pool_;
 
   std::mutex mu_;
-  std::condition_variable cv_;        // workers: work or stop
-  std::condition_variable shutdown_cv_;
+  /// Woken by every job move, admission, resume, shutdown request and
+  /// stop: workers wait for work, watch streams for their job's next move.
+  std::condition_variable cv_;
   std::map<std::uint64_t, JobPtr> jobs_;
   std::deque<JobPtr> pending_;  // admitted, not yet taken; oldest first
   std::uint64_t next_id_ = 1;
@@ -119,6 +130,8 @@ class Server {
   std::thread scheduler_thread_;
   std::mutex conn_mu_;
   std::vector<std::thread> conn_threads_;
+  /// Connection threads that have closed their connection, to be joined.
+  std::vector<std::thread::id> closed_conns_;
 };
 
 }  // namespace wheels::service

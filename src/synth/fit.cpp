@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "analysis/stats.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
 #include "measure/enum_names.hpp"
@@ -14,17 +15,6 @@ namespace wheels::synth {
 
 namespace {
 
-double interpolated_quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  if (sorted.size() == 1) return sorted.front();
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
 /// kEmissionGrid-point inverse-CDF grid of `values`; empty in, empty out.
 EmissionModel fit_emission(std::vector<double> values) {
   EmissionModel model;
@@ -32,7 +22,7 @@ EmissionModel fit_emission(std::vector<double> values) {
   std::sort(values.begin(), values.end());
   model.points.reserve(kEmissionGrid);
   for (std::size_t i = 0; i < kEmissionGrid; ++i) {
-    model.points.push_back(interpolated_quantile(
+    model.points.push_back(analysis::interpolated_quantile(
         values, static_cast<double>(i) / (kEmissionGrid - 1)));
   }
   return model;
@@ -134,7 +124,7 @@ std::vector<double> throughput_edges(const std::vector<double>& values,
   for (std::size_t k = 1; k < bands; ++k) {
     const double q = above.empty()
                          ? outage_mbps
-                         : interpolated_quantile(
+                         : analysis::interpolated_quantile(
                                above, static_cast<double>(k) / bands);
     edges.push_back(std::max(edges.back(), q));
   }
@@ -146,8 +136,8 @@ std::vector<double> quantile_edges(std::vector<double> values,
   std::sort(values.begin(), values.end());
   std::vector<double> edges;
   for (std::size_t k = 1; k < regimes; ++k) {
-    const double q =
-        interpolated_quantile(values, static_cast<double>(k) / regimes);
+    const double q = analysis::interpolated_quantile(
+        values, static_cast<double>(k) / regimes);
     edges.push_back(edges.empty() ? q : std::max(edges.back(), q));
   }
   return edges;

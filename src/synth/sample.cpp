@@ -11,6 +11,7 @@
 
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
+#include "core/rng.hpp"
 #include "ingest/join.hpp"
 #include "measure/csv_export.hpp"
 #include "measure/enum_names.hpp"
@@ -18,17 +19,6 @@
 namespace wheels::synth {
 
 namespace {
-
-/// splitmix64 finaliser (the ue_pool discipline): every uniform is a hash of
-/// its coordinates, so there is no generator state to share or sequence.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-double u01(std::uint64_t h) { return static_cast<double>(h >> 11) * 0x1.0p-53; }
 
 /// Draw channels within one tick.
 enum Channel : std::uint64_t {
@@ -170,7 +160,7 @@ std::int64_t cycle_ticks(const ScenarioSpec& spec, SimMillis tick_ms) {
 ingest::ResampleSpec sample_resample_spec(const SynthProfile& profile) {
   ingest::ResampleSpec spec;
   spec.tick_ms = profile.tick_ms;
-  spec.fill = ingest::GapFill::Hold;
+  spec.fill = replay::HoldPolicy::Hold;
   spec.max_gap_ms = 2 * profile.tick_ms;
   return spec;
 }

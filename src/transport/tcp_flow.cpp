@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/obs/metrics.hpp"
 
@@ -27,6 +29,14 @@ const core::obs::MetricsRegistry::HistogramHandle& srtt_hist() {
 
 std::string_view cc_algo_name(CcAlgo a) {
   return a == CcAlgo::Cubic ? "cubic" : "bbr";
+}
+
+CcAlgo parse_cc_algo(std::string_view text) {
+  for (const CcAlgo a : {CcAlgo::Cubic, CcAlgo::Bbr}) {
+    if (text == cc_algo_name(a)) return a;
+  }
+  throw std::runtime_error{"unknown cc algorithm '" + std::string{text} +
+                           "' (expected cubic|bbr)"};
 }
 
 TcpBulkFlow::TcpBulkFlow(Millis base_rtt, Rng rng, TcpFlowConfig config)

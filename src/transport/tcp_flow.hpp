@@ -30,6 +30,9 @@ namespace wheels::transport {
 enum class CcAlgo { Cubic, Bbr };
 
 std::string_view cc_algo_name(CcAlgo a);
+/// Exact reverse of cc_algo_name. Throws std::runtime_error
+/// "unknown cc algorithm 'x' (expected cubic|bbr)" on any other text.
+CcAlgo parse_cc_algo(std::string_view text);
 
 struct TcpFlowConfig {
   CcAlgo algo = CcAlgo::Cubic;

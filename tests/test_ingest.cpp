@@ -534,7 +534,8 @@ CanonicalTrace irregular_trace() {
 
 TEST(IngestTest, ResamplePreservesOrderingAndDuration) {
   const CanonicalTrace trace = irregular_trace();
-  for (const GapFill fill : {GapFill::Hold, GapFill::Interpolate}) {
+  for (const replay::HoldPolicy fill :
+       {replay::HoldPolicy::Hold, replay::HoldPolicy::Interpolate}) {
     ResampleSpec spec;
     spec.fill = fill;
     const std::vector<TraceSegment> segments =
@@ -586,7 +587,7 @@ TEST(IngestTest, HoldAndInterpolateFillBetweenSamples) {
   ASSERT_EQ(hold[0].ticks.size(), 3u);
   EXPECT_DOUBLE_EQ(hold[0].ticks[1].cap_dl_mbps, 10.0);
 
-  spec.fill = GapFill::Interpolate;
+  spec.fill = replay::HoldPolicy::Interpolate;
   const std::vector<TraceSegment> lerp = helpers::resample_all(trace, spec);
   ASSERT_EQ(lerp[0].ticks.size(), 3u);
   EXPECT_DOUBLE_EQ(lerp[0].ticks[1].cap_dl_mbps, 15.0);

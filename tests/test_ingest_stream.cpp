@@ -364,7 +364,8 @@ TEST(IngestStreamTest, ResampleRejectsNonMonotonicInput) {
     }
     return trace;
   };
-  for (const GapFill fill : {GapFill::Hold, GapFill::Interpolate}) {
+  for (const replay::HoldPolicy fill :
+       {replay::HoldPolicy::Hold, replay::HoldPolicy::Interpolate}) {
     ResampleSpec spec;
     spec.fill = fill;
     // Pre-fix, equal adjacent timestamps divided by zero under Interpolate

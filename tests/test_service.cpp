@@ -4,24 +4,30 @@
 // the digest-keyed result cache are exercised end to end.
 //
 // Coverage map:
-//   ServiceRoundTrip.*    submit -> progress -> result for all four job kinds
+//   ServiceRoundTrip.*    submit -> progress -> result for all four job kinds;
+//                         a failed job's multi-line error reaches wait()
 //   ServiceCache.*        hit/miss semantics, key derivation, eviction,
 //                         restart persistence
-//   ServiceRecovery.*     torn index lines and torn objects after a kill
+//   ServiceRecovery.*     torn index lines and torn objects after a kill;
+//                         closed connections keep no thread
 //   ServiceProtocol.*     exact error strings for malformed requests, exact
-//                         64-bit seeds, wheelsctl arguments = JSON keys
+//                         64-bit seeds, wheelsctl arguments = JSON keys, one
+//                         parser per replay-knob value
 //   ServiceQueue.*        bounded admission and cancellation (paused server);
 //                         the bound counts every job not yet started
 //   ServiceEnv.*          WHEELS_SERVICE_* knob validation
 //   ServiceConcurrency.*  concurrent submission byte-identical to serial; a
-//                         free worker takes the next job (in the tsan_smoke
-//                         ctest filter)
+//                         free worker takes the next job; watch writes one
+//                         line per change (in the tsan_smoke ctest filter)
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -31,6 +37,8 @@
 #include <vector>
 
 #include "core/obs/manifest.hpp"
+#include "measure/enum_names.hpp"
+#include "replay/fleet.hpp"
 #include "replay/ingest.hpp"
 #include "service/cache.hpp"
 #include "service/client.hpp"
@@ -166,6 +174,54 @@ std::string thrown(const std::function<void()>& fn) {
   return "<no error>";
 }
 
+/// The status lines of a `watch` on job `id`, read from a raw connection up
+/// to the terminal one (or the daemon's close); `meanwhile` runs once the
+/// request is sent.
+std::vector<JobStatus> watch_lines(
+    const Daemon& d, std::uint64_t id,
+    const std::function<void()>& meanwhile = [] {}) {
+  const std::string& path = d.server->config().socket_path;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  const std::string request =
+      R"({"v": 1, "op": "watch", "id": )" + std::to_string(id) + "}\n";
+  EXPECT_EQ(::write(fd, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  meanwhile();
+  std::vector<JobStatus> lines;
+  std::string buffer;
+  while (lines.empty() || !is_terminal(lines.back().state)) {
+    const std::size_t nl = buffer.find('\n');
+    if (nl != std::string::npos) {
+      lines.push_back(parse_status_response(buffer.substr(0, nl)));
+      buffer.erase(0, nl + 1);
+      continue;
+    }
+    char chunk[4096];
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n <= 0) break;
+    buffer.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return lines;
+}
+
+/// The number on this process's `key` line of /proc/self/status ("VmSize"
+/// in KiB, "Threads"); -1 when absent.
+long long proc_status(const std::string& key) {
+  std::ifstream in{"/proc/self/status"};
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(key + ":", 0) == 0) {
+      return std::stoll(line.substr(key.size() + 1));
+    }
+  }
+  return -1;
+}
+
 // --- ServiceRoundTrip -----------------------------------------------------
 
 TEST(ServiceRoundTrip, CampaignSubmitProgressResult) {
@@ -239,6 +295,33 @@ TEST(ServiceRoundTrip, SynthSubmitRoundTrip) {
   const replay::ReplayBundle bundle = replay::read_dataset(out);
   EXPECT_EQ(bundle.manifest.seed, 5u);
   EXPECT_EQ(bundle.manifest.started_utc, core::obs::kCanonicalStartedUtc);
+}
+
+TEST(ServiceRoundTrip, FailedJobReportsItsMultiLineError) {
+  // A bundle that fails measure::validate: one RTT sample set to -5.
+  const std::string bundle = fresh_dir("invalid-bundle");
+  JobSpec source = quick_campaign(121);
+  source.scale = 0.005;
+  run_job(source, bundle);
+  const fs::path rtts = fs::path{bundle} / "rtts.csv";
+  std::string csv = file_bytes(rtts);
+  // The first row's fifth column: test_id,t,carrier,tech,rtt,...
+  std::size_t field = csv.find('\n') + 1;
+  for (int i = 0; i < 4; ++i) field = csv.find(',', field) + 1;
+  ASSERT_LT(field, csv.size());
+  csv.replace(field, csv.find(',', field) - field, "-5");
+  std::ofstream{rtts, std::ios::binary | std::ios::trunc} << csv;
+
+  Daemon d{"failed-rt"};
+  Client c = d.connect();
+  JobSpec replay = quick_replay(122);
+  replay.bundles = {bundle};
+  // The error spans lines; its status line must still be one line.
+  const JobStatus done = c.wait(c.submit(replay).id);
+  EXPECT_EQ(done.state, JobState::Failed);
+  EXPECT_NE(done.error.find("failed validation:\n  - "), std::string::npos)
+      << done.error;
+  EXPECT_EQ(c.status(done.id).error, done.error);
 }
 
 // --- ServiceCache ---------------------------------------------------------
@@ -534,6 +617,27 @@ TEST(ServiceRecovery, IndexErrorsCarryExactLineNumbers) {
   EXPECT_EQ(warnings[3], "cache index: line 4: unexpected end of input");
 }
 
+TEST(ServiceRecovery, ClosedConnectionsReleaseTheirThreads) {
+  // Each connection has its own thread, whose ~8 MiB stack stays mapped
+  // until the thread is joined: a closed connection must not keep it.
+  Daemon d{"closed-conns"};
+  const long long threads = proc_status("Threads");
+  const auto one_connection = [&] {
+    d.connect().stats();
+    // Let its thread exit before the next one starts, so that each reuses
+    // the malloc arena of the one before and only stacks can grow VmSize.
+    for (int ms = 0; ms < 1000 && proc_status("Threads") > threads; ++ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds{1});
+    }
+  };
+  one_connection();
+  const long long before = proc_status("VmSize");
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 256; ++i) one_connection();
+  EXPECT_LT(proc_status("VmSize") - before, 128 << 10)
+      << "VmSize grew from " << before << " kB";
+}
+
 // --- ServiceProtocol ------------------------------------------------------
 
 TEST(ServiceProtocol, MalformedRequestsFailWithExactStrings) {
@@ -738,6 +842,70 @@ TEST(ServiceProtocol, CliArgumentsBuildTheJsonSpec) {
   }
 }
 
+TEST(ServiceProtocol, KnobValuesParseOneWayEverywhere) {
+  const auto from_env = [](const char* name, const std::string& value) {
+    ::setenv(name, value.c_str(), 1);
+    const replay::ReplayConfig cfg = replay::replay_config_from_env();
+    ::unsetenv(name);
+    return cfg;
+  };
+  const auto from_grid = [](const std::string& axis) {
+    replay::KnobGrid grid;
+    replay::apply_grid_axis(grid, axis);
+    return grid;
+  };
+  const auto from_arg = [](const std::string& arg) {
+    JobSpec spec;
+    spec.kind = JobKind::Replay;
+    apply_job_arg(spec, arg);
+    return spec;
+  };
+  // Every value name decodes to one enum in the env reader, the fleet grid
+  // and the job keys (wheelsctl's arguments decode as the wire does).
+  for (const auto cc : {transport::CcAlgo::Cubic, transport::CcAlgo::Bbr}) {
+    const std::string name{transport::cc_algo_name(cc)};
+    EXPECT_EQ(from_env("WHEELS_REPLAY_CC", name).knobs.cc, cc);
+    ASSERT_EQ(from_grid("cc=" + name).cc.size(), 1u);
+    EXPECT_EQ(from_grid("cc=" + name).cc[0], cc);
+    EXPECT_EQ(from_arg("cc=" + name).knobs.cc, cc);
+  }
+  for (const auto server : measure::names::kAllServerKinds) {
+    const std::string name{net::server_kind_name(server)};
+    EXPECT_EQ(from_env("WHEELS_REPLAY_SERVER", name).knobs.server, server);
+    ASSERT_EQ(from_grid("server=" + name).server.size(), 1u);
+    EXPECT_EQ(from_grid("server=" + name).server[0], server);
+    EXPECT_EQ(from_arg("server=" + name).knobs.server, server);
+  }
+  for (const auto tier : radio::kAllTechnologies) {
+    const std::string name{radio::technology_name(tier)};
+    EXPECT_EQ(from_env("WHEELS_REPLAY_MAX_TIER", name).knobs.max_tier, tier);
+    ASSERT_EQ(from_grid("tier=" + name).max_tier.size(), 1u);
+    EXPECT_EQ(from_grid("tier=" + name).max_tier[0], tier);
+    EXPECT_EQ(from_arg("tier=" + name).knobs.max_tier, tier);
+  }
+  const std::pair<const char*, replay::HoldPolicy> policies[] = {
+      {"hold", replay::HoldPolicy::Hold},
+      {"linear", replay::HoldPolicy::Interpolate}};
+  for (const auto& [name, policy] : policies) {
+    EXPECT_EQ(from_env("WHEELS_REPLAY_INTERP", name).policy, policy);
+    EXPECT_EQ(from_arg(std::string{"interp="} + name).policy, policy);
+  }
+  // An unknown value fails with one message from the grid and the wire.
+  for (const std::string axis : {"cc", "server", "tier"}) {
+    const std::string grid_prefix = "fleet grid: " + axis + "=warp: ";
+    const std::string grid_error = thrown([&] { from_grid(axis + "=warp"); });
+    const std::string wire_prefix = "protocol: line 1: ";
+    const std::string wire_error = thrown([&] {
+      parse_request(R"({"v": 1, "op": "submit", "job": {"kind": "replay", )"
+                    R"("bundle": "b", ")" + axis + R"(": "warp"}})");
+    });
+    ASSERT_EQ(grid_error.rfind(grid_prefix, 0), 0u) << grid_error;
+    ASSERT_EQ(wire_error.rfind(wire_prefix, 0), 0u) << wire_error;
+    EXPECT_EQ(grid_error.substr(grid_prefix.size()),
+              wire_error.substr(wire_prefix.size()));
+  }
+}
+
 // --- ServiceQueue ---------------------------------------------------------
 
 TEST(ServiceQueue, BoundedAdmissionRejectsAndCancelFrees) {
@@ -868,6 +1036,32 @@ TEST(ServiceConcurrency, FreeWorkerTakesTheNextJob) {
   }
   EXPECT_FALSE(is_terminal(c.status(slow.id).state));
   EXPECT_EQ(c.wait(slow.id).state, JobState::Done);
+}
+
+TEST(ServiceConcurrency, WatchWritesOneLinePerChange) {
+  Daemon d{"watch-lines", 1, 64, /*paused=*/true};
+  Client c = d.connect();
+  const JobStatus queued = c.submit(quick_campaign(131));
+  // A paused daemon does not move the queued job: its stream holds the
+  // first line, written at once, and the cancel's line, nothing between.
+  const std::vector<JobStatus> cancelled = watch_lines(d, queued.id, [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds{200});
+    c.cancel(queued.id);
+  });
+  ASSERT_EQ(cancelled.size(), 2u);
+  EXPECT_EQ(cancelled[0].state, JobState::Queued);
+  EXPECT_EQ(cancelled[1].state, JobState::Cancelled);
+
+  d.server->resume();
+  const std::vector<JobStatus> lines =
+      watch_lines(d, c.submit(quick_synth(132)).id);
+  ASSERT_FALSE(lines.empty());
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    EXPECT_TRUE(lines[i].state != lines[i - 1].state ||
+                lines[i].stage != lines[i - 1].stage)
+        << "line " << i << " repeats stage " << lines[i].stage;
+  }
+  EXPECT_EQ(lines.back().state, JobState::Done) << lines.back().error;
 }
 
 TEST(ServiceConcurrency, ConcurrentIdenticalSubmissionsShareOneEntry) {
