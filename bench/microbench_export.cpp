@@ -26,12 +26,12 @@ emu::EmuTimeline synthetic_timeline(std::size_t ticks) {
   for (std::size_t i = 0; i < ticks; ++i) {
     h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
     const double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-    emu::EmuTick t;
+    apps::LinkTick t;
     const double swing = std::sin(static_cast<double>(i) * 0.013) * 0.5 + 1.0;
-    t.cap_dl_mbps = u < 0.02 ? 0.0 : 120.0 * swing * (0.5 + u);
-    t.cap_ul_mbps = t.cap_dl_mbps * 0.1;
-    t.rtt_ms = 30.0 + 40.0 * u;
-    t.loss = u < 0.05 ? 0.2 : 0.0;
+    t.cap_dl = u < 0.02 ? 0.0 : 120.0 * swing * (0.5 + u);
+    t.cap_ul = t.cap_dl * 0.1;
+    t.rtt = 30.0 + 40.0 * u;
+    t.interruption = u < 0.05 ? 100.0 : 0.0;
     t.tech = u < 0.3 ? radio::Technology::NrMid : radio::Technology::Lte;
     tl.ticks.push_back(t);
   }

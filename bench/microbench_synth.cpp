@@ -32,12 +32,12 @@ const replay::ReplayBundle& source_bundle() {
           h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
           const double u =
               static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-          ingest::TracePoint p;
+          replay::TraceSample p;
           p.t = static_cast<std::int64_t>(i) * 500;
           const double swing = std::sin(i * 0.013) * 0.5 + 1.0;
-          p.cap_dl_mbps = u < 0.02 ? 0.0 : base_mbps * swing * (0.5 + u);
-          p.cap_ul_mbps = p.cap_dl_mbps * 0.25;
-          p.rtt_ms = 30.0 + 40.0 * u + (u < 0.02 ? 150.0 : 0.0);
+          p.cap_dl = u < 0.02 ? 0.0 : base_mbps * swing * (0.5 + u);
+          p.cap_ul = p.cap_dl * 0.25;
+          p.rtt = 30.0 + 40.0 * u + (u < 0.02 ? 150.0 : 0.0);
           sink.push(p);
         }
         sink.finish();

@@ -34,11 +34,11 @@ long long opportunities(double cap_mbps, SimMillis tick_ms) {
 /// writer is sized and formatted for tens of millions of lines (one
 /// counting pass to reserve, std::to_chars per line).
 std::string render_direction(const EmuTimeline& tl, bool downlink) {
-  const auto cap_of = [&](const EmuTick& t) {
-    return downlink ? t.cap_dl_mbps : t.cap_ul_mbps;
+  const auto cap_of = [&](const apps::LinkTick& t) {
+    return downlink ? t.cap_dl : t.cap_ul;
   };
   std::size_t total = 0;
-  for (const EmuTick& t : tl.ticks) {
+  for (const apps::LinkTick& t : tl.ticks) {
     total += static_cast<std::size_t>(opportunities(cap_of(t), tl.tick_ms));
   }
   std::string out;
@@ -70,9 +70,9 @@ class MahimahiExporter final : public EmuExporter {
            "integer ms timestamp per 1500 B opportunity)";
   }
 
-  std::vector<ExportArtifact> render(
+ private:
+  std::vector<ExportArtifact> do_render(
       const EmuTimeline& timeline) const override {
-    validate_timeline(timeline);
     return {
         {".down", render_direction(timeline, true)},
         {".up", render_direction(timeline, false)},

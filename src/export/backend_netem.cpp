@@ -2,13 +2,14 @@
 // schedule on a live interface (ERRANT's emulation recipe).
 //
 // The script installs an HTB root with one shaped class (downlink rate)
-// and a netem child (one-way delay = rtt/2, loss percentage), then steps
-// through the timeline with `sleep tick` + `tc ... change` pairs — the
-// standard way to impose a time-varying cellular schedule on real traffic
-// without kernel patches. Uplink shaping needs a second interface (or an
-// ifb redirect), so the script shapes the downlink and records the uplink
-// rate in a comment per step. The output is plain POSIX sh; CI runs
-// `bash -n` over a generated script to keep it parseable.
+// and a netem child (one-way delay = rtt/2, loss = tick_loss: the share of
+// the tick a handover interruption blanked), then steps through the
+// timeline with `sleep tick` + `tc ... change` pairs — the standard way to
+// impose a time-varying cellular schedule on real traffic without kernel
+// patches. Uplink shaping needs a second interface (or an ifb redirect),
+// so the script shapes the downlink and records the uplink rate in a
+// comment per step. The output is plain POSIX sh; CI runs `bash -n` over a
+// generated script to keep it parseable.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -26,10 +27,6 @@ long long rate_kbit(double cap_mbps) {
   return std::max(8LL, std::llround(cap_mbps * 1000.0));
 }
 
-double loss_percent(double loss) {
-  return std::clamp(loss * 100.0, 0.0, 100.0);
-}
-
 class NetemExporter final : public EmuExporter {
  public:
   std::string_view name() const override { return "netem"; }
@@ -39,9 +36,9 @@ class NetemExporter final : public EmuExporter {
            "delay/loss, one timed change per tick";
   }
 
-  std::vector<ExportArtifact> render(
+ private:
+  std::vector<ExportArtifact> do_render(
       const EmuTimeline& timeline) const override {
-    validate_timeline(timeline);
     std::string out;
     char buf[256];
     const double tick_s = static_cast<double>(timeline.tick_ms) * 1e-3;
@@ -58,24 +55,25 @@ class NetemExporter final : public EmuExporter {
                   static_cast<long long>(timeline.tick_ms), "schedule.sh");
     out += buf;
     for (std::size_t i = 0; i < timeline.ticks.size(); ++i) {
-      const EmuTick& t = timeline.ticks[i];
+      const apps::LinkTick& t = timeline.ticks[i];
       const char* class_verb = i == 0 ? "add" : "change";
       if (i > 0) {
         std::snprintf(buf, sizeof(buf), "sleep %.3f\n", tick_s);
         out += buf;
       }
       std::snprintf(buf, sizeof(buf), "# tick %zu: ul %.3f Mbps\n", i,
-                    t.cap_ul_mbps);
+                    t.cap_ul);
       out += buf;
       std::snprintf(buf, sizeof(buf),
                     "tc class %s dev \"$IFACE\" parent 1: classid 1:10 htb "
                     "rate %lldkbit\n",
-                    class_verb, rate_kbit(t.cap_dl_mbps));
+                    class_verb, rate_kbit(t.cap_dl));
       out += buf;
       std::snprintf(buf, sizeof(buf),
                     "tc qdisc %s dev \"$IFACE\" parent 1:10 handle 10: "
                     "netem delay %.3fms loss %.3f%%\n",
-                    class_verb, t.rtt_ms / 2.0, loss_percent(t.loss));
+                    class_verb, t.rtt / 2.0,
+                    tick_loss(t, timeline.tick_ms) * 100.0);
       out += buf;
     }
     out += "tc qdisc del dev \"$IFACE\" root\n";

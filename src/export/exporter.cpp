@@ -4,7 +4,17 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/obs/trace_export.hpp"
+
 namespace wheels::emu {
+
+std::vector<ExportArtifact> EmuExporter::render(
+    const EmuTimeline& timeline) const {
+  const core::obs::ScopedSpan span{"export.render:" + std::string{name()},
+                                   "export"};
+  validate_timeline(timeline);
+  return do_render(timeline);
+}
 
 void ExporterRegistry::add(std::unique_ptr<EmuExporter> exporter) {
   for (const auto& e : exporters_) {

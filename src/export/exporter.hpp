@@ -10,8 +10,7 @@
 //             inverse of the ingest mahimahi adapter;
 //   netem     a tc qdisc/HTB shell script replaying the schedule with
 //             timed `tc ... change` commands (ERRANT-style);
-//   json      a versioned JSON schedule with a strict line-numbered parser
-//             (render ∘ parse is bit-exact, like synth profiles).
+//   json      a versioned JSON schedule, doubles at max_digits10.
 #pragma once
 
 #include <memory>
@@ -38,9 +37,14 @@ class EmuExporter {
   virtual std::string_view name() const = 0;
   /// One-line description for --list-backends and docs.
   virtual std::string_view description() const = 0;
-  /// Render the timeline into this backend's artifacts. Validates the
-  /// timeline first; throws std::runtime_error on an unrenderable one.
-  virtual std::vector<ExportArtifact> render(
+  /// Render the timeline into this backend's artifacts, inside an
+  /// "export.render:<name>" span. Validates the timeline first; throws
+  /// std::runtime_error on an unrenderable one.
+  std::vector<ExportArtifact> render(const EmuTimeline& timeline) const;
+
+ private:
+  /// The backend's rendering of a validated timeline.
+  virtual std::vector<ExportArtifact> do_render(
       const EmuTimeline& timeline) const = 0;
 };
 
@@ -75,12 +79,5 @@ std::unique_ptr<EmuExporter> make_json_exporter();
 std::vector<std::string> write_export(const EmuExporter& exporter,
                                       const EmuTimeline& timeline,
                                       const std::string& out_base);
-
-/// Parse a schedule the "json" backend wrote (or a hand-written one) back
-/// into a timeline. Strict: unknown versions, missing keys, mistyped or
-/// out-of-range values all throw std::runtime_error citing the 1-based
-/// line ("schedule: line N: ..."). render(parse(s)) == s for every s the
-/// backend produced.
-EmuTimeline parse_schedule_json(std::string_view text);
 
 }  // namespace wheels::emu

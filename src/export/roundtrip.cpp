@@ -6,13 +6,14 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/obs/trace_export.hpp"
 #include "export/exporter.hpp"
 #include "ingest/adapter.hpp"
 
 namespace wheels::emu {
 
 RoundTripReport verify_mahimahi_roundtrip(const EmuTimeline& timeline) {
-  validate_timeline(timeline);
+  const core::obs::ScopedSpan span{"export.verify", "export"};
   const std::unique_ptr<EmuExporter> exporter = make_mahimahi_exporter();
   const std::vector<ExportArtifact> artifacts = exporter->render(timeline);
   const ExportArtifact* down = nullptr;
@@ -39,15 +40,15 @@ RoundTripReport verify_mahimahi_roundtrip(const EmuTimeline& timeline) {
     options.resample.tick_ms = timeline.tick_ms;
     std::istringstream is{down->content};
     const ingest::CanonicalTrace trace = adapter->parse(is, options);
-    for (const ingest::TracePoint& p : trace.points) {
+    for (const replay::TraceSample& p : trace.points) {
       const std::size_t i = static_cast<std::size_t>(p.t / timeline.tick_ms);
-      if (i < got.size()) got[i] = p.cap_dl_mbps;
+      if (i < got.size()) got[i] = p.cap_dl;
     }
   }
   for (std::size_t i = 0; i < timeline.ticks.size(); ++i) {
     report.max_error_mbps =
         std::max(report.max_error_mbps,
-                 std::fabs(got[i] - timeline.ticks[i].cap_dl_mbps));
+                 std::fabs(got[i] - timeline.ticks[i].cap_dl));
   }
   return report;
 }

@@ -32,8 +32,9 @@ struct RoundTripReport {
 /// artifact with the builtin mahimahi ingest adapter at the same tick, and
 /// compare per-tick downlink capacity. Ticks outside the re-ingested
 /// window (leading/trailing all-zero ticks produce no opportunities to
-/// anchor a window on) are compared against zero capacity. Throws only on
-/// an invalid timeline — a violated bound is reported, not thrown.
+/// anchor a window on) are compared against zero capacity. Runs inside an
+/// "export.verify" span. Throws only on an invalid timeline — a violated
+/// bound is reported, not thrown.
 RoundTripReport verify_mahimahi_roundtrip(const EmuTimeline& timeline);
 
 }  // namespace wheels::emu

@@ -5,10 +5,14 @@
 #include <stdexcept>
 #include <string>
 
-#include "radio/channel.hpp"
-#include "replay/trace_channel.hpp"
+#include "ingest/resample.hpp"
 
 namespace wheels::emu {
+
+double tick_loss(const apps::LinkTick& tick, SimMillis tick_ms) {
+  return std::clamp(tick.interruption / static_cast<double>(tick_ms), 0.0,
+                    1.0);
+}
 
 void validate_timeline(const EmuTimeline& timeline) {
   if (timeline.tick_ms <= 0) {
@@ -19,19 +23,19 @@ void validate_timeline(const EmuTimeline& timeline) {
     throw std::runtime_error{"export: timeline has no ticks"};
   }
   for (std::size_t i = 0; i < timeline.ticks.size(); ++i) {
-    const EmuTick& t = timeline.ticks[i];
-    if (!std::isfinite(t.cap_dl_mbps) || t.cap_dl_mbps < 0.0 ||
-        !std::isfinite(t.cap_ul_mbps) || t.cap_ul_mbps < 0.0) {
+    const apps::LinkTick& t = timeline.ticks[i];
+    if (!std::isfinite(t.cap_dl) || t.cap_dl < 0.0 ||
+        !std::isfinite(t.cap_ul) || t.cap_ul < 0.0) {
       throw std::runtime_error{"export: tick " + std::to_string(i) +
                                ": bad capacity"};
     }
-    if (!std::isfinite(t.rtt_ms) || t.rtt_ms <= 0.0) {
+    if (!std::isfinite(t.rtt) || t.rtt <= 0.0) {
       throw std::runtime_error{"export: tick " + std::to_string(i) +
                                ": non-positive rtt"};
     }
-    if (!std::isfinite(t.loss) || t.loss < 0.0 || t.loss > 1.0) {
+    if (!std::isfinite(t.interruption) || t.interruption < 0.0) {
       throw std::runtime_error{"export: tick " + std::to_string(i) +
-                               ": loss outside [0, 1]"};
+                               ": bad interruption"};
     }
   }
 }
@@ -41,23 +45,10 @@ EmuTimeline timeline_from_link_ticks(
   if (rows.empty()) {
     throw std::runtime_error{"export: no link ticks to export"};
   }
-  if (tick_ms <= 0) {
-    throw std::runtime_error{"export: tick_ms must be > 0"};
-  }
   EmuTimeline tl;
   tl.tick_ms = tick_ms;
   tl.start_ms = rows.front().t;
-  tl.ticks.reserve(rows.size());
-  const double tick = static_cast<double>(tick_ms);
-  for (const measure::LinkTickRecord& r : rows) {
-    EmuTick t;
-    t.cap_dl_mbps = r.cap_dl;
-    t.cap_ul_mbps = r.cap_ul;
-    t.rtt_ms = r.rtt;
-    t.loss = std::clamp(r.interruption / tick, 0.0, 1.0);
-    t.tech = r.tech;
-    tl.ticks.push_back(t);
-  }
+  tl.ticks.assign(rows.begin(), rows.end());
   validate_timeline(tl);
   return tl;
 }
@@ -88,20 +79,14 @@ EmuTimeline timeline_from_bundle(const measure::ConsolidatedDb& db,
         (is_static ? "static" : "moving") + " regime"};
   }
   EmuTimeline tl;
-  tl.tick_ms = 500;
   tl.start_ms = channel.start();
-  const SimMillis tick = tl.tick_ms;
-  const double tick_d = static_cast<double>(tick);
-  for (SimMillis t = channel.start(); t <= channel.end(); t += tick) {
-    const replay::TraceSample s = channel.at(t);
-    const replay::TraceEvents ev = channel.events_in(t, tick_d);
-    EmuTick out;
-    out.cap_dl_mbps = s.cap_dl;
-    out.cap_ul_mbps = s.cap_ul;
-    out.rtt_ms = s.rtt;
-    out.loss = std::clamp(ev.interruption / tick_d, 0.0, 1.0);
-    out.tech = s.tech;
-    tl.ticks.push_back(out);
+  for (SimMillis t = channel.start(); t <= channel.end(); t += tl.tick_ms) {
+    apps::LinkTick tick = channel.at(t);
+    const replay::TraceEvents ev =
+        channel.events_in(t, static_cast<double>(tl.tick_ms));
+    tick.interruption = ev.interruption;
+    tick.handovers = ev.handovers;
+    tl.ticks.push_back(tick);
   }
   validate_timeline(tl);
   return tl;
@@ -109,26 +94,17 @@ EmuTimeline timeline_from_bundle(const measure::ConsolidatedDb& db,
 
 EmuTimeline timeline_from_canonical(const ingest::CanonicalTrace& trace,
                                     SimMillis tick_ms) {
-  if (trace.points.empty()) {
-    throw std::runtime_error{"export: trace has no points"};
-  }
-  if (tick_ms <= 0) {
-    throw std::runtime_error{"export: tick_ms must be > 0"};
-  }
   EmuTimeline tl;
   tl.tick_ms = tick_ms;
-  tl.start_ms = trace.points.front().t;
-  const std::vector<ingest::TracePoint>& pts = trace.points;
-  std::size_t i = 0;
-  for (SimMillis t = pts.front().t; t <= pts.back().t; t += tick_ms) {
-    while (i + 1 < pts.size() && pts[i + 1].t <= t) ++i;
-    EmuTick out;
-    out.cap_dl_mbps = pts[i].cap_dl_mbps;
-    out.cap_ul_mbps = pts[i].cap_ul_mbps;
-    out.rtt_ms = pts[i].rtt_ms;
-    out.tech = pts[i].tech;
-    tl.ticks.push_back(out);
-  }
+  // max_gap_ms 0: one segment, from the first point through the last.
+  ingest::StreamingResampler grid{
+      {tick_ms, replay::HoldPolicy::Hold, 0},
+      [&tl](ingest::TraceSegment&& seg) {
+        tl.start_ms = seg.ticks.front().t;
+        tl.ticks.assign(seg.ticks.begin(), seg.ticks.end());
+      }};
+  for (const replay::TraceSample& p : trace.points) grid.push(p);
+  grid.finish();
   validate_timeline(tl);
   return tl;
 }

@@ -4,37 +4,25 @@
 // An EmuTimeline is the lowest common denominator of the three emulator
 // families this subsystem targets (Mahimahi delivery-opportunity traces,
 // tc-netem/HTB shaping schedules, CloudEmu-style JSON schedules): a uniform
-// tick grid carrying downlink/uplink capacity, RTT, a loss fraction and the
-// serving technology. Builders lift every timeline source the simulator
-// knows into it — a recorded campaign bundle's per-run link_ticks, a
-// bundle's statistical carrier timeline, an ingested CanonicalTrace, and
-// (via the bundle path) a synthesized drive cycle — so each backend renders
-// one representation and inherits every source for free.
+// tick grid of apps::LinkTick, the per-tick link state the campaign records
+// and the apps run over. A tick's handover interruption becomes a loss
+// fraction only where a backend renders one (tick_loss). Builders lift every
+// timeline source the simulator knows into it — a recorded campaign
+// bundle's per-run link_ticks, a bundle's statistical carrier timeline, an
+// ingested CanonicalTrace, and (via the bundle path) a synthesized drive
+// cycle — so each backend renders one representation and inherits every
+// source for free.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "apps/link_trace.hpp"
 #include "core/sim_time.hpp"
-#include "core/units.hpp"
 #include "ingest/column_map.hpp"
 #include "measure/records.hpp"
-#include "radio/technology.hpp"
 
 namespace wheels::emu {
-
-/// One emulation tick: the link state an emulator should impose for
-/// `tick_ms` milliseconds.
-struct EmuTick {
-  Mbps cap_dl_mbps = 0.0;
-  Mbps cap_ul_mbps = 0.0;
-  Millis rtt_ms = 50.0;
-  /// Packet-loss fraction in [0, 1]. Built from the recorded handover
-  /// interruption (interruption / tick: the fraction of the tick the link
-  /// delivered nothing) — netem renders it as a loss percentage.
-  double loss = 0.0;
-  radio::Technology tech = radio::Technology::Lte;
-};
 
 struct EmuTimeline {
   /// Tick duration; every backend renders one schedule entry per tick.
@@ -42,17 +30,22 @@ struct EmuTimeline {
   /// Simulator time of ticks[0] — provenance only; backends emit schedules
   /// rebased to zero.
   SimMillis start_ms = 0;
-  std::vector<EmuTick> ticks;
+  /// The link state an emulator should impose, one entry per tick_ms.
+  apps::LinkTrace ticks;
 };
 
+/// The packet-loss fraction a tick renders as: the share of its tick_ms
+/// that the handover interruption blanked, clamped to [0, 1].
+double tick_loss(const apps::LinkTick& tick, SimMillis tick_ms);
+
 /// Throw std::runtime_error on an unrenderable timeline: non-positive tick,
-/// no ticks, non-finite or negative capacity, non-positive RTT, loss
-/// outside [0, 1]. Every backend validates before rendering.
+/// no ticks, non-finite or negative capacity, non-positive RTT, non-finite
+/// or negative interruption. Every backend validates before rendering.
 void validate_timeline(const EmuTimeline& timeline);
 
 /// Lift recorded per-app-session link ticks (one test's rows from
-/// link_ticks.csv, in recorded order) onto a timeline. loss is
-/// interruption / tick clamped to [0, 1]. Throws on empty `rows`.
+/// link_ticks.csv, in recorded order) onto a timeline. Throws on empty
+/// `rows`.
 EmuTimeline timeline_from_link_ticks(
     const std::vector<measure::LinkTickRecord>& rows, SimMillis tick_ms = 500);
 
@@ -63,15 +56,17 @@ EmuTimeline timeline_from_bundle_test(const measure::ConsolidatedDb& db,
                                       std::uint32_t test_id);
 
 /// One carrier's statistical timeline (replay::carrier_timeline) sampled
-/// onto the tick grid, with recorded handovers folded into loss. Throws
-/// when the bundle has no samples for the carrier/regime.
+/// onto the tick grid, with the recorded handovers of each tick as its
+/// interruption. Throws when the bundle has no samples for the
+/// carrier/regime.
 EmuTimeline timeline_from_bundle(const measure::ConsolidatedDb& db,
                                  radio::Carrier carrier,
                                  bool is_static = false);
 
-/// An ingested trace hold-sampled onto the tick grid anchored at its first
-/// point (the same hold rule the resampler applies). Throws on an empty
-/// trace.
+/// An ingested trace (strictly increasing in t, as every adapter emits it)
+/// hold-sampled onto the tick grid anchored at its first point: the
+/// resampler under HoldPolicy::Hold with no gap split. Throws on an empty
+/// trace, std::invalid_argument on a non-positive tick.
 EmuTimeline timeline_from_canonical(const ingest::CanonicalTrace& trace,
                                     SimMillis tick_ms = 500);
 

@@ -6,8 +6,8 @@
 // errant   — ERRANT-style per-model KPI logs (kbps columns, RAT names).
 // monroe   — MONROE-style metadata+throughput logs (unix-second clock,
 //            bps columns).
-// paper    — the paper's released per-table CSVs (a kpis.csv table, with an
-//            optional rtts.csv overlay).
+// paper    — the paper's released per-table CSVs (a kpis.csv table's moving
+//            rows, with an optional rtts.csv overlay).
 //
 // minimal, errant and monroe are pure ColumnMap instances — the proof that
 // formats of that family are data, not code.
@@ -39,10 +39,10 @@ std::unique_ptr<PointSink> make_mahimahi_uplink_merge(CanonicalTrace up,
 
 /// Overlay recorded RTT samples (a paper rtts.csv table) onto the point
 /// stream: loads the table up front (paper tables are small) and rewrites
-/// each point flowing through to `inner` with the latest recorded RTT at or
-/// before its timestamp (rows for other carriers are ignored; points before
-/// the first RTT sample keep their fill value). Throws std::runtime_error
-/// on a malformed table.
+/// each point flowing through to `inner` with the latest recorded moving
+/// RTT at or before its timestamp (static rows and other carriers' rows are
+/// ignored; points before the first RTT sample keep their fill value).
+/// Throws std::runtime_error on a malformed table.
 std::unique_ptr<PointSink> make_paper_rtt_overlay(std::istream& rtts,
                                                   radio::Carrier carrier,
                                                   PointSink& inner);

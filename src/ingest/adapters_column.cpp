@@ -72,9 +72,9 @@ class MinimalAdapter final : public ColumnMapAdapter {
   ColumnMap map(const IngestOptions&) const override {
     ColumnMap m;
     m.time_column = "t_ms";
-    m.rules = {{"cap_dl_mbps", Field::CapDl, 1.0, {}},
-               {"cap_ul_mbps", Field::CapUl, 1.0, {}},
-               {"rtt_ms", Field::Rtt, 1.0, {}}};
+    m.rules = {{"cap_dl_mbps", &apps::LinkTick::cap_dl, 1.0, {}},
+               {"cap_ul_mbps", &apps::LinkTick::cap_ul, 1.0, {}},
+               {"rtt_ms", &apps::LinkTick::rtt, 1.0, {}}};
     m.tech_column = "tech";
     return m;
   }
@@ -102,9 +102,9 @@ class ErrantAdapter final : public ColumnMapAdapter {
   ColumnMap map(const IngestOptions&) const override {
     ColumnMap m;
     m.time_column = "ts_ms";
-    m.rules = {{"dl_kbps", Field::CapDl, 1e-3, {}},
-               {"ul_kbps", Field::CapUl, 1e-3, {}},
-               {"ping_ms", Field::Rtt, 1.0, {}}};
+    m.rules = {{"dl_kbps", &apps::LinkTick::cap_dl, 1e-3, {}},
+               {"ul_kbps", &apps::LinkTick::cap_ul, 1e-3, {}},
+               {"ping_ms", &apps::LinkTick::rtt, 1.0, {}}};
     m.tech_column = "net_mode";
     m.tech_aliases = {{"4G", radio::Technology::Lte},
                       {"4G+", radio::Technology::LteA},
@@ -138,9 +138,9 @@ class MonroeAdapter final : public ColumnMapAdapter {
     m.time_column = "timestamp";  // unix seconds, possibly fractional
     m.time_scale_ms = 1000.0;
     m.rebase_time = true;
-    m.rules = {{"downlink_bps", Field::CapDl, 1e-6, {}},
-               {"uplink_bps", Field::CapUl, 1e-6, {}},
-               {"rtt_ms", Field::Rtt, 1.0, {}}};
+    m.rules = {{"downlink_bps", &apps::LinkTick::cap_dl, 1e-6, {}},
+               {"uplink_bps", &apps::LinkTick::cap_ul, 1e-6, {}},
+               {"rtt_ms", &apps::LinkTick::rtt, 1.0, {}}};
     m.tech_column = "mode";
     m.tech_aliases = {{"NR-NSA", radio::Technology::NrLow},
                       {"NR-SA", radio::Technology::NrMid},

@@ -82,12 +82,12 @@ class MahimahiAdapter final : public TraceAdapter {
 
     std::size_t pushed = 0;
     const auto emit_window = [&](SimMillis window, std::size_t count) {
-      TracePoint p;
+      replay::TraceSample p;
       p.t = window * tick;
-      p.cap_dl_mbps = static_cast<double>(count) * kMtuBits /
-                      (static_cast<double>(tick) * 1e-3) / 1e6;
-      p.cap_ul_mbps = p.cap_dl_mbps * options.mahimahi_ul_share;
-      p.rtt_ms = options.default_rtt_ms;
+      p.cap_dl = static_cast<double>(count) * kMtuBits /
+                 (static_cast<double>(tick) * 1e-3) / 1e6;
+      p.cap_ul = p.cap_dl * options.mahimahi_ul_share;
+      p.rtt = options.default_rtt_ms;
       p.tech = options.default_tech;
       sink.push(p);
       ++pushed;
@@ -149,10 +149,9 @@ class MahimahiUplinkMerge final : public PointSink {
     }
   }
 
-  void push(const TracePoint& p) override {
+  void push(const replay::TraceSample& p) override {
     last_ = p;
-    last_.cap_ul_mbps =
-        up_.points[std::min(index_, up_.points.size() - 1)].cap_dl_mbps;
+    last_.cap_ul = up_.points[std::min(index_, up_.points.size() - 1)].cap_dl;
     ++index_;
     inner_.push(last_);
   }
@@ -161,10 +160,10 @@ class MahimahiUplinkMerge final : public PointSink {
     if (index_ == 0) {
       throw std::runtime_error{"mahimahi merge: empty trace"};
     }
-    TracePoint p = last_;
+    replay::TraceSample p = last_;
     for (std::size_t j = index_; j < up_.points.size(); ++j) {
       p.t += tick_;
-      p.cap_ul_mbps = up_.points[j].cap_dl_mbps;
+      p.cap_ul = up_.points[j].cap_dl;
       inner_.push(p);
     }
     inner_.finish();
@@ -174,7 +173,7 @@ class MahimahiUplinkMerge final : public PointSink {
   CanonicalTrace up_;
   SimMillis tick_;
   PointSink& inner_;
-  TracePoint last_{};
+  replay::TraceSample last_{};
   std::size_t index_ = 0;
 };
 

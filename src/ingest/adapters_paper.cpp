@@ -3,15 +3,18 @@
 // The dataset release ships the ConsolidatedDb tables as individual CSVs
 // (measure/csv_export.hpp). A complete bundle goes through
 // replay::read_dataset; this adapter covers the partial-release case — a
-// lone kpis.csv table — by pivoting its per-direction throughput rows into
-// the canonical capacity series: per timestamp, the mean downlink and mean
-// uplink app-layer throughput across that carrier's rows. Each row decodes
-// through measure::parse_kpi_row, the bundle reader's own parser, so every
-// field meets the bundle's rules; only the per-timestamp accumulators are
-// kept (the pivot's inherent state, O(unique ticks), independent of the row
-// count). RTTs live in a separate rtts.csv table;
-// make_paper_rtt_overlay() overlays one when available, otherwise the
-// configured fill applies.
+// lone kpis.csv table — by reading one carrier's drive the way
+// replay::carrier_timeline reads its moving regime. Only moving rows count:
+// a city's static battery shares its timestamps with the moving test that
+// follows it. Per timestamp, each direction's rows are averaged, and each
+// direction holds its last mean until its next row (0 before its first):
+// a phone runs its downlink and uplink tests one after the other. Each row
+// decodes through measure::parse_kpi_row, the bundle reader's own parser,
+// so every field meets the bundle's rules; only the per-timestamp
+// accumulators are kept (the pivot's inherent state, O(unique ticks),
+// independent of the row count). RTTs live in a separate rtts.csv table;
+// make_paper_rtt_overlay() overlays its moving echoes when available,
+// otherwise the configured fill applies.
 #include <istream>
 #include <map>
 #include <stdexcept>
@@ -74,7 +77,7 @@ class PaperTablesAdapter final : public TraceAdapter {
     while (lines.next(line)) {
       const measure::KpiRecord k =
           measure::parse_kpi_row(line.text, line.number);
-      if (k.carrier != options.carrier) continue;
+      if (k.carrier != options.carrier || k.is_static) continue;
       ++rows;
       Accumulator& acc = by_t[k.t];
       if (k.direction == radio::Direction::Downlink) {
@@ -88,20 +91,17 @@ class PaperTablesAdapter final : public TraceAdapter {
     }
     if (rows == 0) {
       throw std::runtime_error{
-          "paper tables: no KPI rows for carrier " +
+          "paper tables: no moving KPI rows for carrier " +
           std::string{measure::names::to_name(options.carrier)}};
     }
 
+    // p carries each direction's last mean to the timestamps without one.
+    replay::TraceSample p;
+    p.rtt = options.default_rtt_ms;
     for (const auto& [t, acc] : by_t) {
-      TracePoint p;
       p.t = t;
-      p.cap_dl_mbps = acc.dl_n > 0
-                          ? acc.dl_sum / static_cast<double>(acc.dl_n)
-                          : 0.0;
-      p.cap_ul_mbps = acc.ul_n > 0
-                          ? acc.ul_sum / static_cast<double>(acc.ul_n)
-                          : 0.0;
-      p.rtt_ms = options.default_rtt_ms;
+      if (acc.dl_n > 0) p.cap_dl = acc.dl_sum / static_cast<double>(acc.dl_n);
+      if (acc.ul_n > 0) p.cap_ul = acc.ul_sum / static_cast<double>(acc.ul_n);
       p.tech = acc.tech;
       sink.push(p);
     }
@@ -112,11 +112,11 @@ class PaperTablesAdapter final : public TraceAdapter {
 std::map<SimMillis, double> load_rtt_map(std::istream& rtts,
                                          radio::Carrier carrier) {
   const std::vector<measure::RttRecord> records = measure::read_rtts_csv(rtts);
-  // (t -> rtt) for this carrier; read_rtts_csv does not require ordering,
-  // the map provides it.
+  // (t -> rtt) for this carrier's moving echoes; read_rtts_csv does not
+  // require ordering, the map provides it.
   std::map<SimMillis, double> by_t;
   for (const measure::RttRecord& r : records) {
-    if (r.carrier == carrier) by_t[r.t] = r.rtt;
+    if (r.carrier == carrier && !r.is_static) by_t[r.t] = r.rtt;
   }
   return by_t;
 }
@@ -127,12 +127,12 @@ class PaperRttOverlay final : public PointSink {
                   PointSink& inner)
       : by_t_(load_rtt_map(rtts, carrier)), inner_(inner) {}
 
-  void push(const TracePoint& p) override {
-    TracePoint q = p;
+  void push(const replay::TraceSample& p) override {
+    replay::TraceSample q = p;
     // The latest recorded RTT at or before q.t; before the first sample
     // the fill value stays.
     const auto it = by_t_.upper_bound(q.t);
-    if (it != by_t_.begin()) q.rtt_ms = std::prev(it)->second;
+    if (it != by_t_.begin()) q.rtt = std::prev(it)->second;
     inner_.push(q);
   }
 

@@ -113,31 +113,22 @@ void parse_with_map(LineSource& lines, const ColumnMap& map,
       if (!time_base.has_value()) time_base = raw_t;
       raw_t -= *time_base;
     }
-    TracePoint p;
+    replay::TraceSample p;
     p.t = static_cast<SimMillis>(std::llround(raw_t * map.time_scale_ms));
-    p.rtt_ms = 0.0;
+    // A map without an RTT rule must fail below, not inherit LinkTick's
+    // 50 ms default.
+    p.rtt = 0.0;
 
     for (const Bound& b : bound) {
-      const double v =
+      p.*(b.rule->field) =
           b.index == kMissing
               ? *b.rule->fill
               : parse_trace_double(cells[b.index], line_no) * b.rule->scale;
-      switch (b.rule->field) {
-        case Field::CapDl:
-          p.cap_dl_mbps = v;
-          break;
-        case Field::CapUl:
-          p.cap_ul_mbps = v;
-          break;
-        case Field::Rtt:
-          p.rtt_ms = v;
-          break;
-      }
     }
-    if (p.cap_dl_mbps < 0.0 || p.cap_ul_mbps < 0.0) {
+    if (p.cap_dl < 0.0 || p.cap_ul < 0.0) {
       trace_fail(line_no, "negative capacity");
     }
-    if (p.rtt_ms <= 0.0) trace_fail(line_no, "rtt must be > 0");
+    if (p.rtt <= 0.0) trace_fail(line_no, "rtt must be > 0");
 
     p.tech = tech_idx == kMissing ? default_tech
                                   : parse_tech(map, cells[tech_idx], line_no);

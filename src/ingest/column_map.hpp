@@ -1,13 +1,13 @@
 // Declarative column mapping: lift a heterogeneous trace CSV into the
-// canonical per-sample record.
+// canonical per-sample record, replay::TraceSample.
 //
 // Real drive datasets disagree on everything — column names, time units
 // (ms vs. fractional unix seconds), throughput units (Mbps, kbps, bps),
 // whether RTT or technology is recorded at all. A ColumnMap describes one
-// format as *data*: source column -> canonical field, a unit scale, and a
-// constant fill for columns the format lacks. parse_with_map() is the single
-// strict parser behind the minimal/ERRANT/MONROE adapters, so adding a
-// format of this family means writing a ColumnMap, not a parser. It pulls
+// format as *data*: source column -> apps::LinkTick member, a unit scale,
+// and a constant fill for columns the format lacks. parse_with_map() is the
+// single strict parser behind the minimal/ERRANT/MONROE adapters, so adding
+// a format of this family means writing a ColumnMap, not a parser. It pulls
 // payload lines one at a time from a LineSource and pushes points into a
 // PointSink, holding only the header binding and the previous timestamp —
 // O(1) state however large the input.
@@ -19,34 +19,25 @@
 
 #include "core/sim_time.hpp"
 #include "radio/technology.hpp"
+#include "replay/trace_channel.hpp"
 
 namespace wheels::ingest {
 
 class LineSource;
 class PointSink;
 
-/// One canonical sample: what every adapter reduces its native row to.
-struct TracePoint {
-  SimMillis t = 0;
-  double cap_dl_mbps = 0.0;
-  double cap_ul_mbps = 0.0;
-  double rtt_ms = 0.0;
-  radio::Technology tech = radio::Technology::Lte;
-};
-
 /// A parsed trace at its native (possibly irregular) timestamps, strictly
-/// increasing in t. The resampling layer turns this into simulator ticks.
+/// increasing in t: the samples every adapter reduces its native rows to.
+/// The resampling layer turns this into simulator ticks.
 struct CanonicalTrace {
-  std::vector<TracePoint> points;
+  std::vector<replay::TraceSample> points;
 };
-
-/// Canonical numeric fields a source column can feed.
-enum class Field { CapDl, CapUl, Rtt };
 
 struct ColumnRule {
-  std::string source;          // header name in the input
-  Field field = Field::CapDl;  // canonical destination
-  double scale = 1.0;          // unit conversion (e.g. kbps -> Mbps: 1e-3)
+  std::string source;  // header name in the input
+  /// The destination: &apps::LinkTick::cap_dl, ::cap_ul or ::rtt.
+  double apps::LinkTick::*field = &apps::LinkTick::cap_dl;
+  double scale = 1.0;  // unit conversion (e.g. kbps -> Mbps: 1e-3)
   /// Used when `source` is missing from the header; without a fill a
   /// missing column is an error.
   std::optional<double> fill;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/obs/trace_export.hpp"
 #include "ingest/adapters.hpp"
 #include "measure/enum_names.hpp"
 #include "replay/fleet.hpp"
@@ -66,6 +67,7 @@ std::string resolve_paper_rtts(const std::string& path,
 void stream_trace(const AdapterRegistry& registry, const std::string& format,
                   const std::string& path, const IngestOptions& options,
                   PointSink& sink) {
+  const core::obs::ScopedSpan span{"ingest.parse", "ingest"};
   const TraceAdapter& adapter = resolve_adapter(registry, format, path);
 
   // Companion side-channels wrap the caller's sink so the main trace flows

@@ -27,7 +27,8 @@ namespace wheels::ingest {
 /// Applies the Mahimahi uplink merge when options.mahimahi_uplink_path is
 /// set and the resolved adapter is "mahimahi", and the paper rtts.csv
 /// overlay when options.paper_rtts_path is set (or a sibling rtts.csv
-/// exists) and the resolved adapter is "paper". Errors carry the path.
+/// exists) and the resolved adapter is "paper". Runs inside one
+/// "ingest.parse" span. Errors carry the path.
 void stream_trace(const AdapterRegistry& registry, const std::string& format,
                   const std::string& path, const IngestOptions& options,
                   PointSink& sink);

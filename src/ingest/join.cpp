@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/obs/trace_export.hpp"
 #include "core/thread_pool.hpp"
 #include "measure/csv_export.hpp"
 #include "measure/enum_names.hpp"
@@ -52,7 +53,7 @@ void append_segment(measure::ConsolidatedDb& db, radio::Carrier carrier,
                                radio::Direction::Downlink, start, end,
                                cycle));
 
-  for (const TracePoint& p : seg.ticks) {
+  for (const replay::TraceSample& p : seg.ticks) {
     for (const bool dl : {true, false}) {
       measure::KpiRecord k;
       k.test_id = dl ? dl_id : ul_id;
@@ -64,7 +65,7 @@ void append_segment(measure::ConsolidatedDb& db, radio::Carrier carrier,
       k.mcs = 20;
       k.bler = 0.0;
       k.ca = 1;
-      k.throughput = dl ? p.cap_dl_mbps : p.cap_ul_mbps;
+      k.throughput = dl ? p.cap_dl : p.cap_ul;
       k.direction = dl ? radio::Direction::Downlink : radio::Direction::Uplink;
       db.kpis.push_back(k);
     }
@@ -73,7 +74,7 @@ void append_segment(measure::ConsolidatedDb& db, radio::Carrier carrier,
     rr.t = p.t;
     rr.carrier = carrier;
     rr.tech = p.tech;
-    rr.rtt = p.rtt_ms;
+    rr.rtt = p.rtt;
     db.rtts.push_back(rr);
   }
 
@@ -89,7 +90,7 @@ class EmptyGuard final : public PointSink {
   EmptyGuard(std::string msg, PointSink& inner)
       : msg_(std::move(msg)), inner_(inner) {}
 
-  void push(const TracePoint& p) override {
+  void push(const replay::TraceSample& p) override {
     seen_ = true;
     inner_.push(p);
   }
@@ -111,12 +112,12 @@ class RebaseSink final : public PointSink {
  public:
   explicit RebaseSink(PointSink& inner) : inner_(inner) {}
 
-  void push(const TracePoint& p) override {
+  void push(const replay::TraceSample& p) override {
     if (!have_base_) {
       base_ = p.t;
       have_base_ = true;
     }
-    TracePoint q = p;
+    replay::TraceSample q = p;
     q.t -= base_;
     inner_.push(q);
   }
@@ -136,7 +137,7 @@ class TrimSink final : public PointSink {
   TrimSink(SimMillis lo, SimMillis hi, PointSink& inner)
       : lo_(lo), hi_(hi), inner_(inner) {}
 
-  void push(const TracePoint& p) override {
+  void push(const replay::TraceSample& p) override {
     if (p.t >= lo_ && p.t <= hi_) inner_.push(p);
   }
 
@@ -152,7 +153,7 @@ class TrimSink final : public PointSink {
 /// last timestamp of the stream.
 class SpanSink final : public PointSink {
  public:
-  void push(const TracePoint& p) override {
+  void push(const replay::TraceSample& p) override {
     if (!seen_) {
       first = p.t;
       seen_ = true;
@@ -173,6 +174,7 @@ replay::ReplayBundle join_streams(std::vector<StreamSource> sources,
                                   const JoinOptions& join,
                                   const ResampleSpec& resample_spec,
                                   int threads) {
+  const core::obs::ScopedSpan span{"ingest.join", "ingest"};
   if (sources.empty()) {
     throw std::runtime_error{"join: no input traces"};
   }
@@ -267,10 +269,10 @@ replay::ReplayBundle join_streams(std::vector<StreamSource> sources,
     for (const TraceSegment& seg : segments[i]) {
       append_segment(db, sources[i].carrier, seg, resample_spec.tick_ms,
                      cycle++, next_test_id);
-      for (const TracePoint& p : seg.ticks) {
-        digest << p.t << ',' << measure::csv_double(p.cap_dl_mbps) << ','
-               << measure::csv_double(p.cap_ul_mbps) << ','
-               << measure::csv_double(p.rtt_ms) << ','
+      for (const replay::TraceSample& p : seg.ticks) {
+        digest << p.t << ',' << measure::csv_double(p.cap_dl) << ','
+               << measure::csv_double(p.cap_ul) << ','
+               << measure::csv_double(p.rtt) << ','
                << measure::names::to_name(p.tech) << '\n';
       }
     }

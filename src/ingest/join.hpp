@@ -58,7 +58,7 @@ struct JoinOptions {
 /// regardless of argument order (and of `threads`, the ingest shard count —
 /// 0 resolves via WHEELS_THREADS), the manifest digest hashes the joined
 /// tick content, and the database passes measure::validate_or_throw before
-/// returning.
+/// returning. Runs inside one "ingest.join" span.
 replay::ReplayBundle join_streams(std::vector<StreamSource> sources,
                                   const JoinOptions& join,
                                   const ResampleSpec& resample,

@@ -6,12 +6,6 @@
 
 namespace wheels::ingest {
 
-namespace {
-
-double lerp(double a, double b, double f) { return a + (b - a) * f; }
-
-}  // namespace
-
 StreamingResampler::StreamingResampler(const ResampleSpec& spec,
                                        SegmentFn emit)
     : spec_(spec), emit_(std::move(emit)) {
@@ -23,7 +17,7 @@ StreamingResampler::StreamingResampler(const ResampleSpec& spec,
   }
 }
 
-void StreamingResampler::push(const TracePoint& p) {
+void StreamingResampler::push(const replay::TraceSample& p) {
   ++index_;
   if (!have_prev_) {
     prev_ = p;
@@ -50,16 +44,13 @@ void StreamingResampler::push(const TracePoint& p) {
   // Every grid tick strictly before the new point is bracketed by
   // (prev_, p) — the bounded lookahead: one pending source sample.
   while (t_next_ < p.t) {
-    TracePoint out = prev_;
-    out.t = t_next_;
+    replay::TraceSample out = prev_;
     if (spec_.fill == replay::HoldPolicy::Interpolate && t_next_ > prev_.t) {
-      const double f = static_cast<double>(t_next_ - prev_.t) /
-                       static_cast<double>(p.t - prev_.t);
-      out.cap_dl_mbps = lerp(prev_.cap_dl_mbps, p.cap_dl_mbps, f);
-      out.cap_ul_mbps = lerp(prev_.cap_ul_mbps, p.cap_ul_mbps, f);
-      out.rtt_ms = lerp(prev_.rtt_ms, p.rtt_ms, f);
-      // tech is categorical: held from the earlier sample, like TraceChannel.
+      out = replay::interpolate(prev_, p,
+                                static_cast<double>(t_next_ - prev_.t) /
+                                    static_cast<double>(p.t - prev_.t));
     }
+    out.t = t_next_;
     seg_.ticks.push_back(out);
     t_next_ += spec_.tick_ms;
   }
@@ -70,7 +61,7 @@ void StreamingResampler::close_segment() {
   // All ticks before prev_.t were emitted when prev_ arrived; at most the
   // tick landing exactly on the segment's last sample remains.
   while (t_next_ <= prev_.t) {
-    TracePoint out = prev_;
+    replay::TraceSample out = prev_;
     out.t = t_next_;
     seg_.ticks.push_back(out);
     t_next_ += spec_.tick_ms;

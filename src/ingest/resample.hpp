@@ -33,7 +33,7 @@ struct ResampleSpec {
 /// One contiguous stretch after resampling: ticks spaced exactly tick_ms
 /// apart, anchored at the segment's first source timestamp.
 struct TraceSegment {
-  std::vector<TracePoint> ticks;
+  std::vector<replay::TraceSample> ticks;
 };
 
 /// PointSink that resamples a strictly-increasing point stream onto `spec`'s
@@ -51,7 +51,7 @@ class StreamingResampler final : public PointSink {
 
   StreamingResampler(const ResampleSpec& spec, SegmentFn emit);
 
-  void push(const TracePoint& p) override;
+  void push(const replay::TraceSample& p) override;
   void finish() override;
 
  private:
@@ -60,7 +60,7 @@ class StreamingResampler final : public PointSink {
   ResampleSpec spec_;
   SegmentFn emit_;
   TraceSegment seg_;
-  TracePoint prev_{};
+  replay::TraceSample prev_{};
   bool have_prev_ = false;
   SimMillis t_next_ = 0;
   std::size_t index_ = 0;  // 1-based count of points consumed, diagnostics

@@ -21,7 +21,7 @@ namespace wheels::ingest {
 class PointSink {
  public:
   virtual ~PointSink() = default;
-  virtual void push(const TracePoint& p) = 0;
+  virtual void push(const replay::TraceSample& p) = 0;
   /// End of stream. A producer finishes its sink exactly once; wrapper
   /// sinks forward the call down the chain.
   virtual void finish() {}
@@ -34,7 +34,9 @@ void finish_stream(PointSink& sink, std::size_t pushed);
 /// Terminal sink that materializes the stream as a CanonicalTrace.
 class CollectSink final : public PointSink {
  public:
-  void push(const TracePoint& p) override { trace.points.push_back(p); }
+  void push(const replay::TraceSample& p) override {
+    trace.points.push_back(p);
+  }
 
   CanonicalTrace take() { return std::move(trace); }
 

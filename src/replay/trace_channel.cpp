@@ -6,12 +6,6 @@
 
 namespace wheels::replay {
 
-namespace {
-
-double lerp(double a, double b, double f) { return a + (b - a) * f; }
-
-}  // namespace
-
 std::string_view hold_policy_name(HoldPolicy p) {
   return p == HoldPolicy::Hold ? "hold" : "linear";
 }
@@ -22,6 +16,17 @@ HoldPolicy parse_hold_policy(std::string_view text) {
   }
   throw std::runtime_error{"unknown interpolation '" + std::string{text} +
                            "' (expected hold|linear)"};
+}
+
+TraceSample interpolate(const TraceSample& a, const TraceSample& b,
+                        double f) {
+  const auto lerp = [f](double x, double y) { return x + (y - x) * f; };
+  TraceSample s = a;
+  s.cap_dl = lerp(a.cap_dl, b.cap_dl);
+  s.cap_ul = lerp(a.cap_ul, b.cap_ul);
+  s.rtt = lerp(a.rtt, b.rtt);
+  s.map_km = lerp(a.map_km, b.map_km);
+  return s;
 }
 
 TraceChannel::TraceChannel(std::vector<TraceSample> samples,
@@ -50,20 +55,15 @@ std::size_t TraceChannel::index_at(SimMillis t) const {
 TraceSample TraceChannel::at(SimMillis t) const {
   if (samples_.empty()) return TraceSample{};
   const std::size_t i = index_at(t);
-  TraceSample s = samples_[i];
-  if (policy_ == HoldPolicy::Hold || i + 1 >= samples_.size() ||
-      t <= samples_[i].t) {
+  const TraceSample& s = samples_[i];
+  if (policy_ == HoldPolicy::Hold || i + 1 >= samples_.size() || t <= s.t) {
     return s;
   }
   const TraceSample& next = samples_[i + 1];
   const double span = static_cast<double>(next.t - s.t);
   if (span <= 0.0) return s;
-  const double f = std::clamp(static_cast<double>(t - s.t) / span, 0.0, 1.0);
-  s.cap_dl = lerp(s.cap_dl, next.cap_dl, f);
-  s.cap_ul = lerp(s.cap_ul, next.cap_ul, f);
-  s.rtt = lerp(s.rtt, next.rtt, f);
-  s.map_km = lerp(s.map_km, next.map_km, f);
-  return s;
+  return interpolate(
+      s, next, std::clamp(static_cast<double>(t - s.t) / span, 0.0, 1.0));
 }
 
 TraceEvents TraceChannel::events_in(SimMillis t, Millis dt) const {

@@ -43,6 +43,11 @@ struct TraceSample : apps::LinkTick {
   Km map_km = 0.0;
 };
 
+/// `a` with its continuous fields (capacities, rtt, map_km) moved the
+/// fraction `f` of the way to `b`'s; t, tech and the handover fields stay
+/// `a`'s. TraceChannel::at and ingest's resampler both interpolate with it.
+TraceSample interpolate(const TraceSample& a, const TraceSample& b, double f);
+
 /// Recorded handover activity inside one replay window.
 struct TraceEvents {
   int handovers = 0;

@@ -327,19 +327,18 @@ void sample_stream(const SynthProfile& profile, const ScenarioSpec& spec,
             draws.at(k, kChRttStep)));
       }
 
-      ingest::TracePoint p;
+      replay::TraceSample p;
       p.t = base_t + static_cast<SimMillis>(k) * profile.tick_ms;
       p.tech = tech;
-      p.cap_dl_mbps =
+      p.cap_dl =
           emit(model->dl.emissions[static_cast<std::size_t>(ts.dl_regime)],
                draws.at(k, kChDlEmit)) /
           spec.load;
       const EmissionModel& ul =
           model->ul[static_cast<std::size_t>(ts.dl_regime)];
-      p.cap_ul_mbps = ul.empty() ? 0.0
-                                 : emit(ul, draws.at(k, kChUlEmit)) /
-                                       spec.load;
-      p.rtt_ms = std::max(
+      p.cap_ul = ul.empty() ? 0.0
+                            : emit(ul, draws.at(k, kChUlEmit)) / spec.load;
+      p.rtt = std::max(
           0.1,
           emit(model->rtt.emissions[static_cast<std::size_t>(ts.rtt_regime)],
                draws.at(k, kChRttEmit)) *

@@ -21,7 +21,7 @@ namespace wheels::ingest::helpers {
 /// A repeatable StreamSource producer that pushes every point of `trace`.
 inline std::function<void(PointSink&)> produce_points(CanonicalTrace trace) {
   return [trace = std::move(trace)](PointSink& sink) {
-    for (const TracePoint& p : trace.points) sink.push(p);
+    for (const replay::TraceSample& p : trace.points) sink.push(p);
     sink.finish();
   };
 }
@@ -42,7 +42,7 @@ inline std::vector<TraceSegment> resample_all(const CanonicalTrace& trace,
   StreamingResampler resampler{spec, [&segments](TraceSegment&& seg) {
                                  segments.push_back(std::move(seg));
                                }};
-  for (const TracePoint& p : trace.points) resampler.push(p);
+  for (const replay::TraceSample& p : trace.points) resampler.push(p);
   resampler.finish();
   return segments;
 }

@@ -4,18 +4,26 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "core/json.hpp"
+#include "core/obs/manifest.hpp"
 #include "export/exporter.hpp"
 #include "export/roundtrip.hpp"
 #include "export/timeline.hpp"
+#include "ingest/ingest.hpp"
 #include "measure/csv_export.hpp"
+#include "measure/enum_names.hpp"
 #include "measure/validate.hpp"
 #include "replay/ingest.hpp"
 #include "replay/replay_campaign.hpp"
@@ -42,9 +50,9 @@ const measure::ConsolidatedDb& app_db() {
 EmuTimeline flat_timeline(std::size_t n, double cap_dl, double cap_ul) {
   EmuTimeline tl;
   tl.ticks.resize(n);
-  for (EmuTick& t : tl.ticks) {
-    t.cap_dl_mbps = cap_dl;
-    t.cap_ul_mbps = cap_ul;
+  for (apps::LinkTick& t : tl.ticks) {
+    t.cap_dl = cap_dl;
+    t.cap_ul = cap_ul;
   }
   return tl;
 }
@@ -64,9 +72,9 @@ TEST(ExportMahimahi, GoldenMicroFixture) {
   // 0.048 Mbps at a 500 ms tick is exactly two 1500 B opportunities,
   // 0.024 Mbps exactly one; opportunities spread evenly over the tick.
   EmuTimeline tl = flat_timeline(2, 0.0, 0.0);
-  tl.ticks[0].cap_dl_mbps = 0.048;
-  tl.ticks[0].cap_ul_mbps = 0.024;
-  tl.ticks[1].cap_dl_mbps = 0.024;
+  tl.ticks[0].cap_dl = 0.048;
+  tl.ticks[0].cap_ul = 0.024;
+  tl.ticks[1].cap_dl = 0.024;
   const auto exporter = make_mahimahi_exporter();
   EXPECT_EQ(artifact(*exporter, tl, ".down"), "0\n250\n500\n");
   EXPECT_EQ(artifact(*exporter, tl, ".up"), "0\n");
@@ -74,7 +82,7 @@ TEST(ExportMahimahi, GoldenMicroFixture) {
 
 TEST(ExportMahimahi, InteriorZeroTickRoundTripsExactly) {
   EmuTimeline tl = flat_timeline(3, 0.048, 0.0);
-  tl.ticks[1].cap_dl_mbps = 0.0;  // a recorded outage, not a gap
+  tl.ticks[1].cap_dl = 0.0;  // a recorded outage, not a gap
   const RoundTripReport report = verify_mahimahi_roundtrip(tl);
   EXPECT_EQ(report.ticks_checked, 3u);
   EXPECT_EQ(report.max_error_mbps, 0.0);
@@ -82,7 +90,7 @@ TEST(ExportMahimahi, InteriorZeroTickRoundTripsExactly) {
 
 TEST(ExportMahimahi, LeadingAndTrailingZerosStayZero) {
   EmuTimeline tl = flat_timeline(3, 0.0, 0.0);
-  tl.ticks[1].cap_dl_mbps = 0.048;
+  tl.ticks[1].cap_dl = 0.048;
   const RoundTripReport report = verify_mahimahi_roundtrip(tl);
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.max_error_mbps, 0.0);
@@ -97,8 +105,8 @@ TEST(ExportMahimahi, AllZeroTimelineExportsEmptyAndVerifies) {
 
 TEST(ExportNetem, GoldenMicroFixture) {
   EmuTimeline tl = flat_timeline(1, 10.0, 2.0);
-  tl.ticks[0].rtt_ms = 50.0;
-  tl.ticks[0].loss = 0.5;
+  tl.ticks[0].rtt = 50.0;
+  tl.ticks[0].interruption = 250.0;  // half the 500 ms tick
   const auto exporter = make_netem_exporter();
   EXPECT_EQ(artifact(*exporter, tl, ".sh"),
             "#!/bin/sh\n"
@@ -137,77 +145,39 @@ TEST(ExportNetem, OneTimedChangePerSubsequentTick) {
   EXPECT_EQ(script.find("rate 0kbit"), std::string::npos);
 }
 
-// --- JSON schedule: bit-exact round trip, strict errors -------------------
+// --- JSON schedule: bit-exact values -------------------------------------
 
 TEST(ExportJson, RenderParseBitExact) {
   EmuTimeline tl = flat_timeline(3, 1.0 / 3.0, 0.1);
   tl.start_ms = 120500;
-  tl.ticks[1].rtt_ms = 33.3333333333333357;
-  tl.ticks[1].loss = 0.2;
+  tl.ticks[1].rtt = 33.3333333333333357;
+  tl.ticks[1].interruption = 100.0;  // a fifth of the 500 ms tick
   tl.ticks[2].tech = radio::Technology::NrMmWave;
   const std::string rendered =
       artifact(*make_json_exporter(), tl, ".json");
-  const EmuTimeline parsed = parse_schedule_json(rendered);
-  EXPECT_EQ(parsed.tick_ms, tl.tick_ms);
-  EXPECT_EQ(parsed.start_ms, tl.start_ms);
-  ASSERT_EQ(parsed.ticks.size(), tl.ticks.size());
+  const core::json::Doc doc{"schedule"};
+  const core::json::Value root = doc.parse(rendered);
+  EXPECT_EQ(doc.get(root, "version").text, "1");
+  EXPECT_EQ(doc.get(root, "tick_ms").text, "500");
+  EXPECT_EQ(doc.get(root, "start_ms").text, "120500");
+  const std::vector<core::json::Value>& ticks = doc.get(root, "ticks").items;
+  ASSERT_EQ(ticks.size(), tl.ticks.size());
   for (std::size_t i = 0; i < tl.ticks.size(); ++i) {
-    EXPECT_EQ(parsed.ticks[i].cap_dl_mbps, tl.ticks[i].cap_dl_mbps);
-    EXPECT_EQ(parsed.ticks[i].cap_ul_mbps, tl.ticks[i].cap_ul_mbps);
-    EXPECT_EQ(parsed.ticks[i].rtt_ms, tl.ticks[i].rtt_ms);
-    EXPECT_EQ(parsed.ticks[i].loss, tl.ticks[i].loss);
-    EXPECT_EQ(parsed.ticks[i].tech, tl.ticks[i].tech);
-  }
-  EXPECT_EQ(artifact(*make_json_exporter(), parsed, ".json"), rendered);
-}
-
-TEST(ExportJson, RejectsUnsupportedVersion) {
-  std::string doc = artifact(*make_json_exporter(),
-                             flat_timeline(1, 1.0, 1.0), ".json");
-  const std::size_t pos = doc.find("\"version\": 1");
-  ASSERT_NE(pos, std::string::npos);
-  doc.replace(pos, 12, "\"version\": 2");
-  try {
-    parse_schedule_json(doc);
-    FAIL() << "expected a version error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string{e.what()}.find(
-                  "schedule: line 2: unsupported schedule version 2"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(ExportJson, ErrorsCiteTheOffendingLine) {
-  const auto expect_error = [](const std::string& doc,
-                               const std::string& needle) {
-    try {
-      parse_schedule_json(doc);
-      FAIL() << "expected a parse error for: " << doc;
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string{e.what()}.find(needle), std::string::npos)
-          << e.what() << "\n  (wanted: " << needle << ")";
+    const apps::LinkTick& t = tl.ticks[i];
+    const double loss = i == 1 ? 0.2 : 0.0;
+    const std::vector<std::pair<std::string, double>> fields{
+        {"cap_dl_mbps", t.cap_dl},
+        {"cap_ul_mbps", t.cap_ul},
+        {"rtt_ms", t.rtt},
+        {"loss", loss}};
+    for (const auto& [key, value] : fields) {
+      // Written at max_digits10, read back bit for bit.
+      EXPECT_EQ(doc.get(ticks[i], key).text, measure::csv_double(value))
+          << "tick " << i << " " << key;
+      EXPECT_EQ(doc.num(ticks[i], key), value) << "tick " << i << " " << key;
     }
-  };
-  const std::string head =
-      "{\n\"version\": 1,\n\"tick_ms\": 500,\n\"ticks\": [\n";
-  expect_error("{\n\"version\": 1,\n\"tick_ms\": 0,\n\"ticks\": [{}]\n}",
-               "schedule: line 3: tick_ms must be > 0");
-  expect_error("{\n\"version\": 1,\n\"tick_ms\": 500,\n\"ticks\": []\n}",
-               "schedule: line 4: ticks must not be empty");
-  expect_error(head +
-                   "{\"cap_dl_mbps\": -1, \"cap_ul_mbps\": 0, \"rtt_ms\": "
-                   "50, \"loss\": 0, \"tech\": \"LTE\"}\n]\n}",
-               "schedule: line 5: cap_dl_mbps must be finite and >= 0");
-  expect_error(head +
-                   "{\"cap_dl_mbps\": 1, \"cap_ul_mbps\": 0, \"rtt_ms\": 50, "
-                   "\"loss\": 1.5, \"tech\": \"LTE\"}\n]\n}",
-               "schedule: line 5: loss must be in [0, 1]");
-  expect_error(head +
-                   "{\"cap_dl_mbps\": 1, \"cap_ul_mbps\": 0, \"rtt_ms\": 50, "
-                   "\"loss\": 0, \"tech\": \"6G\"}\n]\n}",
-               "schedule: line 5:");
-  expect_error("{\n\"version\": 1,\n\"tick_ms\": 500\n}", "ticks");
+    EXPECT_EQ(doc.str(ticks[i], "tech"), measure::names::to_name(t.tech));
+  }
 }
 
 // --- Timeline builders ----------------------------------------------------
@@ -216,30 +186,44 @@ TEST(ExportTimeline, EmptyOrInvalidTimelinesThrow) {
   EXPECT_THROW(validate_timeline(EmuTimeline{}), std::runtime_error);
   EXPECT_THROW(timeline_from_link_ticks({}), std::runtime_error);
   EmuTimeline bad = flat_timeline(1, 1.0, 1.0);
-  bad.ticks[0].loss = 2.0;
+  bad.ticks[0].interruption = -1.0;
   EXPECT_THROW(validate_timeline(bad), std::runtime_error);
-  bad.ticks[0].loss = 0.0;
-  bad.ticks[0].rtt_ms = 0.0;
+  bad.ticks[0].interruption = 0.0;
+  bad.ticks[0].rtt = 0.0;
   EXPECT_THROW(validate_timeline(bad), std::runtime_error);
 }
 
 TEST(ExportTimeline, CanonicalTraceHoldSamplesOntoGrid) {
   ingest::CanonicalTrace trace;
   for (int i = 0; i < 3; ++i) {
-    ingest::TracePoint p;
+    replay::TraceSample p;
     p.t = i * 500;
-    p.cap_dl_mbps = 10.0 * (i + 1);
-    p.cap_ul_mbps = 1.0;
-    p.rtt_ms = 50.0;
+    p.cap_dl = 10.0 * (i + 1);
+    p.cap_ul = 1.0;
+    p.rtt = 50.0;
     trace.points.push_back(p);
   }
   const EmuTimeline tl = timeline_from_canonical(trace, 500);
   ASSERT_EQ(tl.ticks.size(), 3u);
-  EXPECT_EQ(tl.ticks[0].cap_dl_mbps, 10.0);
-  EXPECT_EQ(tl.ticks[1].cap_dl_mbps, 20.0);
-  EXPECT_EQ(tl.ticks[2].cap_dl_mbps, 30.0);
+  EXPECT_EQ(tl.ticks[0].cap_dl, 10.0);
+  EXPECT_EQ(tl.ticks[1].cap_dl, 20.0);
+  EXPECT_EQ(tl.ticks[2].cap_dl, 30.0);
   EXPECT_THROW(timeline_from_canonical(ingest::CanonicalTrace{}, 500),
                std::runtime_error);
+
+  // Off-grid points govern from the next grid time on, and a silence
+  // longer than the ingest gap split is held, not cut.
+  trace.points[1].t = 700;
+  trace.points[2].t = 20'000;
+  trace.points[2].tech = radio::Technology::NrMid;
+  const EmuTimeline held = timeline_from_canonical(trace, 500);
+  EXPECT_EQ(held.start_ms, 0);
+  ASSERT_EQ(held.ticks.size(), 41u);
+  EXPECT_EQ(held.ticks[1].cap_dl, 10.0);   // t = 500
+  EXPECT_EQ(held.ticks[2].cap_dl, 20.0);   // t = 1000
+  EXPECT_EQ(held.ticks[39].cap_dl, 20.0);  // t = 19500
+  EXPECT_EQ(held.ticks[40].cap_dl, 30.0);  // t = 20000
+  EXPECT_EQ(held.ticks[40].tech, radio::Technology::NrMid);
 }
 
 TEST(ExportTimeline, BundleTestWithoutLinkTicksThrows) {
@@ -276,9 +260,9 @@ TEST(ExportMahimahi, QuantizationBoundOnRandomizedTimelines) {
   for (int round = 0; round < 25; ++round) {
     EmuTimeline tl;
     tl.ticks.resize(static_cast<std::size_t>(len(rng)));
-    for (EmuTick& t : tl.ticks) {
-      t.cap_dl_mbps = zero(rng) == 0 ? 0.0 : cap(rng);
-      t.cap_ul_mbps = t.cap_dl_mbps * 0.1;
+    for (apps::LinkTick& t : tl.ticks) {
+      t.cap_dl = zero(rng) == 0 ? 0.0 : cap(rng);
+      t.cap_ul = t.cap_dl * 0.1;
     }
     const RoundTripReport report = verify_mahimahi_roundtrip(tl);
     EXPECT_EQ(report.bound_mbps, 0.024);
@@ -301,6 +285,116 @@ TEST(ExportMahimahi, BundleTimelineHoldsTheBound) {
   const RoundTripReport report = verify_mahimahi_roundtrip(tl);
   EXPECT_TRUE(report.ok()) << report.max_error_mbps << " > "
                            << report.bound_mbps;
+}
+
+// --- Pinned artifacts ------------------------------------------------------
+
+// Every byte the three backends write over the repository's own inputs is
+// pinned by length and FNV-1a digest in tests/golden/export_digests.csv.
+// After an intentional change to a backend or a timeline builder, rewrite
+// it with
+//   WHEELS_GOLDEN_REGEN=1 ./build/tests/wheels_tests
+//       --gtest_filter=ExportGolden.ArtifactsMatchPinnedDigests
+// (one command line) and commit the diff.
+
+/// The pinned timelines, by name: the golden bundle's carrier timelines
+/// (moving, and static where the bundle ran a battery), each well-formed
+/// ingest fixture, and one recorded app session's link ticks.
+std::vector<std::pair<std::string, EmuTimeline>> pinned_timelines() {
+  std::vector<std::pair<std::string, EmuTimeline>> out;
+  const replay::ReplayBundle bundle =
+      replay::read_dataset(WHEELS_GOLDEN_DIR "/bundle");
+  for (const radio::Carrier c : radio::kAllCarriers) {
+    for (const bool is_static : {false, true}) {
+      const bool recorded = std::any_of(
+          bundle.db.kpis.begin(), bundle.db.kpis.end(),
+          [&](const measure::KpiRecord& k) {
+            return k.carrier == c && k.is_static == is_static;
+          });
+      if (!recorded) continue;
+      out.emplace_back("bundle-" + std::string{measure::names::to_name(c)} +
+                           (is_static ? "-static" : "-moving"),
+                       timeline_from_bundle(bundle.db, c, is_static));
+    }
+  }
+
+  const std::string fixtures = WHEELS_INGEST_FIXTURE_DIR;
+  const auto fixture_timeline = [&](const std::string& format,
+                                    const std::string& file,
+                                    const ingest::IngestOptions& options) {
+    return timeline_from_canonical(
+        ingest::load_trace(ingest::builtin_registry(), format,
+                           fixtures + "/" + file, options),
+        options.resample.tick_ms);
+  };
+  const ingest::IngestOptions defaults;
+  ingest::IngestOptions paired;
+  paired.mahimahi_uplink_path = fixtures + "/mahimahi.up";
+  out.emplace_back("fixture-minimal",
+                   fixture_timeline("minimal", "minimal.csv", defaults));
+  out.emplace_back("fixture-mahimahi",
+                   fixture_timeline("mahimahi", "mahimahi.down", paired));
+  out.emplace_back("fixture-errant",
+                   fixture_timeline("errant", "errant.csv", defaults));
+  out.emplace_back("fixture-monroe",
+                   fixture_timeline("monroe", "monroe.csv", defaults));
+  out.emplace_back("fixture-paper",
+                   fixture_timeline("paper", "paper/kpis.csv", defaults));
+
+  out.emplace_back(
+      "app-run",
+      timeline_from_bundle_test(app_db(), app_db().app_runs.front().test_id));
+  return out;
+}
+
+TEST(ExportGolden, ArtifactsMatchPinnedDigests) {
+  // The netem and JSON schedules cover each timeline's first 2,000 ticks,
+  // as export_smoke does. Mahimahi writes one line per 1500 B, so it covers
+  // the first 200: 2,000 ticks of Verizon's static (mmWave) timeline are
+  // 1.3 GB of Mahimahi text.
+  const auto tick_cap = [](const EmuExporter& e) -> std::size_t {
+    return e.name() == "mahimahi" ? 200 : 2000;
+  };
+  std::ostringstream pinned;
+  pinned << "artifact,bytes,fnv1a64\n";
+  std::size_t lossy_netem_lines = 0;
+  for (const auto& [name, timeline] : pinned_timelines()) {
+    for (const EmuExporter* e : builtin_exporter_registry().exporters()) {
+      EmuTimeline cut = timeline;
+      if (cut.ticks.size() > tick_cap(*e)) cut.ticks.resize(tick_cap(*e));
+      for (const ExportArtifact& a : e->render(cut)) {
+        pinned << name << a.suffix << ',' << a.content.size() << ','
+               << core::obs::hex64(core::obs::fnv1a64(a.content)) << '\n';
+        if (e->name() != "netem") continue;
+        std::istringstream lines{a.content};
+        for (std::string line; std::getline(lines, line);) {
+          if (line.find(" loss ") != std::string::npos &&
+              line.find(" loss 0.000%") == std::string::npos) {
+            ++lossy_netem_lines;
+          }
+        }
+      }
+    }
+  }
+  // A recorded handover blanks part of its tick: at least one pinned
+  // script must shape a nonzero loss.
+  EXPECT_GT(lossy_netem_lines, 0u);
+
+  const std::string path =
+      std::string{WHEELS_GOLDEN_DIR} + "/export_digests.csv";
+  const char* regen = std::getenv("WHEELS_GOLDEN_REGEN");
+  if (regen != nullptr && *regen != '\0') {
+    std::ofstream os{path};
+    ASSERT_TRUE(os) << "cannot write " << path;
+    os << pinned.str();
+    GTEST_SKIP() << "export digests rewritten to " << path;
+  }
+  std::ifstream is{path};
+  ASSERT_TRUE(is) << "missing " << path
+                  << " — regenerate with WHEELS_GOLDEN_REGEN=1";
+  std::ostringstream committed;
+  committed << is.rdbuf();
+  EXPECT_EQ(pinned.str(), committed.str());
 }
 
 // --- link_ticks recording and serialization -------------------------------

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -14,7 +15,9 @@
 #include "ingest_helpers.hpp"
 #include "measure/validate.hpp"
 #include "replay/fleet.hpp"
+#include "replay/ingest.hpp"
 #include "replay/replay_campaign.hpp"
+#include "replay/trace_channel.hpp"
 
 namespace wheels::ingest {
 namespace {
@@ -94,11 +97,11 @@ TEST(IngestTest, ErrantColumnMapConvertsUnitsAndRatNames) {
   const CanonicalTrace trace =
       load_trace(builtin_registry(), "errant", fixture("errant.csv"), options);
   ASSERT_EQ(trace.points.size(), 3u);
-  EXPECT_DOUBLE_EQ(trace.points[0].cap_dl_mbps, 50.0);  // 50000 kbps
-  EXPECT_DOUBLE_EQ(trace.points[1].cap_dl_mbps, 60.0);
-  EXPECT_DOUBLE_EQ(trace.points[2].cap_dl_mbps, 200.0);
-  EXPECT_DOUBLE_EQ(trace.points[0].cap_ul_mbps, 10.0);
-  EXPECT_DOUBLE_EQ(trace.points[2].rtt_ms, 25.0);
+  EXPECT_DOUBLE_EQ(trace.points[0].cap_dl, 50.0);  // 50000 kbps
+  EXPECT_DOUBLE_EQ(trace.points[1].cap_dl, 60.0);
+  EXPECT_DOUBLE_EQ(trace.points[2].cap_dl, 200.0);
+  EXPECT_DOUBLE_EQ(trace.points[0].cap_ul, 10.0);
+  EXPECT_DOUBLE_EQ(trace.points[2].rtt, 25.0);
   EXPECT_EQ(trace.points[0].tech, radio::Technology::Lte);    // "4G"
   EXPECT_EQ(trace.points[1].tech, radio::Technology::LteA);   // "4G+"
   EXPECT_EQ(trace.points[2].tech, radio::Technology::NrMid);  // "5G"
@@ -112,8 +115,8 @@ TEST(IngestTest, MonroeColumnMapRebasesUnixSecondsToMillis) {
   EXPECT_EQ(trace.points[0].t, 0);  // 1717000000.25 s re-based
   EXPECT_EQ(trace.points[1].t, 1000);
   EXPECT_EQ(trace.points[2].t, 2000);
-  EXPECT_DOUBLE_EQ(trace.points[0].cap_dl_mbps, 40.0);  // 40e6 bps
-  EXPECT_DOUBLE_EQ(trace.points[2].cap_ul_mbps, 16.0);
+  EXPECT_DOUBLE_EQ(trace.points[0].cap_dl, 40.0);  // 40e6 bps
+  EXPECT_DOUBLE_EQ(trace.points[2].cap_ul, 16.0);
   EXPECT_EQ(trace.points[1].tech, radio::Technology::NrLow);  // "NR-NSA"
   EXPECT_EQ(trace.points[2].tech, radio::Technology::NrMid);  // "NR-SA"
 }
@@ -121,14 +124,14 @@ TEST(IngestTest, MonroeColumnMapRebasesUnixSecondsToMillis) {
 TEST(IngestTest, ColumnMapFillCoversMissingColumn) {
   ColumnMap map;
   map.time_column = "t";
-  map.rules = {{"dl", Field::CapDl, 1.0, {}},
-               {"ul", Field::CapUl, 1.0, 2.5},
-               {"rtt", Field::Rtt, 1.0, 40.0}};
+  map.rules = {{"dl", &apps::LinkTick::cap_dl, 1.0, {}},
+               {"ul", &apps::LinkTick::cap_ul, 1.0, 2.5},
+               {"rtt", &apps::LinkTick::rtt, 1.0, 40.0}};
   const CanonicalTrace trace =
       helpers::parse_text("t,dl\n0,10\n500,20\n", map, radio::Technology::Lte);
   ASSERT_EQ(trace.points.size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.points[0].cap_ul_mbps, 2.5);
-  EXPECT_DOUBLE_EQ(trace.points[1].rtt_ms, 40.0);
+  EXPECT_DOUBLE_EQ(trace.points[0].cap_ul, 2.5);
+  EXPECT_DOUBLE_EQ(trace.points[1].rtt, 40.0);
   EXPECT_EQ(trace.points[0].tech, radio::Technology::Lte);
 
   // Without the fill, the same missing column is a header-line error.
@@ -138,14 +141,23 @@ TEST(IngestTest, ColumnMapFillCoversMissingColumn) {
   });
   EXPECT_NE(err.find("missing column 'ul'"), std::string::npos);
   EXPECT_NE(err.find("line 1"), std::string::npos);
+
+  // A map without an RTT rule fails its rows: no default RTT stands in.
+  map.rules[1].fill = 0.0;
+  map.rules.pop_back();
+  const std::string no_rtt = error_of([&] {
+    (void)helpers::parse_text("t,dl\n0,10\n", map, radio::Technology::Lte);
+  });
+  EXPECT_NE(no_rtt.find("line 2: rtt must be > 0"), std::string::npos)
+      << no_rtt;
 }
 
 TEST(IngestTest, ColumnMapRejectsUnmappedColumnsUnlessAllowed) {
   ColumnMap map;
   map.time_column = "t";
-  map.rules = {{"dl", Field::CapDl, 1.0, {}},
-               {"ul", Field::CapUl, 1.0, 0.0},
-               {"rtt", Field::Rtt, 1.0, 40.0}};
+  map.rules = {{"dl", &apps::LinkTick::cap_dl, 1.0, {}},
+               {"ul", &apps::LinkTick::cap_ul, 1.0, 0.0},
+               {"rtt", &apps::LinkTick::rtt, 1.0, 40.0}};
   const std::string text = "t,dl,surprise\n0,10,1\n";
   const std::string err = error_of(
       [&] { (void)helpers::parse_text(text, map, radio::Technology::Lte); });
@@ -190,14 +202,14 @@ TEST(IngestTest, MahimahiWindowsDeliveryOpportunitiesIntoMbps) {
       builtin_registry(), "auto", fixture("mahimahi.down"), options);
   // Windows of 500 ms at 12000 bits per opportunity: count * 0.024 Mbps.
   ASSERT_EQ(trace.points.size(), 3u);
-  EXPECT_DOUBLE_EQ(trace.points[0].cap_dl_mbps, 10 * 0.024);
-  EXPECT_DOUBLE_EQ(trace.points[1].cap_dl_mbps, 0.0);  // recorded outage
-  EXPECT_DOUBLE_EQ(trace.points[2].cap_dl_mbps, 5 * 0.024);
+  EXPECT_DOUBLE_EQ(trace.points[0].cap_dl, 10 * 0.024);
+  EXPECT_DOUBLE_EQ(trace.points[1].cap_dl, 0.0);  // recorded outage
+  EXPECT_DOUBLE_EQ(trace.points[2].cap_dl, 5 * 0.024);
   // Merged uplink trace: 2 opportunities, then 1, then held.
-  EXPECT_DOUBLE_EQ(trace.points[0].cap_ul_mbps, 2 * 0.024);
-  EXPECT_DOUBLE_EQ(trace.points[1].cap_ul_mbps, 1 * 0.024);
-  EXPECT_DOUBLE_EQ(trace.points[2].cap_ul_mbps, 1 * 0.024);
-  EXPECT_DOUBLE_EQ(trace.points[0].rtt_ms, 50.0);  // the default fill
+  EXPECT_DOUBLE_EQ(trace.points[0].cap_ul, 2 * 0.024);
+  EXPECT_DOUBLE_EQ(trace.points[1].cap_ul, 1 * 0.024);
+  EXPECT_DOUBLE_EQ(trace.points[2].cap_ul, 1 * 0.024);
+  EXPECT_DOUBLE_EQ(trace.points[0].rtt, 50.0);  // the default fill
 
   const replay::ReplayBundle bundle =
       ingest_file("mahimahi", fixture("mahimahi.down"), options);
@@ -243,7 +255,7 @@ TEST(IngestTest, MahimahiUplinkTailStaysOnTheDownlinkGrid) {
 class BoundedSink final : public PointSink {
  public:
   explicit BoundedSink(std::size_t limit) : limit_(limit) {}
-  void push(const TracePoint&) override {
+  void push(const replay::TraceSample&) override {
     if (++pushed_ > limit_) throw std::runtime_error{"sink: over the limit"};
   }
   std::size_t pushed() const { return pushed_; }
@@ -314,18 +326,54 @@ TEST(IngestTest, PaperKpisFixturePivotsMeansAndPicksUpSiblingRtts) {
   const CanonicalTrace trace = load_trace(
       builtin_registry(), "auto", fixture("paper/kpis.csv"), options);
   ASSERT_EQ(trace.points.size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.points[0].cap_dl_mbps, 50.0);  // mean(40, 60)
-  EXPECT_DOUBLE_EQ(trace.points[0].cap_ul_mbps, 10.0);
-  EXPECT_DOUBLE_EQ(trace.points[1].cap_dl_mbps, 80.0);
-  EXPECT_DOUBLE_EQ(trace.points[1].cap_ul_mbps, 20.0);
+  EXPECT_DOUBLE_EQ(trace.points[0].cap_dl, 50.0);  // mean(40, 60)
+  EXPECT_DOUBLE_EQ(trace.points[0].cap_ul, 10.0);
+  EXPECT_DOUBLE_EQ(trace.points[1].cap_dl, 80.0);
+  EXPECT_DOUBLE_EQ(trace.points[1].cap_ul, 20.0);
   // rtts.csv sibling overlay, Verizon rows only.
-  EXPECT_DOUBLE_EQ(trace.points[0].rtt_ms, 45.0);
-  EXPECT_DOUBLE_EQ(trace.points[1].rtt_ms, 30.0);
+  EXPECT_DOUBLE_EQ(trace.points[0].rtt, 45.0);
+  EXPECT_DOUBLE_EQ(trace.points[1].rtt, 30.0);
   EXPECT_EQ(trace.points[1].tech, radio::Technology::NrMid);
 
   const replay::ReplayBundle bundle =
       ingest_file("paper", fixture("paper/kpis.csv"), options);
   EXPECT_TRUE(measure::validate(bundle.db).empty());
+}
+
+TEST(IngestTest, PaperAdapterMatchesTheMovingCarrierTimeline) {
+  // A whole campaign table: each city's static battery shares timestamps
+  // with the moving test that follows it, and a phone runs its downlink
+  // and uplink tests one after the other. The adapter must read the drive
+  // the way the replay's carrier timeline does.
+  const std::string dir = std::string{WHEELS_GOLDEN_DIR} + "/bundle";
+  const measure::ConsolidatedDb db = replay::read_dataset(dir).db;
+  for (const radio::Carrier c : radio::kAllCarriers) {
+    SCOPED_TRACE(std::string{radio::carrier_name(c)});
+    std::set<SimMillis> moving_ts;
+    for (const measure::KpiRecord& k : db.kpis) {
+      if (k.carrier == c && !k.is_static) moving_ts.insert(k.t);
+    }
+    ASSERT_EQ(moving_ts.size(), 2568u);
+
+    IngestOptions options;
+    options.carrier = c;
+    const CanonicalTrace trace =
+        load_trace(builtin_registry(), "paper", dir + "/kpis.csv", options);
+    ASSERT_EQ(trace.points.size(), moving_ts.size());
+    const replay::TraceChannel channel =
+        replay::carrier_timeline(db, c, false);
+    auto t = moving_ts.begin();
+    for (std::size_t i = 0; i < trace.points.size(); ++i, ++t) {
+      const replay::TraceSample& p = trace.points[i];
+      const replay::TraceSample want = channel.at(p.t);
+      ASSERT_EQ(p.t, *t) << "point " << i;
+      ASSERT_EQ(p.t, want.t) << "point " << i;
+      ASSERT_EQ(p.cap_dl, want.cap_dl) << "t " << p.t;
+      ASSERT_EQ(p.cap_ul, want.cap_ul) << "t " << p.t;
+      ASSERT_EQ(p.rtt, want.rtt) << "t " << p.t;
+      ASSERT_EQ(p.tech, want.tech) << "t " << p.t;
+    }
+  }
 }
 
 TEST(IngestTest, MalformedFixturesThrowWithLineNumbers) {
@@ -520,11 +568,11 @@ CanonicalTrace irregular_trace() {
   CanonicalTrace trace;
   SimMillis t = 0;
   for (int i = 0; i < 40; ++i) {
-    TracePoint p;
+    replay::TraceSample p;
     p.t = t;
-    p.cap_dl_mbps = 10.0 + (i * 13) % 50;
-    p.cap_ul_mbps = 1.0 + (i * 7) % 11;
-    p.rtt_ms = 20.0 + (i * 3) % 40;
+    p.cap_dl = 10.0 + (i * 13) % 50;
+    p.cap_ul = 1.0 + (i * 7) % 11;
+    p.rtt = 20.0 + (i * 3) % 40;
     trace.points.push_back(p);
     t += 100 + 700 * ((i * 5) % 4);  // 100..2200 ms steps
     if (i == 19) t += 60'000;        // one long pause
@@ -574,26 +622,26 @@ TEST(IngestTest, HoldAndInterpolateFillBetweenSamples) {
   CanonicalTrace trace;
   for (const auto& [t, dl] : std::vector<std::pair<SimMillis, double>>{
            {0, 10.0}, {1000, 20.0}}) {
-    TracePoint p;
+    replay::TraceSample p;
     p.t = t;
-    p.cap_dl_mbps = dl;
-    p.cap_ul_mbps = dl / 10.0;
-    p.rtt_ms = 100.0 - dl;
+    p.cap_dl = dl;
+    p.cap_ul = dl / 10.0;
+    p.rtt = 100.0 - dl;
     trace.points.push_back(p);
   }
   ResampleSpec spec;  // tick 500
   const std::vector<TraceSegment> hold = helpers::resample_all(trace, spec);
   ASSERT_EQ(hold.size(), 1u);
   ASSERT_EQ(hold[0].ticks.size(), 3u);
-  EXPECT_DOUBLE_EQ(hold[0].ticks[1].cap_dl_mbps, 10.0);
+  EXPECT_DOUBLE_EQ(hold[0].ticks[1].cap_dl, 10.0);
 
   spec.fill = replay::HoldPolicy::Interpolate;
   const std::vector<TraceSegment> lerp = helpers::resample_all(trace, spec);
   ASSERT_EQ(lerp[0].ticks.size(), 3u);
-  EXPECT_DOUBLE_EQ(lerp[0].ticks[1].cap_dl_mbps, 15.0);
-  EXPECT_DOUBLE_EQ(lerp[0].ticks[1].cap_ul_mbps, 1.5);
-  EXPECT_DOUBLE_EQ(lerp[0].ticks[1].rtt_ms, 85.0);
-  EXPECT_DOUBLE_EQ(lerp[0].ticks[2].cap_dl_mbps, 20.0);
+  EXPECT_DOUBLE_EQ(lerp[0].ticks[1].cap_dl, 15.0);
+  EXPECT_DOUBLE_EQ(lerp[0].ticks[1].cap_ul, 1.5);
+  EXPECT_DOUBLE_EQ(lerp[0].ticks[1].rtt, 85.0);
+  EXPECT_DOUBLE_EQ(lerp[0].ticks[2].cap_dl, 20.0);
 }
 
 TEST(IngestTest, MaxGapZeroKeepsOneSegment) {
@@ -646,11 +694,11 @@ TEST(IngestTest, JoinTrimsToTheOverlapWindow) {
   const auto flat_trace = [](SimMillis from, SimMillis to) {
     CanonicalTrace t;
     for (SimMillis ts = from; ts <= to; ts += 500) {
-      TracePoint p;
+      replay::TraceSample p;
       p.t = ts;
-      p.cap_dl_mbps = 10.0;
-      p.cap_ul_mbps = 1.0;
-      p.rtt_ms = 40.0;
+      p.cap_dl = 10.0;
+      p.cap_ul = 1.0;
+      p.rtt = 40.0;
       t.points.push_back(p);
     }
     return t;
@@ -720,11 +768,11 @@ TEST(IngestTest, JoinedBundleReplaysByteIdenticalAcrossFleetThreads) {
 TEST(IngestTest, GapSplitTracesBecomeMultiCycleBundles) {
   CanonicalTrace trace;
   for (const SimMillis t : {0, 500, 1000, 30'000, 30'500}) {
-    TracePoint p;
+    replay::TraceSample p;
     p.t = t;
-    p.cap_dl_mbps = 20.0;
-    p.cap_ul_mbps = 2.0;
-    p.rtt_ms = 50.0;
+    p.cap_dl = 20.0;
+    p.cap_ul = 2.0;
+    p.rtt = 50.0;
     trace.points.push_back(p);
   }
   const replay::ReplayBundle bundle =

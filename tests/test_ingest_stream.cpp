@@ -313,9 +313,9 @@ TEST(IngestStreamTest, MahimahiEpochTimestampsStayBounded) {
   EXPECT_EQ(trace.points[1].t, 1'717'000'000'500);
   EXPECT_EQ(trace.points[2].t, 1'717'000'001'000);
   // 3 opportunities in the first window, an empty (outage) window, then 1.
-  EXPECT_DOUBLE_EQ(trace.points[0].cap_dl_mbps, 3 * 1500 * 8 / 0.5 / 1e6);
-  EXPECT_DOUBLE_EQ(trace.points[1].cap_dl_mbps, 0.0);
-  EXPECT_DOUBLE_EQ(trace.points[2].cap_dl_mbps, 1 * 1500 * 8 / 0.5 / 1e6);
+  EXPECT_DOUBLE_EQ(trace.points[0].cap_dl, 3 * 1500 * 8 / 0.5 / 1e6);
+  EXPECT_DOUBLE_EQ(trace.points[1].cap_dl, 0.0);
+  EXPECT_DOUBLE_EQ(trace.points[2].cap_dl, 1 * 1500 * 8 / 0.5 / 1e6);
 
   // And the whole pipeline holds: the bundle aligns the epoch clock to t=0.
   const replay::ReplayBundle bundle =
@@ -330,8 +330,8 @@ TEST(IngestStreamTest, MahimahiLateStartDropsLeadingEmptyWindows) {
   ASSERT_EQ(trace.points.size(), 2u);
   EXPECT_EQ(trace.points[0].t, 1000);  // not t=0: no synthetic leading outage
   EXPECT_EQ(trace.points[1].t, 1500);
-  EXPECT_DOUBLE_EQ(trace.points[0].cap_dl_mbps, 2 * 1500 * 8 / 0.5 / 1e6);
-  EXPECT_DOUBLE_EQ(trace.points[1].cap_dl_mbps, 1 * 1500 * 8 / 0.5 / 1e6);
+  EXPECT_DOUBLE_EQ(trace.points[0].cap_dl, 2 * 1500 * 8 / 0.5 / 1e6);
+  EXPECT_DOUBLE_EQ(trace.points[1].cap_dl, 1 * 1500 * 8 / 0.5 / 1e6);
 }
 
 TEST(IngestStreamTest, ExplicitFormatSkipsSniffing) {
@@ -348,18 +348,18 @@ TEST(IngestStreamTest, ExplicitFormatSkipsSniffing) {
       load_trace(builtin_registry(), "minimal",
                  fixture("minimal_reordered.csv"), options);
   ASSERT_EQ(trace.points.size(), 3u);
-  EXPECT_DOUBLE_EQ(trace.points[1].cap_dl_mbps, 60.0);
+  EXPECT_DOUBLE_EQ(trace.points[1].cap_dl, 60.0);
 }
 
 TEST(IngestStreamTest, ResampleRejectsNonMonotonicInput) {
   const auto trace_of = [](std::vector<SimMillis> ts) {
     CanonicalTrace trace;
     for (const SimMillis t : ts) {
-      TracePoint p;
+      replay::TraceSample p;
       p.t = t;
-      p.cap_dl_mbps = 1.0;
-      p.cap_ul_mbps = 1.0;
-      p.rtt_ms = 50.0;
+      p.cap_dl = 1.0;
+      p.cap_ul = 1.0;
+      p.rtt = 50.0;
       trace.points.push_back(p);
     }
     return trace;

@@ -3,14 +3,18 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "core/json.hpp"
 #include "core/obs/manifest.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
+#include "export/exporter.hpp"
+#include "export/roundtrip.hpp"
 #include "ingest/ingest.hpp"
 #include "replay/replay_campaign.hpp"
 #include "service/config.hpp"
@@ -249,6 +253,49 @@ TEST(TraceCollector_, SpansLandInChromeTraceJson) {
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   tc.clear();
   EXPECT_EQ(tc.size(), 0u);
+}
+
+TEST(Obs, IngestAndExportRecordSpans) {
+  const std::string fixtures = WHEELS_INGEST_FIXTURE_DIR;
+  TraceCollector& collector = TraceCollector::global();
+  collector.clear();
+  collector.set_enabled(true);
+  const replay::ReplayBundle joined = ingest::ingest_join(
+      "auto",
+      {{radio::Carrier::Verizon, fixtures + "/minimal.csv"},
+       {radio::Carrier::TMobile, fixtures + "/monroe.csv"}},
+      ingest::IngestOptions{}, {});
+  const emu::EmuTimeline timeline =
+      emu::timeline_from_bundle(joined.db, radio::Carrier::Verizon);
+  for (const emu::EmuExporter* e :
+       emu::builtin_exporter_registry().exporters()) {
+    (void)e->render(timeline);
+  }
+  (void)emu::verify_mahimahi_roundtrip(timeline);
+  collector.set_enabled(false);
+  std::stringstream ss;
+  collector.write_chrome_trace(ss);
+  collector.clear();
+
+  const json::Doc doc{"trace"};
+  const json::Value root = doc.parse(ss.str());
+  std::multimap<std::string, std::string> spans;  // name -> category
+  for (const json::Value& event : doc.get(root, "traceEvents").items) {
+    spans.emplace(doc.str(event, "name"), doc.str(event, "cat"));
+  }
+  const std::vector<std::pair<std::string, std::string>> expected{
+      {"ingest.parse", "ingest"},          {"ingest.join", "ingest"},
+      {"export.render:mahimahi", "export"}, {"export.render:netem", "export"},
+      {"export.render:json", "export"},     {"export.verify", "export"}};
+  for (const auto& [name, category] : expected) {
+    const auto [lo, hi] = spans.equal_range(name);
+    ASSERT_TRUE(lo != hi) << "no span named " << name;
+    for (auto it = lo; it != hi; ++it) EXPECT_EQ(it->second, category) << name;
+  }
+  // One parse per input file, one join.
+  EXPECT_EQ(spans.count("ingest.parse"), 2u);
+  EXPECT_EQ(spans.count("ingest.join"), 1u);
+  EXPECT_EQ(spans.count("export.verify"), 1u);
 }
 
 TEST(RunManifest_, JsonCarriesEveryField) {

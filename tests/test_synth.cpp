@@ -159,12 +159,12 @@ TEST(SynthTest, CyclesSampleIndependentlyOfBatching) {
   ASSERT_EQ(batch.points.size(), static_cast<std::size_t>(3 * ticks));
   ASSERT_EQ(alone.points.size(), static_cast<std::size_t>(ticks));
   for (std::size_t i = 0; i < alone.points.size(); ++i) {
-    const ingest::TracePoint& a = alone.points[i];
-    const ingest::TracePoint& b =
+    const replay::TraceSample& a = alone.points[i];
+    const replay::TraceSample& b =
         batch.points[static_cast<std::size_t>(2 * ticks) + i];
-    EXPECT_EQ(a.cap_dl_mbps, b.cap_dl_mbps);
-    EXPECT_EQ(a.cap_ul_mbps, b.cap_ul_mbps);
-    EXPECT_EQ(a.rtt_ms, b.rtt_ms);
+    EXPECT_EQ(a.cap_dl, b.cap_dl);
+    EXPECT_EQ(a.cap_ul, b.cap_ul);
+    EXPECT_EQ(a.rtt, b.rtt);
     EXPECT_EQ(a.tech, b.tech);
   }
 }
@@ -247,8 +247,8 @@ TEST(SynthTest, LoadKnobScalesCapacitiesExactly) {
   const ingest::CanonicalTrace b = collect(rush);
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t i = 0; i < a.points.size(); ++i) {
-    EXPECT_DOUBLE_EQ(b.points[i].cap_dl_mbps, a.points[i].cap_dl_mbps / 2.0);
-    EXPECT_GE(b.points[i].rtt_ms, a.points[i].rtt_ms);
+    EXPECT_DOUBLE_EQ(b.points[i].cap_dl, a.points[i].cap_dl / 2.0);
+    EXPECT_GE(b.points[i].rtt, a.points[i].rtt);
   }
 }
 
@@ -264,8 +264,8 @@ TEST(SynthTest, OutageFactorRaisesOutageShare) {
     ingest::CollectSink sink;
     sample_stream(golden_profile(), s, 9, radio::Carrier::TMobile, 0, 4, sink);
     std::size_t n = 0;
-    for (const ingest::TracePoint& p : sink.trace.points) {
-      if (p.cap_dl_mbps <= golden_profile().outage_mbps) ++n;
+    for (const replay::TraceSample& p : sink.trace.points) {
+      if (p.cap_dl <= golden_profile().outage_mbps) ++n;
     }
     return n;
   };
@@ -281,7 +281,7 @@ TEST(SynthTest, MaxTierCapsSampledTechnologies) {
   sample_stream(golden_profile(), spec, 13, radio::Carrier::Verizon, 0, 2,
                 sink);
   ASSERT_FALSE(sink.trace.points.empty());
-  for (const ingest::TracePoint& p : sink.trace.points) {
+  for (const replay::TraceSample& p : sink.trace.points) {
     EXPECT_LE(radio::technology_tier(p.tech),
               radio::technology_tier(radio::Technology::LteA));
   }
