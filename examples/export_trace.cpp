@@ -28,9 +28,11 @@
 //     --spec SPEC        scenario spec key=value[,...] (synth_trace syntax)
 //     --seed N           sampling seed (default 1)
 //   --tick MS            timeline tick (default 500)
-//   --max-ticks N        export only the first N ticks (0 = all). A full
-//                        drive at hundreds of Mbps is a multi-GB Mahimahi
-//                        file; emulator sessions want a bounded window.
+//   --max-ticks N        export only the first N ticks (0 = all). A bundle
+//                        timeline leaves out the drive's silences longer
+//                        than 10 s, but its hours of driving at hundreds of
+//                        Mbps still make a Mahimahi file of hundreds of MB
+//                        to GBs; emulator sessions want a bounded window.
 //   --verify-roundtrip   mahimahi only: re-ingest the .down artifact and
 //                        check the one-opportunity-per-tick bound; exit 1
 //                        on violation

@@ -1,8 +1,15 @@
 // Record a campaign, ingest it back, and replay it — with and without a
 // counterfactual knob turned.
 //
-//   ./replay_dataset                       demo: export -> ingest -> replay
-//                                          -> fidelity + counterfactual diff
+//   ./replay_dataset [DIR]                 demo: export -> ingest -> replay
+//                                          -> fidelity + counterfactual diff.
+//                                          A bundle already in DIR (it has a
+//                                          manifest.json) is replayed as it
+//                                          stands and nothing is written; a
+//                                          missing or empty DIR (default
+//                                          wheels-replay-demo) records a
+//                                          0.05-scale campaign into it first;
+//                                          any other DIR fails with exit 2
 //   ./replay_dataset --reexport IN OUT     ingest bundle IN, write it to OUT
 //                                          (byte-identity check via diff -r)
 //   ./replay_dataset --import TRACE [carrier]
@@ -14,6 +21,7 @@
 // WHEELS_REPLAY_CC (cubic|bbr), WHEELS_REPLAY_SERVER (cloud|edge),
 // WHEELS_REPLAY_MAX_TIER (technology name).
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <string>
 
@@ -66,12 +74,22 @@ int import_trace(const std::string& path, radio::Carrier carrier) {
 }
 
 int demo(const std::string& dir) {
-  campaign::CampaignConfig config = campaign::config_from_env(0.05);
-  std::cout << "Simulating campaign (scale " << config.scale << ")...\n";
-  const measure::ConsolidatedDb recorded =
-      campaign::DriveCampaign{config}.run();
-  measure::write_dataset(recorded, dir, campaign::make_manifest(config));
-  std::cout << "Recorded bundle written to " << dir << "/\n\n";
+  namespace fs = std::filesystem;
+  if (fs::exists(fs::path{dir} / "manifest.json")) {
+    std::cout << "Replaying the bundle in " << dir << "/\n\n";
+  } else if (fs::exists(dir) && !fs::is_empty(dir)) {
+    std::cerr << "replay_dataset: " << dir
+              << " is not empty and holds no bundle (no manifest.json); "
+                 "not recording over it\n";
+    return 2;
+  } else {
+    campaign::CampaignConfig config = campaign::config_from_env(0.05);
+    std::cout << "Simulating campaign (scale " << config.scale << ")...\n";
+    const measure::ConsolidatedDb recorded =
+        campaign::DriveCampaign{config}.run();
+    measure::write_dataset(recorded, dir, campaign::make_manifest(config));
+    std::cout << "Recorded bundle written to " << dir << "/\n\n";
+  }
 
   const replay::ReplayBundle bundle = replay::read_dataset(dir);
 

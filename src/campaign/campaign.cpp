@@ -150,14 +150,17 @@ struct CarrierContext {
 };
 
 // The campaign is executed as a sequence of *segments* (one bulk transfer,
-// one ping test, one app collection, one static battery). For each segment
-// the coordinator thread opens the test records and advances the shared
-// drive trace, then fans the three carrier pipelines — computationally
-// independent by construction — across the worker pool, and finally merges
-// their record shards into the ConsolidatedDb in canonical carrier order.
-// With threads=1 the identical per-carrier closures run inline in carrier
-// order, which is why the parallel database is byte-identical to the serial
-// one (the determinism gate in test_campaign_parallel.cpp).
+// one ping test, one app collection, one static battery). The coordinator
+// thread keeps what the van owns: it advances the shared drive trace, takes
+// the segment's ticks, queues city batteries and reserves the segment's test
+// ids in carrier order. It then fans one job per carrier — computationally
+// independent by construction — across the worker pool, and each job runs
+// its phone's test: it sets the traffic, picks the server, opens the test,
+// ticks, and closes the test into the carrier's record shard. The shards
+// merge into the ConsolidatedDb in canonical carrier order. With threads=1
+// the identical jobs run inline in carrier order, which is why the parallel
+// database is byte-identical to the serial one (the determinism gate in
+// test_campaign_parallel.cpp).
 class CampaignRunner {
  public:
   CampaignRunner(const CampaignConfig& cfg)
@@ -249,17 +252,6 @@ class CampaignRunner {
     }
   }
 
-  /// Consume up to `max_ticks` trace samples for one segment.
-  std::vector<DriveSample> take_ticks(int max_ticks) {
-    std::vector<DriveSample> ticks;
-    ticks.reserve(static_cast<std::size_t>(std::max(max_ticks, 0)));
-    for (int i = 0; i < max_ticks && current_; ++i) {
-      ticks.push_back(*current_);
-      advance();
-    }
-    return ticks;
-  }
-
   /// Fan `fn(ctx)` across the carriers (inline in carrier order on a
   /// 1-wide pool), then merge every carrier's shard into the db in
   /// canonical carrier order. Each job first flushes the pending passive
@@ -304,6 +296,40 @@ class CampaignRunner {
       pending_cities_.pop_front();
       run_static_battery(city);
     }
+  }
+
+  /// One moving test on all three phones. The coordinator takes up to
+  /// `n_ticks` drive samples and reserves one test id per carrier, in
+  /// carrier order. Each carrier's job sets its phone's `traffic`, picks the
+  /// server at the segment's first sample `start`, opens the test there,
+  /// runs `body(ctx, start, ticks, test, server)` — which returns how long
+  /// the test ran — and closes the test. The batteries of the cities reached
+  /// meanwhile follow.
+  template <typename Body>
+  void run_segment(const char* span_name, TestType type, Direction dir,
+                   TrafficProfile traffic, int n_ticks, Body&& body) {
+    if (!current_) return;
+    core::obs::ScopedSpan span{span_name, "campaign"};
+    const DriveSample start = *current_;
+    const std::uint32_t first_id = next_test_id_;
+    next_test_id_ += radio::kCarrierCount;
+    std::vector<DriveSample> ticks;
+    ticks.reserve(static_cast<std::size_t>(std::max(n_ticks, 0)));
+    for (int i = 0; i < n_ticks && current_; ++i) {
+      ticks.push_back(*current_);
+      advance();
+    }
+    parallel_carriers([&](CarrierContext& ctx) {
+      ctx.session->set_traffic(traffic);
+      const net::Server& server = fleet_.select(
+          ctx.carrier, route_, route_.at(view_.at_physical(start.km).km));
+      const TestRecord test = open_test(
+          first_id + static_cast<std::uint32_t>(
+                         measure::carrier_index(ctx.carrier)),
+          type, ctx.carrier, server.kind, dir, false, &start);
+      close_test(ctx, test, body(ctx, start, ticks, test, server));
+    });
+    drain_pending_cities();
   }
 
   void run_cycle() {
@@ -359,28 +385,33 @@ class CampaignRunner {
     return k;
   }
 
-  TestRecord open_test(TestType type, Carrier carrier, net::ServerKind server,
-                       Direction dir, bool is_static) {
+  /// Test `id`, opened at the drive sample `at` (null once the trip has
+  /// ended). Pure: a carrier job opens its own tests.
+  TestRecord open_test(std::uint32_t id, TestType type, Carrier carrier,
+                       net::ServerKind server, Direction dir, bool is_static,
+                       const DriveSample* at) const {
     TestRecord t;
-    t.id = next_test_id_++;
+    t.id = id;
     t.type = type;
     t.carrier = carrier;
     t.is_static = is_static;
     t.server = server;
     t.direction = dir;
     t.cycle = is_static ? -1 : cycle_;
-    if (current_) {
-      t.start = current_->t;
-      t.start_km = current_->km;
-      t.tz = current_->tz;
+    if (at != nullptr) {
+      t.start = at->t;
+      t.start_km = at->km;
+      t.tz = at->tz;
     }
     return t;
   }
 
-  void close_test(TestRecord t, Millis duration) {
-    auto& reg = core::obs::MetricsRegistry::global();
-    static const core::obs::MetricId tests = reg.counter_id("campaign.tests");
-    reg.add(tests);
+  /// Close `t` after `duration` on its carrier's worker: the end stamp is
+  /// the van's position now (start + duration once the trip has ended), the
+  /// runtime goes to the carrier's own slot and the record to its shard.
+  void close_test(CarrierContext& ctx, TestRecord t, Millis duration) {
+    static const core::obs::Counter tests{"campaign.tests"};
+    tests.add();
     if (current_) {
       t.end = current_->t;
       t.end_km = current_->km;
@@ -389,181 +420,122 @@ class CampaignRunner {
       t.end_km = db_.driven_km;
     }
     db_.experiment_runtime[measure::carrier_index(t.carrier)] += duration;
-    db_.tests.push_back(t);
+    ctx.shard.tests.push_back(t);
   }
 
   /// One 30 s nuttcp bulk transfer on all three phones concurrently, routed
   /// through the .drm + app-log + LogSynchronizer pipeline.
   void run_bulk(Direction dir) {
-    if (!current_) return;
-    core::obs::ScopedSpan span{dir == Direction::Downlink
-                                   ? "campaign.bulk_dl"
-                                   : "campaign.bulk_ul",
-                               "campaign"};
-    const TrafficProfile traffic = dir == Direction::Downlink
-                                       ? TrafficProfile::BackloggedDownlink
-                                       : TrafficProfile::BackloggedUplink;
-
-    struct BulkState {
-      TestRecord test;
-      const net::Server* server = nullptr;
-      std::unique_ptr<transport::TcpBulkFlow> flow;
-      measure::XcalLogger xcal;
-      measure::AppLogger applog;
-    };
-    std::array<std::optional<BulkState>, radio::kCarrierCount> states;
-
-    const geo::RoutePoint start_pt = view_.at_physical(current_->km);
-    const int local_offset = geo::utc_offset_minutes(current_->tz);
-    for (auto& ctx : contexts_) {
-      ctx.session->set_traffic(traffic);
-      const net::Server& server =
-          fleet_.select(ctx.carrier, route_, route_.at(start_pt.km));
-      BulkState st{
-          open_test(dir == Direction::Downlink ? TestType::DownlinkBulk
-                                               : TestType::UplinkBulk,
-                    ctx.carrier, server.kind, dir, false),
-          &server,
-          std::make_unique<transport::TcpBulkFlow>(
+    const bool down = dir == Direction::Downlink;
+    run_segment(
+        down ? "campaign.bulk_dl" : "campaign.bulk_ul",
+        down ? TestType::DownlinkBulk : TestType::UplinkBulk, dir,
+        down ? TrafficProfile::BackloggedDownlink
+             : TrafficProfile::BackloggedUplink,
+        cfg_.bulk_ticks,
+        [&](CarrierContext& ctx, const DriveSample& start,
+            const std::vector<DriveSample>& ticks, const TestRecord& test,
+            const net::Server& server) {
+          // The flow's stream index is the test id + 1; every recorded
+          // bulk flow's loss draws depend on it.
+          transport::TcpBulkFlow flow{
               net::base_rtt(ctx.carrier, ctx.session->current_tech(), server,
-                            start_pt.pos),
-              ctx.rng.fork("bulk", next_test_id_)),
-          measure::XcalLogger{ctx.carrier, unix_from_sim(current_->t),
-                              local_offset},
-          measure::AppLogger{"nuttcp", measure::TimestampPolicy::Utc, 0}};
-      states[measure::carrier_index(ctx.carrier)].emplace(std::move(st));
-    }
+                            view_.at_physical(start.km).pos),
+              ctx.rng.fork("bulk", test.id + 1)};
+          measure::XcalLogger xcal{ctx.carrier, unix_from_sim(start.t),
+                                   geo::utc_offset_minutes(start.tz)};
+          measure::AppLogger applog{"nuttcp", measure::TimestampPolicy::Utc,
+                                    0};
+          for (const DriveSample& s : ticks) {
+            (void)ctx.rrc->on_traffic(s.t);
+            const ran::RadioTick tick = ctx.session->tick(s, kTick);
+            flow.set_base_rtt(
+                net::base_rtt(ctx.carrier, tick.tech, server, s.pos));
+            Mbps cap = tick.kpis.capacity(dir);
+            // The simulated population contends for the same cell: the
+            // phone keeps only its scheduler share of the downlink (uplink
+            // demand is not modelled by the population).
+            if (ctx.ue_pool && down) {
+              cap *= ctx.ue_pool->population_share(tick.cell_id);
+            }
+            const double bytes = flow.advance(cap, kTick);
+            const Mbps mbps = bytes * 8.0 / 1e6 / (kTick / 1000.0);
 
-    const std::vector<DriveSample> ticks = take_ticks(cfg_.bulk_ticks);
+            const UnixMillis now = unix_from_sim(s.t);
+            xcal.log(now,
+                     make_kpi(ctx, tick, s, test.id, dir, server.kind, false));
+            applog.log(now, mbps);
 
-    parallel_carriers([&](CarrierContext& ctx) {
-      BulkState& st = *states[measure::carrier_index(ctx.carrier)];
-      for (const DriveSample& s : ticks) {
-        (void)ctx.rrc->on_traffic(s.t);
-        const ran::RadioTick tick = ctx.session->tick(s, kTick);
-        st.flow->set_base_rtt(net::base_rtt(ctx.carrier, tick.tech,
-                                            *st.server, s.pos));
-        Mbps cap = tick.kpis.capacity(dir);
-        // The simulated population contends for the same cell: the phone
-        // keeps only its scheduler share of the downlink (uplink demand is
-        // not modelled by the population).
-        if (ctx.ue_pool && dir == Direction::Downlink) {
-          cap *= ctx.ue_pool->population_share(tick.cell_id);
-        }
-        const double bytes = st.flow->advance(cap, kTick);
-        const Mbps mbps = bytes * 8.0 / 1e6 / (kTick / 1000.0);
-
-        const UnixMillis now = unix_from_sim(s.t);
-        st.xcal.log(now, make_kpi(ctx, tick, s, st.test.id, dir,
-                                  st.server->kind, false));
-        st.applog.log(now, mbps);
-
-        record_common(ctx, tick, s, st.test.id, dir);
-        if (dir == Direction::Downlink) {
-          ctx.shard.rx_bytes += bytes;
-        } else {
-          ctx.shard.tx_bytes += bytes;
-        }
-      }
-      auto joined = measure::LogSynchronizer::join(
-          std::move(st.xcal).finish(), std::move(st.applog).finish());
-      ctx.shard.kpis.insert(ctx.shard.kpis.end(), joined.begin(),
-                            joined.end());
-    });
-
-    for (auto& ctx : contexts_) {
-      close_test(states[measure::carrier_index(ctx.carrier)]->test,
-                 static_cast<Millis>(ticks.size()) * kTick);
-    }
-    drain_pending_cities();
+            record_common(ctx, tick, s, test.id, dir);
+            (down ? ctx.shard.rx_bytes : ctx.shard.tx_bytes) += bytes;
+          }
+          auto joined = measure::LogSynchronizer::join(
+              std::move(xcal).finish(), std::move(applog).finish());
+          ctx.shard.kpis.insert(ctx.shard.kpis.end(), joined.begin(),
+                                joined.end());
+          return static_cast<Millis>(ticks.size()) * kTick;
+        });
   }
 
   /// 20 s of 200 ms pings on all three phones.
   void run_rtt() {
-    if (!current_) return;
-    core::obs::ScopedSpan span{"campaign.rtt", "campaign"};
-    struct RttState {
-      TestRecord test;
-      const net::Server* server = nullptr;
-      measure::AppLogger applog;
-      std::vector<std::pair<radio::Technology, MilesPerHour>> tick_info;
-      SimMillis start = 0;
-    };
-    std::array<std::optional<RttState>, radio::kCarrierCount> states;
+    run_segment(
+        "campaign.rtt", TestType::Rtt, Direction::Downlink,
+        TrafficProfile::IdlePing, cfg_.rtt_ticks,
+        [&](CarrierContext& ctx, const DriveSample& start,
+            const std::vector<DriveSample>& ticks, const TestRecord& test,
+            const net::Server& server) {
+          measure::AppLogger applog{"ping",
+                                    measure::TimestampPolicy::LocalTime,
+                                    geo::utc_offset_minutes(start.tz)};
+          std::vector<std::pair<radio::Technology, MilesPerHour>> tick_info;
+          // The ping schedule is shared by the three phones (one van, one
+          // clock); every worker replays the identical offsets.
+          Millis next_ping = 0.0;
+          for (std::size_t i = 0; i < ticks.size(); ++i) {
+            const DriveSample& s = ticks[i];
+            const Millis tick_start = static_cast<Millis>(i) * kTick;
+            const ran::RadioTick tick = ctx.session->tick(s, kTick);
+            tick_info.emplace_back(tick.tech, s.speed);
+            record_common(ctx, tick, s, test.id, Direction::Downlink);
 
-    const geo::RoutePoint start_pt = view_.at_physical(current_->km);
-    const int local_offset = geo::utc_offset_minutes(current_->tz);
-    for (auto& ctx : contexts_) {
-      ctx.session->set_traffic(TrafficProfile::IdlePing);
-      const net::Server& server =
-          fleet_.select(ctx.carrier, route_, route_.at(start_pt.km));
-      states[measure::carrier_index(ctx.carrier)].emplace(RttState{
-          open_test(TestType::Rtt, ctx.carrier, server.kind,
-                    Direction::Downlink, false),
-          &server,
-          measure::AppLogger{"ping", measure::TimestampPolicy::LocalTime,
-                             local_offset},
-          {},
-          current_->t});
-    }
+            for (Millis p = next_ping; p < tick_start + kTick; p += 200.0) {
+              Millis interruption =
+                  tick.interruption > 0.0 && p == next_ping
+                      ? tick.interruption
+                      : 0.0;
+              // An idle radio pays the RRC idle->connected promotion on the
+              // first echo (why the paper's logger pings every 200 ms).
+              interruption +=
+                  ctx.rrc->on_traffic(start.t + static_cast<SimMillis>(p));
+              const Millis rtt = ctx.rtt_process->sample(
+                  tick.tech, server, s.pos, s.speed, 0.0, interruption);
+              applog.log(unix_from_sim(start.t) + static_cast<UnixMillis>(p),
+                         rtt);
+            }
+            while (next_ping < tick_start + kTick) next_ping += 200.0;
+          }
 
-    const std::vector<DriveSample> ticks = take_ticks(cfg_.rtt_ticks);
-
-    parallel_carriers([&](CarrierContext& ctx) {
-      RttState& st = *states[measure::carrier_index(ctx.carrier)];
-      // The ping schedule is shared by the three phones (one van, one
-      // clock); every worker replays the identical offsets.
-      Millis next_ping = 0.0;
-      for (std::size_t i = 0; i < ticks.size(); ++i) {
-        const DriveSample& s = ticks[i];
-        const Millis tick_start = static_cast<Millis>(i) * kTick;
-        const ran::RadioTick tick = ctx.session->tick(s, kTick);
-        st.tick_info.emplace_back(tick.tech, s.speed);
-        record_common(ctx, tick, s, st.test.id, Direction::Downlink);
-
-        for (Millis p = next_ping; p < tick_start + kTick; p += 200.0) {
-          Millis interruption =
-              tick.interruption > 0.0 && p == next_ping ? tick.interruption
-                                                        : 0.0;
-          // An idle radio pays the RRC idle->connected promotion on the
-          // first echo (why the paper's logger pings every 200 ms).
-          interruption +=
-              ctx.rrc->on_traffic(st.start + static_cast<SimMillis>(p));
-          const Millis rtt = ctx.rtt_process->sample(
-              tick.tech, *st.server, s.pos, s.speed, 0.0, interruption);
-          st.applog.log(unix_from_sim(st.start) +
-                            static_cast<UnixMillis>(p),
-                        rtt);
-        }
-        while (next_ping < tick_start + kTick) next_ping += 200.0;
-      }
-
-      const auto series = measure::LogSynchronizer::normalize_series(
-          std::move(st.applog).finish());
-      for (const auto& [t, value] : series) {
-        const auto idx = static_cast<std::size_t>(
-            std::clamp<SimMillis>((t - st.start) / static_cast<SimMillis>(kTick),
-                                  0,
-                                  static_cast<SimMillis>(st.tick_info.size()) - 1));
-        measure::RttRecord r;
-        r.test_id = st.test.id;
-        r.t = t;
-        r.carrier = ctx.carrier;
-        r.tech = st.tick_info[idx].first;
-        r.rtt = value;
-        r.speed = st.tick_info[idx].second;
-        r.tz = st.test.tz;
-        r.server = st.test.server;
-        r.is_static = false;
-        ctx.shard.rtts.push_back(r);
-      }
-    });
-
-    for (auto& ctx : contexts_) {
-      close_test(states[measure::carrier_index(ctx.carrier)]->test,
-                 static_cast<Millis>(ticks.size()) * kTick);
-    }
-    drain_pending_cities();
+          const auto series = measure::LogSynchronizer::normalize_series(
+              std::move(applog).finish());
+          for (const auto& [t, value] : series) {
+            const auto idx = static_cast<std::size_t>(std::clamp<SimMillis>(
+                (t - start.t) / static_cast<SimMillis>(kTick), 0,
+                static_cast<SimMillis>(tick_info.size()) - 1));
+            measure::RttRecord r;
+            r.test_id = test.id;
+            r.t = t;
+            r.carrier = ctx.carrier;
+            r.tech = tick_info[idx].first;
+            r.rtt = value;
+            r.speed = tick_info[idx].second;
+            r.tz = test.tz;
+            r.server = test.server;
+            r.is_static = false;
+            ctx.shard.rtts.push_back(r);
+          }
+          return static_cast<Millis>(ticks.size()) * kTick;
+        });
   }
 
   static const char* app_span_name(TestType type) {
@@ -579,47 +551,33 @@ class CampaignRunner {
     }
   }
 
+  /// Offload apps upload frames; video and gaming stream down.
+  static Direction app_direction(TestType type) {
+    return type == TestType::ArApp || type == TestType::CavApp
+               ? Direction::Uplink
+               : Direction::Downlink;
+  }
+
   /// One app test on all three phones: a lockstep collection of each
-  /// carrier's link trace, then the app session over it.
+  /// carrier's link trace, then the app session over it. The test is
+  /// charged its whole tick budget, even when the trip ends first.
   void run_app_test(TestType type, bool compressed) {
-    if (!current_) return;
-    core::obs::ScopedSpan span{app_span_name(type), "campaign"};
     const int n_ticks = cfg_.app_ticks(type);
-    // Offload apps upload frames; video and gaming stream down.
-    const Direction dir =
-        type == TestType::ArApp || type == TestType::CavApp
-            ? Direction::Uplink
-            : Direction::Downlink;
-
-    std::array<const net::Server*, radio::kCarrierCount> servers{};
-    std::array<TestRecord, radio::kCarrierCount> tests;
-    const geo::RoutePoint pt = view_.at_physical(current_->km);
-    for (auto& ctx : contexts_) {
-      const std::size_t ci = measure::carrier_index(ctx.carrier);
-      servers[ci] = &fleet_.select(ctx.carrier, route_, route_.at(pt.km));
-      tests[ci] = open_test(type, ctx.carrier, servers[ci]->kind, dir, false);
-    }
-
-    const std::vector<DriveSample> ticks = take_ticks(n_ticks);
-
-    parallel_carriers([&](CarrierContext& ctx) {
-      const std::size_t ci = measure::carrier_index(ctx.carrier);
-      const TestRecord& test = tests[ci];
-      LinkTrace trace;
-      ctx.session->set_traffic(TrafficProfile::Interactive);
-      for (const DriveSample& s : ticks) {
-        (void)ctx.rrc->on_traffic(s.t);
-        const ran::RadioTick tick = ctx.session->tick(s, kTick);
-        push_link_tick(ctx, tick, *servers[ci], s, test.id, trace);
-        record_common(ctx, tick, s, test.id, Direction::Uplink);
-      }
-      push_app_session(ctx, test, trace, compressed);
-    });
-
-    for (auto& ctx : contexts_) {
-      close_test(tests[measure::carrier_index(ctx.carrier)], n_ticks * kTick);
-    }
-    drain_pending_cities();
+    run_segment(app_span_name(type), type, app_direction(type),
+                TrafficProfile::Interactive, n_ticks,
+                [&](CarrierContext& ctx, const DriveSample&,
+                    const std::vector<DriveSample>& ticks,
+                    const TestRecord& test, const net::Server& server) {
+                  LinkTrace trace;
+                  for (const DriveSample& s : ticks) {
+                    (void)ctx.rrc->on_traffic(s.t);
+                    const ran::RadioTick tick = ctx.session->tick(s, kTick);
+                    push_link_tick(ctx, tick, server, s, test.id, trace);
+                    record_common(ctx, tick, s, test.id, Direction::Uplink);
+                  }
+                  push_app_session(ctx, test, trace, compressed);
+                  return n_ticks * kTick;
+                });
   }
 
   /// Append the link an app session sees this tick to `trace` — capacity
@@ -678,79 +636,57 @@ class CampaignRunner {
     }
   }
 
-  /// The per-carrier plan of one city's static battery: the session (absent
-  /// when the carrier has no high-speed 5G site there, as in the paper) and
-  /// the pre-opened test records in canonical per-carrier order.
-  struct BatteryPlan {
-    std::optional<ran::StaticSession> session;
-    const net::Server* server = nullptr;
-    std::vector<TestRecord> tests;
-    std::vector<Millis> durations;
-  };
-
+  /// A city's static battery. The coordinator reserves 3 test ids (9 with
+  /// apps) for each carrier that has a high-speed 5G site there, in carrier
+  /// order; a carrier without one runs no battery, as in the paper.
   void run_static_battery(std::size_t city) {
     core::obs::ScopedSpan span{"campaign.static_battery", "campaign"};
     const Km city_km = view_.physical_city_km(city);
-    const geo::RoutePoint city_pt = route_.at(route_.city_km(city));
-    const SimMillis t0 = current_ ? current_->t : last_t_;
-
-    std::array<BatteryPlan, radio::kCarrierCount> plans;
+    std::array<std::optional<ran::StaticSession>, radio::kCarrierCount>
+        sessions;
+    std::array<std::uint32_t, radio::kCarrierCount> first_ids{};
     for (auto& ctx : contexts_) {
-      BatteryPlan& plan = plans[measure::carrier_index(ctx.carrier)];
-      plan.session = ran::StaticSession::try_create(
+      const std::size_t ci = measure::carrier_index(ctx.carrier);
+      sessions[ci] = ran::StaticSession::try_create(
           *ctx.deployment, city_km, 10.0, ctx.rng.fork("static", city));
-      if (!plan.session.has_value()) continue;  // omitted, as in the paper
-      plan.server = &fleet_.select(ctx.carrier, route_, city_pt);
-
-      auto open_static = [&](TestType type, Direction dir, int n_ticks) {
-        TestRecord t =
-            open_test(type, ctx.carrier, plan.server->kind, dir, true);
-        t.tz = city_pt.tz;
-        t.start = t0;
-        plan.tests.push_back(t);
-        plan.durations.push_back(n_ticks * kTick);
-      };
-      open_static(TestType::DownlinkBulk, Direction::Downlink,
-                  cfg_.bulk_ticks);
-      open_static(TestType::UplinkBulk, Direction::Uplink, cfg_.bulk_ticks);
-      open_static(TestType::Rtt, Direction::Downlink, cfg_.rtt_ticks);
-      if (cfg_.run_apps) {
-        open_static(TestType::ArApp, Direction::Uplink, cfg_.offload_ticks);
-        open_static(TestType::ArApp, Direction::Uplink, cfg_.offload_ticks);
-        open_static(TestType::CavApp, Direction::Uplink, cfg_.offload_ticks);
-        open_static(TestType::CavApp, Direction::Uplink, cfg_.offload_ticks);
-        open_static(TestType::Video, Direction::Downlink, cfg_.video_ticks);
-        open_static(TestType::Gaming, Direction::Downlink,
-                    cfg_.gaming_ticks);
-      }
+      first_ids[ci] = next_test_id_;
+      if (sessions[ci]) next_test_id_ += cfg_.run_apps ? 9 : 3;
     }
-
     parallel_carriers([&](CarrierContext& ctx) {
-      BatteryPlan& plan = plans[measure::carrier_index(ctx.carrier)];
-      if (!plan.session.has_value()) return;
-      run_static_battery_for(ctx, plan, city_pt, city, t0);
+      const std::size_t ci = measure::carrier_index(ctx.carrier);
+      if (!sessions[ci]) return;
+      run_static_battery_for(ctx, *sessions[ci], city, first_ids[ci]);
     });
-
-    for (auto& ctx : contexts_) {
-      BatteryPlan& plan = plans[measure::carrier_index(ctx.carrier)];
-      for (std::size_t i = 0; i < plan.tests.size(); ++i) {
-        close_test(plan.tests[i], plan.durations[i]);
-      }
-    }
   }
 
-  /// One carrier's whole static battery, on that carrier's worker.
-  void run_static_battery_for(CarrierContext& ctx, BatteryPlan& plan,
-                              const geo::RoutePoint& city_pt,
-                              std::size_t city, SimMillis t0) {
-    ran::StaticSession& session = *plan.session;
-    const net::Server& server = *plan.server;
-    std::size_t ti = 0;  // cursor into plan.tests, in open order
+  /// One carrier's whole static battery, on that carrier's worker. Its
+  /// tests take the ids from `id` on, in the order they run, and each is
+  /// charged its whole tick budget.
+  void run_static_battery_for(CarrierContext& ctx, ran::StaticSession& session,
+                              std::size_t city, std::uint32_t id) {
+    const geo::RoutePoint city_pt = route_.at(route_.city_km(city));
+    const net::Server& server = fleet_.select(ctx.carrier, route_, city_pt);
+    const SimMillis t0 = current_ ? current_->t : last_t_;
+    const auto open = [&](TestType type, Direction dir) {
+      TestRecord t = open_test(id++, type, ctx.carrier, server.kind, dir, true,
+                               current_ ? &*current_ : nullptr);
+      t.tz = city_pt.tz;
+      t.start = t0;
+      return t;
+    };
+    // The phone stands in front of the site: one sample serves every tick.
+    DriveSample at;
+    at.km = view_.physical_city_km(city);
+    at.pos = city_pt.pos;
+    at.region = geo::RegionType::Urban;
+    at.tz = city_pt.tz;
 
     // Bulk transfers, both directions.
-    for (const Direction dir :
-         {Direction::Downlink, Direction::Uplink}) {
-      const TestRecord& test = plan.tests[ti++];
+    for (const Direction dir : {Direction::Downlink, Direction::Uplink}) {
+      const TestRecord test = open(dir == Direction::Downlink
+                                       ? TestType::DownlinkBulk
+                                       : TestType::UplinkBulk,
+                                   dir);
       transport::TcpBulkFlow flow{
           net::base_rtt(ctx.carrier, session.tech(), server, city_pt.pos),
           ctx.rng.fork("static-bulk", city * 2 + (dir == Direction::Uplink))};
@@ -761,58 +697,55 @@ class CampaignRunner {
           cap *= ctx.ue_pool->population_share(tick.cell_id);
         }
         const double bytes = flow.advance(cap, kTick);
-        DriveSample fake;
-        fake.t = t0 + static_cast<SimMillis>(i * kTick);
-        fake.km = view_.physical_city_km(city);
-        fake.pos = city_pt.pos;
-        fake.speed = 0.0;
-        fake.region = geo::RegionType::Urban;
-        fake.tz = city_pt.tz;
-        KpiRecord k = make_kpi(ctx, tick, fake, test.id, dir, server.kind,
-                               true);
+        at.t = t0 + static_cast<SimMillis>(i * kTick);
+        KpiRecord k =
+            make_kpi(ctx, tick, at, test.id, dir, server.kind, true);
         k.throughput = bytes * 8.0 / 1e6 / (kTick / 1000.0);
         ctx.shard.kpis.push_back(k);
       }
+      close_test(ctx, test, cfg_.bulk_ticks * kTick);
     }
 
     // Ping test.
-    {
-      const TestRecord& test = plan.tests[ti++];
-      for (int i = 0; i < cfg_.rtt_ticks; ++i) {
-        const ran::RadioTick tick = session.tick(kTick);
-        const int pings = i % 2 == 0 ? 2 : 3;
-        for (int p = 0; p < pings; ++p) {
-          measure::RttRecord r;
-          r.test_id = test.id;
-          r.t = t0 + static_cast<SimMillis>(i * kTick) + p * 200;
-          r.carrier = ctx.carrier;
-          r.tech = tick.tech;
-          r.rtt = ctx.rtt_process->sample(tick.tech, server, city_pt.pos,
-                                          0.0, 0.0, 0.0);
-          r.speed = 0.0;
-          r.tz = city_pt.tz;
-          r.server = server.kind;
-          r.is_static = true;
-          ctx.shard.rtts.push_back(r);
-        }
+    const TestRecord ping = open(TestType::Rtt, Direction::Downlink);
+    for (int i = 0; i < cfg_.rtt_ticks; ++i) {
+      const ran::RadioTick tick = session.tick(kTick);
+      const int pings = i % 2 == 0 ? 2 : 3;
+      for (int p = 0; p < pings; ++p) {
+        measure::RttRecord r;
+        r.test_id = ping.id;
+        r.t = t0 + static_cast<SimMillis>(i * kTick) + p * 200;
+        r.carrier = ctx.carrier;
+        r.tech = tick.tech;
+        r.rtt = ctx.rtt_process->sample(tick.tech, server, city_pt.pos, 0.0,
+                                        0.0, 0.0);
+        r.speed = 0.0;
+        r.tz = city_pt.tz;
+        r.server = server.kind;
+        r.is_static = true;
+        ctx.shard.rtts.push_back(r);
       }
     }
+    close_test(ctx, ping, cfg_.rtt_ticks * kTick);
 
     if (!cfg_.run_apps) return;
 
-    // A static app session samples the best site's link from the city.
-    DriveSample at;
-    at.pos = city_pt.pos;
-    // The app tests in open order: AR and CAV each uncompressed, then
-    // compressed; video and gaming ignore the flag.
-    for (const bool compressed : {false, true, false, true, false, false}) {
-      const TestRecord& test = plan.tests[ti++];
+    // A static app session samples the best site's link from the city: AR
+    // and CAV each uncompressed, then compressed; video and gaming ignore
+    // the flag.
+    for (const auto& [type, compressed] :
+         {std::pair{TestType::ArApp, false}, std::pair{TestType::ArApp, true},
+          std::pair{TestType::CavApp, false}, std::pair{TestType::CavApp, true},
+          std::pair{TestType::Video, false},
+          std::pair{TestType::Gaming, false}}) {
+      const TestRecord test = open(type, app_direction(type));
       LinkTrace trace;
-      for (int i = 0; i < cfg_.app_ticks(test.type); ++i) {
+      for (int i = 0; i < cfg_.app_ticks(type); ++i) {
         at.t = t0 + static_cast<SimMillis>(i * kTick);
         push_link_tick(ctx, session.tick(kTick), server, at, test.id, trace);
       }
       push_app_session(ctx, test, trace, compressed);
+      close_test(ctx, test, cfg_.app_ticks(type) * kTick);
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -208,6 +209,9 @@ class Reader {
     v.number = std::strtod(v.text.c_str(), &end);
     if (end != v.text.c_str() + v.text.size()) {
       doc_.fail(v.line, "malformed number '" + v.text + "'");
+    }
+    if (std::isinf(v.number)) {
+      doc_.fail(v.line, "number out of range '" + v.text + "'");
     }
     return v;
   }

@@ -80,14 +80,29 @@ EmuTimeline timeline_from_bundle(const measure::ConsolidatedDb& db,
   }
   EmuTimeline tl;
   tl.start_ms = channel.start();
-  for (SimMillis t = channel.start(); t <= channel.end(); t += tl.tick_ms) {
-    apps::LinkTick tick = channel.at(t);
-    const replay::TraceEvents ev =
-        channel.events_in(t, static_cast<double>(tl.tick_ms));
-    tick.interruption = ev.interruption;
-    tick.handovers = ev.handovers;
-    tl.ticks.push_back(tick);
+  // The gap split ingest applies to the same kpis.csv: a silence longer
+  // than max_gap_ms between two sample times loses its held ticks.
+  ingest::StreamingResampler grid{
+      {tl.tick_ms, replay::HoldPolicy::Hold,
+       ingest::ResampleSpec{}.max_gap_ms},
+      [&](ingest::TraceSegment&& seg) {
+        for (const replay::TraceSample& s : seg.ticks) {
+          apps::LinkTick tick = s;
+          const replay::TraceEvents ev =
+              channel.events_in(s.t, static_cast<double>(tl.tick_ms));
+          tick.interruption = ev.interruption;
+          tick.handovers = ev.handovers;
+          tl.ticks.push_back(tick);
+        }
+      }};
+  const std::vector<replay::TraceSample>& samples = channel.samples();
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    // Rows sharing a timestamp are one sample: the last holds, as in
+    // TraceChannel::at.
+    if (i + 1 < samples.size() && samples[i + 1].t == samples[i].t) continue;
+    grid.push(samples[i]);
   }
+  grid.finish();
   validate_timeline(tl);
   return tl;
 }

@@ -30,7 +30,8 @@ struct EmuTimeline {
   /// Simulator time of ticks[0] — provenance only; backends emit schedules
   /// rebased to zero.
   SimMillis start_ms = 0;
-  /// The link state an emulator should impose, one entry per tick_ms.
+  /// The link state an emulator should impose, one entry per tick_ms of
+  /// emulated time (a bundle timeline leaves out the drive's long silences).
   apps::LinkTrace ticks;
 };
 
@@ -57,8 +58,12 @@ EmuTimeline timeline_from_bundle_test(const measure::ConsolidatedDb& db,
 
 /// One carrier's statistical timeline (replay::carrier_timeline) sampled
 /// onto the tick grid, with the recorded handovers of each tick as its
-/// interruption. Throws when the bundle has no samples for the
-/// carrier/regime.
+/// interruption. Rows sharing a timestamp are one sample. Where two sample
+/// times lie more than ingest's gap split (ResampleSpec{}.max_gap_ms, 10 s)
+/// apart — an overnight stop, the days between two cities — the held ticks
+/// between them are dropped and the grid resumes at the later sample, as
+/// ingest_trace --format paper splits the same kpis.csv. Throws when the
+/// bundle has no samples for the carrier/regime.
 EmuTimeline timeline_from_bundle(const measure::ConsolidatedDb& db,
                                  radio::Carrier carrier,
                                  bool is_static = false);

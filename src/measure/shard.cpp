@@ -2,13 +2,8 @@
 
 namespace wheels::measure {
 
-bool RecordShard::empty() const {
-  return kpis.empty() && rtts.empty() && handovers.empty() &&
-         app_runs.empty() && link_ticks.empty() && rx_bytes == 0.0 &&
-         tx_bytes == 0.0;
-}
-
 void RecordShard::clear() {
+  tests.clear();
   kpis.clear();
   rtts.clear();
   handovers.clear();
@@ -19,6 +14,7 @@ void RecordShard::clear() {
 }
 
 void merge_shard_into(ConsolidatedDb& db, RecordShard& shard) {
+  db.tests.insert(db.tests.end(), shard.tests.begin(), shard.tests.end());
   db.kpis.insert(db.kpis.end(), shard.kpis.begin(), shard.kpis.end());
   db.rtts.insert(db.rtts.end(), shard.rtts.begin(), shard.rtts.end());
   db.handovers.insert(db.handovers.end(), shard.handovers.begin(),

@@ -2,11 +2,11 @@
 // campaign.
 //
 // ConsolidatedDb's record vectors are shared across carriers, so three
-// concurrent carrier pipelines cannot append to them directly. Instead each
-// carrier appends — lock-free, because the shard is thread-private — to its
-// own RecordShard, and the campaign coordinator drains the shards into the
-// database in canonical carrier order once the fan-out has joined. The
-// serial path (WHEELS_THREADS=1) runs the identical code inline, so the
+// concurrent carrier jobs cannot append to them directly. Instead each job
+// appends — lock-free, because the shard is thread-private — its records,
+// the tests it closed included, to its carrier's own RecordShard, and the
+// coordinator drains the shards in canonical carrier order after the join.
+// The serial path (WHEELS_THREADS=1) runs the identical code inline, so the
 // database contents are byte-identical for every thread count: same
 // per-carrier record streams, same merge order, same floating-point
 // summation order for the byte counters.
@@ -17,6 +17,7 @@
 namespace wheels::measure {
 
 struct RecordShard {
+  std::vector<TestRecord> tests;
   std::vector<KpiRecord> kpis;
   std::vector<RttRecord> rtts;
   std::vector<HandoverRecord> handovers;
@@ -26,7 +27,6 @@ struct RecordShard {
   double rx_bytes = 0.0;
   double tx_bytes = 0.0;
 
-  bool empty() const;
   void clear();
 };
 

@@ -139,6 +139,28 @@ RadioTick RadioSession::tick(const geo::DriveSample& s, Millis dt) {
   }
 
   RadioTick out;
+  // Every handover of the tick is built, drawn, counted and logged here;
+  // `scale` shortens the sampled interruption of the lighter kinds.
+  const Direction dir = traffic_ == TrafficProfile::BackloggedUplink
+                            ? Direction::Uplink
+                            : Direction::Downlink;
+  const auto handover = [&](Technology from, Technology to,
+                            std::uint32_t from_cell, std::uint32_t to_cell,
+                            double scale) {
+    HandoverEvent ho;
+    ho.t = s.t;
+    ho.from = from;
+    ho.to = to;
+    ho.from_cell = from_cell;
+    ho.to_cell = to_cell;
+    ho.type = classify_handover(from, to);
+    ho.duration = scale * sample_handover_duration(deployment_->carrier(), dir,
+                                                   is_vertical(ho.type), rng_);
+    record_handover(ho, dt);
+    out.handovers.push_back(ho);
+    out.interruption = std::min<Millis>(out.interruption + ho.duration, dt);
+  };
+
   if (serving_ == nullptr) {
     serving_ = candidate;
     channel_.attach(*serving_);
@@ -150,21 +172,8 @@ RadioTick RadioSession::tick(const geo::DriveSample& s, Millis dt) {
                     std::abs(candidate->center_km - s.km);
     const bool still_covered = serving_->covers(s.km);
     if (!same_tech || !still_covered || gain > kReselectionMarginKm) {
-      HandoverEvent ho;
-      ho.t = s.t;
-      ho.from = serving_->tech;
-      ho.to = candidate->tech;
-      ho.from_cell = serving_->id;
-      ho.to_cell = candidate->id;
-      ho.type = classify_handover(ho.from, ho.to);
-      const Direction dir = traffic_ == TrafficProfile::BackloggedUplink
-                                ? Direction::Uplink
-                                : Direction::Downlink;
-      ho.duration = sample_handover_duration(deployment_->carrier(), dir,
-                                             is_vertical(ho.type), rng_);
-      record_handover(ho, dt);
-      out.handovers.push_back(ho);
-      out.interruption = std::min<Millis>(ho.duration, dt);
+      handover(serving_->tech, candidate->tech, serving_->id, candidate->id,
+               1.0);
       serving_ = candidate;
       channel_.attach(*serving_);
       sector_ = rng_.uniform_int(0, 2);
@@ -183,22 +192,9 @@ RadioTick RadioSession::tick(const geo::DriveSample& s, Millis dt) {
                        idle_factor * moved);
     if (rng_.bernoulli(p)) {
       const int next = (sector_ + rng_.uniform_int(1, 2)) % 3;
-      HandoverEvent ho;
-      ho.t = s.t;
-      ho.from = serving_->tech;
-      ho.to = serving_->tech;
-      ho.from_cell = sector_id(serving_->id, sector_);
-      ho.to_cell = sector_id(serving_->id, next);
-      ho.type = classify_handover(ho.from, ho.to);
-      const Direction dir = traffic_ == TrafficProfile::BackloggedUplink
-                                ? Direction::Uplink
-                                : Direction::Downlink;
       // Intra-site switches are the fastest handovers.
-      ho.duration = 0.7 * sample_handover_duration(deployment_->carrier(),
-                                                   dir, false, rng_);
-      record_handover(ho, dt);
-      out.handovers.push_back(ho);
-      out.interruption = std::min<Millis>(out.interruption + ho.duration, dt);
+      handover(serving_->tech, serving_->tech, sector_id(serving_->id, sector_),
+               sector_id(serving_->id, next), 0.7);
       sector_ = next;
     }
   }
@@ -211,23 +207,8 @@ RadioTick RadioSession::tick(const geo::DriveSample& s, Millis dt) {
     if (anchor == nullptr) anchor = covering(coverage, Technology::Lte);
     if (anchor != nullptr && anchor_ != nullptr &&
         anchor->id != anchor_->id) {
-      HandoverEvent ho;
-      ho.t = s.t;
-      ho.from = anchor_->tech;
-      ho.to = anchor->tech;
-      ho.from_cell = anchor_->id;
-      ho.to_cell = anchor->id;
-      ho.type = classify_handover(ho.from, ho.to);
-      const Direction dir = traffic_ == TrafficProfile::BackloggedUplink
-                                ? Direction::Uplink
-                                : Direction::Downlink;
       // Anchor changes are brief (no user-plane path switch on the NR leg).
-      ho.duration = 0.5 * sample_handover_duration(deployment_->carrier(),
-                                                   dir, false, rng_);
-      record_handover(ho, dt);
-      out.handovers.push_back(ho);
-      out.interruption =
-          std::min<Millis>(out.interruption + ho.duration, dt);
+      handover(anchor_->tech, anchor->tech, anchor_->id, anchor->id, 0.5);
     }
     anchor_ = anchor;
   } else {

@@ -75,6 +75,8 @@ class TraceChannel {
   /// at dt (an interruption longer than the window blanks the whole window).
   TraceEvents events_in(SimMillis t, Millis dt) const;
 
+  /// The recorded samples, sorted by t.
+  const std::vector<TraceSample>& samples() const { return samples_; }
   const std::vector<ran::HandoverEvent>& handovers() const {
     return handovers_;
   }

@@ -67,9 +67,10 @@ constexpr unsigned kFleet = bit(JobKind::Fleet);
 constexpr unsigned kSynth = bit(JobKind::Synth);
 
 // A bare member pointer is a field of that JSON type: an exact unsigned
-// integer (Doc::u64), a number > 0, a bool, a string or an array of strings.
+// integer (Doc::u64), a number in (0, 1], a bool, a string or an array of
+// strings.
 using U64 = std::uint64_t JobSpec::*;
-using Positive = double JobSpec::*;
+using Fraction = double JobSpec::*;
 using Flag = bool JobSpec::*;
 using Text = std::string JobSpec::*;
 using List = std::vector<std::string> JobSpec::*;
@@ -94,7 +95,7 @@ struct JobKey {
   std::string_view name;  // in JSON and in wheelsctl's key=value
   unsigned kinds;         // the job kinds it applies to
   unsigned required;      // the kinds that must set it off its default
-  std::variant<U64, Positive, Flag, IntIn, Text, List, OneOf, Named> field;
+  std::variant<U64, Fraction, Flag, IntIn, Text, List, OneOf, Named> field;
 };
 
 /// In to_json's order: a kind's keys in this order are its canonical JSON.
@@ -177,11 +178,11 @@ void decode(const Doc& doc, const JobKey& key, const Value& val,
         using F = std::decay_t<decltype(f)>;
         if constexpr (std::is_same_v<F, U64>) {
           spec.*f = doc.u64(val, name);
-        } else if constexpr (std::is_same_v<F, Positive>) {
+        } else if constexpr (std::is_same_v<F, Fraction>) {
           const Value& n = doc.as(val, Value::Kind::Number,
                                   "a number for \"" + name + "\"");
-          if (!(n.number > 0.0)) {
-            doc.fail(n.line, "\"" + name + "\" must be > 0");
+          if (!(n.number > 0.0 && n.number <= 1.0)) {
+            doc.fail(n.line, "\"" + name + "\" must be in (0, 1]");
           }
           spec.*f = n.number;
         } else if constexpr (std::is_same_v<F, Flag>) {
@@ -222,7 +223,7 @@ std::string render(const JobSpec& spec, const JobKey& key) {
         using F = std::decay_t<decltype(f)>;
         if constexpr (std::is_same_v<F, U64>) {
           return std::to_string(spec.*f);
-        } else if constexpr (std::is_same_v<F, Positive>) {
+        } else if constexpr (std::is_same_v<F, Fraction>) {
           return double_str(spec.*f);
         } else if constexpr (std::is_same_v<F, Flag>) {
           return spec.*f ? "true" : "false";
@@ -405,7 +406,7 @@ void apply_job_arg(JobSpec& spec, const std::string& arg) {
   // booleans, the rest quoted) and decode it as the parser does.
   std::string json = quoted(value);
   if (std::holds_alternative<U64>(jk->field) ||
-      std::holds_alternative<Positive>(jk->field) ||
+      std::holds_alternative<Fraction>(jk->field) ||
       std::holds_alternative<IntIn>(jk->field)) {
     json = value;
   } else if (std::holds_alternative<Flag>(jk->field)) {

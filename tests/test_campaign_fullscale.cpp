@@ -2,11 +2,12 @@
 // length) must hold every dataset invariant. ~5 s per test process.
 //
 // The bundle it writes is also pinned byte for byte: every table's row count
-// and FNV-1a digest is committed in tests/golden/fullscale_digests.csv. After
-// an *intentional* change to campaign output or to the CSV writers, rewrite
-// it with
+// and FNV-1a digest is committed in tests/golden/fullscale_digests.csv, and
+// five small non-default campaign shapes are pinned the same way in
+// tests/golden/campaign_shape_digests.csv. After an *intentional* change to
+// campaign output or to the CSV writers, rewrite them with
 //   WHEELS_GOLDEN_REGEN=1 ./build/tests/wheels_tests
-//       --gtest_filter=CampaignFullScale.BundleTablesMatchPinnedDigests
+//       --gtest_filter='CampaignFullScale.*:CampaignShapes.*'
 // (one command line) and commit the diff.
 #include <gtest/gtest.h>
 
@@ -93,14 +94,17 @@ TEST(CampaignFullScale, HeadlinePaperShapes) {
   EXPECT_LT(analysis::high_speed_share(a_shares), 0.05);
 }
 
-TEST(CampaignFullScale, BundleTablesMatchPinnedDigests) {
-  const auto& db = full_db();
+/// Every table write_dataset writes for `db`, in its file order, rendered
+/// with the measure::write_*_csv writers: one "table,rows,fnv1a64" row per
+/// table, each prefixed with `prefix`. link_ticks.csv and cell_load.csv
+/// join only when they have rows, as in a bundle.
+std::vector<std::string> table_digest_rows(const measure::ConsolidatedDb& db,
+                                           const std::string& prefix = "") {
   const auto render = [](const std::function<void(std::ostream&)>& writer) {
     std::ostringstream os;
     writer(os);
     return os.str();
   };
-  // The 14 tables write_dataset puts into a full-scale bundle, in its order.
   std::vector<std::pair<std::string, std::function<void(std::ostream&)>>>
       tables = {
           {"tests.csv",
@@ -113,9 +117,17 @@ TEST(CampaignFullScale, BundleTablesMatchPinnedDigests) {
            [&](std::ostream& os) { measure::write_handovers_csv(os, db); }},
           {"app_runs.csv",
            [&](std::ostream& os) { measure::write_app_runs_csv(os, db); }},
-          {"link_ticks.csv",
-           [&](std::ostream& os) { measure::write_link_ticks_csv(os, db); }},
       };
+  if (!db.link_ticks.empty()) {
+    tables.emplace_back("link_ticks.csv", [&](std::ostream& os) {
+      measure::write_link_ticks_csv(os, db);
+    });
+  }
+  if (!db.cell_load.empty()) {
+    tables.emplace_back("cell_load.csv", [&](std::ostream& os) {
+      measure::write_cell_load_csv(os, db);
+    });
+  }
   for (radio::Carrier c : radio::kAllCarriers) {
     const std::size_t ci = measure::carrier_index(c);
     const std::string base{radio::carrier_name(c)};
@@ -136,32 +148,86 @@ TEST(CampaignFullScale, BundleTablesMatchPinnedDigests) {
   tables.emplace_back("cells.csv", [&](std::ostream& os) {
     measure::write_cells_csv(os, db);
   });
-  ASSERT_EQ(tables.size(), 14u);
 
-  std::ostringstream pinned;
-  pinned << "table,rows,fnv1a64\n";
+  std::vector<std::string> rows;
   for (const auto& [name, writer] : tables) {
     const std::string csv = render(writer);
-    const auto rows = std::count(csv.begin(), csv.end(), '\n') - 1;
-    pinned << name << ',' << rows << ','
-           << core::obs::hex64(core::obs::fnv1a64(csv)) << '\n';
+    const auto lines = std::count(csv.begin(), csv.end(), '\n') - 1;
+    rows.push_back(prefix + name + ',' + std::to_string(lines) + ',' +
+                   core::obs::hex64(core::obs::fnv1a64(csv)));
   }
+  return rows;
+}
 
-  const std::string path =
-      std::string{WHEELS_GOLDEN_DIR} + "/fullscale_digests.csv";
+/// Compare `pinned` with the committed tests/golden/`file`; under
+/// WHEELS_GOLDEN_REGEN=1 rewrite the file instead and skip the test.
+void check_pinned(const std::string& pinned, const std::string& file) {
+  const std::string path = std::string{WHEELS_GOLDEN_DIR} + "/" + file;
   const char* regen = std::getenv("WHEELS_GOLDEN_REGEN");
   if (regen != nullptr && *regen != '\0') {
     std::ofstream os{path};
     ASSERT_TRUE(os) << "cannot write " << path;
-    os << pinned.str();
-    GTEST_SKIP() << "full-scale digests rewritten to " << path;
+    os << pinned;
+    GTEST_SKIP() << file << " rewritten to " << path;
   }
   std::ifstream is{path};
   ASSERT_TRUE(is) << "missing " << path
                   << " — regenerate with WHEELS_GOLDEN_REGEN=1";
   std::ostringstream committed;
   committed << is.rdbuf();
-  EXPECT_EQ(pinned.str(), committed.str());
+  EXPECT_EQ(pinned, committed.str());
+}
+
+TEST(CampaignFullScale, BundleTablesMatchPinnedDigests) {
+  const std::vector<std::string> rows = table_digest_rows(full_db());
+  ASSERT_EQ(rows.size(), 14u);
+  std::string pinned = "table,rows,fnv1a64\n";
+  for (const std::string& row : rows) pinned += row + '\n';
+  check_pinned(pinned, "fullscale_digests.csv");
+}
+
+// The bytes of the campaign shapes the default config never takes: 3-test
+// batteries (apps off), no batteries (static off), idle ticks between cycles
+// and after the last one, and a UE population ticked on the coordinator
+// (cell_load.csv). Small scale, fixed seed; pinned in
+// tests/golden/campaign_shape_digests.csv, rewritten under
+// WHEELS_GOLDEN_REGEN=1 like the full-scale file. On seed 46 the last
+// shape's trip ends inside idle ticks, so finalize's flush of the trailing
+// passive backlog is pinned too.
+TEST(CampaignShapes, BundleTablesMatchPinnedDigests) {
+  CampaignConfig base;
+  base.seed = 46;
+  base.scale = 0.03;
+  std::vector<std::pair<std::string, CampaignConfig>> shapes;
+  CampaignConfig cfg = base;
+  cfg.run_apps = false;
+  shapes.emplace_back("apps_off", cfg);
+  cfg = base;
+  cfg.run_static = false;
+  shapes.emplace_back("static_off", cfg);
+  cfg = base;
+  cfg.idle_ticks_between_cycles = 7;
+  shapes.emplace_back("idle_7", cfg);
+  cfg = base;
+  cfg.idle_ticks_between_cycles = 3;
+  cfg.population = 2000;
+  cfg.scheduler = ran::SchedulerKind::RoundRobin;
+  cfg.long_app_stride = 3;
+  shapes.emplace_back("ues_2000_rr_stride_3_idle_3", cfg);
+  cfg = base;
+  cfg.run_apps = false;
+  cfg.run_static = false;
+  cfg.idle_ticks_between_cycles = 7;
+  shapes.emplace_back("apps_off_static_off_idle_7", cfg);
+
+  std::string pinned = "shape,table,rows,fnv1a64\n";
+  for (const auto& [name, shape] : shapes) {
+    const measure::ConsolidatedDb db = DriveCampaign{shape}.run();
+    for (const std::string& row : table_digest_rows(db, name + ',')) {
+      pinned += row + '\n';
+    }
+  }
+  check_pinned(pinned, "campaign_shape_digests.csv");
 }
 
 }  // namespace

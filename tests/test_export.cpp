@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -27,6 +28,8 @@
 #include "measure/validate.hpp"
 #include "replay/ingest.hpp"
 #include "replay/replay_campaign.hpp"
+#include "synth/fit.hpp"
+#include "synth/sample.hpp"
 
 namespace wheels::emu {
 namespace {
@@ -229,6 +232,92 @@ TEST(ExportTimeline, CanonicalTraceHoldSamplesOntoGrid) {
 TEST(ExportTimeline, BundleTestWithoutLinkTicksThrows) {
   measure::ConsolidatedDb db;
   EXPECT_THROW(timeline_from_bundle_test(db, 7), std::runtime_error);
+}
+
+// The drive's long silences (overnight stops, the days between cities) are
+// cut from a bundle timeline by ingest's gap rule, so a whole carrier
+// timeline exports one tick per recorded 500 ms sample.
+TEST(ExportTimeline, BundleTimelineSkipsLongSilences) {
+  const replay::ReplayBundle bundle =
+      replay::read_dataset(WHEELS_GOLDEN_DIR "/bundle");
+  EXPECT_EQ(
+      timeline_from_bundle(bundle.db, radio::Carrier::Verizon, false)
+          .ticks.size(),
+      2568u);
+  EXPECT_EQ(timeline_from_bundle(bundle.db, radio::Carrier::Verizon, true)
+                .ticks.size(),
+            300u);
+  EXPECT_EQ(timeline_from_bundle(bundle.db, radio::Carrier::TMobile, true)
+                .ticks.size(),
+            600u);
+}
+
+TEST(ExportTimeline, BundleTimelineHoldsShortAndCutsLongSilences) {
+  measure::ConsolidatedDb db;
+  const auto kpi = [&db](SimMillis t, radio::Direction dir, double mbps) {
+    measure::KpiRecord k;
+    k.t = t;
+    k.direction = dir;
+    k.throughput = mbps;
+    k.tech = radio::Technology::NrMid;
+    db.kpis.push_back(k);
+  };
+  const auto handover = [&db](SimMillis t, Millis duration) {
+    measure::HandoverRecord h;
+    h.event.t = t;
+    h.event.duration = duration;
+    db.handovers.push_back(h);
+  };
+  kpi(0, radio::Direction::Downlink, 100.0);
+  // 5 s later: held. DL and UL share a timestamp and count as one sample.
+  kpi(5'000, radio::Direction::Downlink, 200.0);
+  kpi(5'000, radio::Direction::Uplink, 20.0);
+  handover(5'200, 40.0);
+  handover(12'000, 40.0);  // inside the silence: dropped with its ticks
+  // 20 s later: cut, the grid resumes at this sample.
+  kpi(25'000, radio::Direction::Downlink, 300.0);
+  handover(25'100, 60.0);
+
+  const EmuTimeline tl = timeline_from_bundle(db, radio::Carrier::Verizon);
+  EXPECT_EQ(tl.start_ms, 0);
+  ASSERT_EQ(tl.ticks.size(), 12u);
+  for (std::size_t i = 0; i < 10; ++i) {  // t = 0 .. 4500 hold the first
+    EXPECT_EQ(tl.ticks[i].cap_dl, 100.0) << i;
+    EXPECT_EQ(tl.ticks[i].cap_ul, 0.0) << i;
+    EXPECT_EQ(tl.ticks[i].handovers, 0) << i;
+  }
+  EXPECT_EQ(tl.ticks[10].cap_dl, 200.0);  // t = 5000
+  EXPECT_EQ(tl.ticks[10].cap_ul, 20.0);
+  EXPECT_EQ(tl.ticks[10].handovers, 1);
+  EXPECT_EQ(tl.ticks[10].interruption, 40.0);
+  EXPECT_EQ(tl.ticks[11].cap_dl, 300.0);  // t = 25000
+  EXPECT_EQ(tl.ticks[11].cap_ul, 20.0);
+  EXPECT_EQ(tl.ticks[11].handovers, 1);
+  EXPECT_EQ(tl.ticks[11].interruption, 60.0);
+  EXPECT_EQ(tl.ticks[11].tech, radio::Technology::NrMid);
+  EXPECT_EQ(tl.ticks[11].rtt, 50.0);
+
+  // Sampled drive cycles sit 2.5 s apart: every tick from the first sample
+  // through the last is kept.
+  const replay::ReplayBundle golden =
+      replay::read_dataset(WHEELS_GOLDEN_DIR "/bundle");
+  const replay::ReplayBundle sampled =
+      synth::sample_bundle(synth::fit_profile(golden), {}, 1, 0, 2);
+  for (const radio::Carrier c : radio::kAllCarriers) {
+    SimMillis first = std::numeric_limits<SimMillis>::max();
+    SimMillis last = std::numeric_limits<SimMillis>::min();
+    for (const measure::KpiRecord& k : sampled.db.kpis) {
+      if (k.carrier != c) continue;
+      first = std::min(first, k.t);
+      last = std::max(last, k.t);
+    }
+    ASSERT_LE(first, last) << radio::carrier_name(c);
+    const EmuTimeline kept = timeline_from_bundle(sampled.db, c);
+    EXPECT_EQ(kept.start_ms, first);
+    EXPECT_EQ(static_cast<SimMillis>(kept.ticks.size()),
+              (last - first) / kept.tick_ms + 1)
+        << radio::carrier_name(c);
+  }
 }
 
 // --- Registry -------------------------------------------------------------

@@ -1,5 +1,6 @@
 // core::json's string codec: escape() and Doc::parse invert each other on
-// any byte string, and a malformed escape fails with its line.
+// any byte string, and a malformed escape fails with its line. A number
+// that overflows a double fails with its line too.
 
 #include <gtest/gtest.h>
 
@@ -53,6 +54,14 @@ TEST(Json, StringEscapesRoundTrip) {
             "json: line 1: malformed \\u escape (expected 4 hex digits)");
   EXPECT_EQ(error_of(R"("\u12)"),
             "json: line 1: malformed \\u escape (expected 4 hex digits)");
+}
+
+TEST(Json, OverflowingNumberFailsWithItsLine) {
+  EXPECT_EQ(error_of("[1,\n1e999]"),
+            "json: line 2: number out of range '1e999'");
+  EXPECT_EQ(error_of("-1e400"), "json: line 1: number out of range '-1e400'");
+  EXPECT_EQ(Doc{"json"}.parse("1.7976931348623157e308").number,
+            1.7976931348623157e308);
 }
 
 }  // namespace

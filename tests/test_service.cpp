@@ -641,7 +641,8 @@ TEST(ServiceRecovery, ClosedConnectionsReleaseTheirThreads) {
 // --- ServiceProtocol ------------------------------------------------------
 
 TEST(ServiceProtocol, MalformedRequestsFailWithExactStrings) {
-  Daemon d{"protocol"};
+  // Paused: a request the parser wrongly admitted queues instead of running.
+  Daemon d{"protocol", 2, 64, /*paused=*/true};
   Client c = d.connect();
   const auto err = [&](const std::string& line) {
     return thrown([&] { parse_ok_response(c.raw_request(line)); });
@@ -670,6 +671,18 @@ TEST(ServiceProtocol, MalformedRequestsFailWithExactStrings) {
   EXPECT_EQ(
       err(R"({"v": 1, "op": "submit", "job": {"kind": "fleet", "ci": 300}})"),
       "protocol: line 1: key \"ci\" does not apply to fleet jobs");
+  // A campaign scale is a fraction of the trip, as WHEELS_SCALE is.
+  for (const std::string scale : {"50", "0"}) {
+    EXPECT_EQ(err(R"({"v": 1, "op": "submit", "job": {"kind": "campaign", )"
+                  R"("scale": )" +
+                  scale + "}}"),
+              "protocol: line 1: \"scale\" must be in (0, 1]")
+        << scale;
+  }
+  EXPECT_EQ(
+      err(R"({"v": 1, "op": "submit", "job": {"kind": "campaign", )"
+          R"("scale": 1e999}})"),
+      "protocol: line 1: number out of range '1e999'");
 }
 
 TEST(ServiceProtocol, JobAndResultErrorsNameTheJob) {

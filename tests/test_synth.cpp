@@ -8,9 +8,11 @@
 // the synth_trace CLI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ingest/stream.hpp"
@@ -187,6 +189,42 @@ TEST(SynthTest, MalformedProfileRejectedWithLineNumbers) {
   // Trailing garbage after the document.
   err = error_of("{}\nextra");
   EXPECT_NE(err.find("profile: line"), std::string::npos) << err;
+
+  // Integer fields decode exactly, failing at their own line: the golden
+  // fit with the first `"key": <number>` replaced by `value`.
+  const std::string golden = golden_profile().to_json();
+  const auto error_with = [&](const std::string& key,
+                              const std::string& value) {
+    const std::string needle = "\"" + key + "\": ";
+    const std::size_t at = golden.find(needle);
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t from = at + needle.size();
+    std::string json = golden;
+    json.replace(from, golden.find(',', from) - from, value);
+    const auto line = 1 + std::count(golden.begin(),
+                                     golden.begin() + static_cast<long>(at),
+                                     '\n');
+    return std::pair{error_of(json), "profile: line " + std::to_string(line)};
+  };
+  const auto not_digits = [](const std::string& key, const std::string& v) {
+    return ": \"" + key +
+           "\" must be an unsigned 64-bit integer in plain digits, got '" +
+           v + "'";
+  };
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{{"version", "1.5"},
+                                                        {"tick_ms", "500.9"},
+                                                        {"n_ticks", "-1"},
+                                                        {"n_rtt", "2.5"}}) {
+    const auto [error, at] = error_with(key, value);
+    EXPECT_EQ(error, at + not_digits(key, value));
+  }
+  for (const std::string value : {"0", "9223372036854775808"}) {
+    const auto [error, at] = error_with("tick_ms", value);
+    EXPECT_EQ(error, at + ": tick_ms must be in [1, 9223372036854775807]");
+  }
+  const auto [overflow, at] = error_with("n_ticks", "1e999");
+  EXPECT_EQ(overflow, at + ": number out of range '1e999'");
 }
 
 TEST(SynthTest, VersionSkewedProfileRejected) {
